@@ -1,7 +1,7 @@
-// Pooled scheduler vs thread-per-node executor on large SP-ladders:
-// the pool runs N-node graphs on a fixed worker count (1-16), while the
-// thread-per-node executor needs N OS threads (so its range stops at 1k --
-// 10k threads is exactly the regime the pool exists to avoid).
+// Pooled scheduler on large SP-ladders: the pool runs N-node graphs on a
+// fixed worker count (1-16), where the paper's thread-per-node model would
+// need N OS threads (10k threads is exactly the regime the pool exists to
+// avoid).
 // items_per_second follows bench_throughput's convention: rate against the
 // run's own wall time.
 #include <benchmark/benchmark.h>
@@ -112,34 +112,6 @@ void BM_PoolExecutor_LadderScaling(benchmark::State& state) {
 }
 BENCHMARK(BM_PoolExecutor_LadderScaling)
     ->ArgsProduct({{100, 1000}, {8, 16}})
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(2);
-
-void BM_ThreadPerNode_Ladder(benchmark::State& state) {
-  const auto nodes = static_cast<std::size_t>(state.range(0));
-  const StreamGraph& g = ladder_of(nodes);
-  exec::Session session(g, workloads::passthrough_kernels(g));
-  exec::RunSpec spec;
-  spec.backend = exec::Backend::Threaded;
-  spec.mode = runtime::DummyMode::None;
-  spec.num_inputs = kItems;
-  std::uint64_t processed = 0;
-  double wall = 0.0;
-  for (auto _ : state) {
-    const auto r = session.run(spec);
-    SDAF_ASSERT(r.completed);
-    processed += kItems;
-    wall += r.wall_seconds;
-  }
-  state.counters["nodes"] = static_cast<double>(g.node_count());
-  state.counters["workers"] = static_cast<double>(g.node_count());
-  state.counters["items_per_second"] =
-      wall > 0 ? static_cast<double>(processed) / wall : 0.0;
-}
-// 10k OS threads is the pathology the pool removes; cap the contrast at 1k.
-BENCHMARK(BM_ThreadPerNode_Ladder)
-    ->Arg(100)
-    ->Arg(1000)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(2);
 

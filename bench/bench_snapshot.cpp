@@ -112,12 +112,6 @@ void run_snapshot_overhead(benchmark::State& state, exec::Backend backend) {
       snapshots / std::max<std::uint64_t>(1, state.iterations()));
 }
 
-void BM_SnapshotOverhead_Threaded(benchmark::State& state) {
-  run_snapshot_overhead(state, exec::Backend::Threaded);
-}
-BENCHMARK(BM_SnapshotOverhead_Threaded)
-    ->Iterations(3)->Unit(benchmark::kMillisecond);
-
 void BM_SnapshotOverhead_Pooled(benchmark::State& state) {
   run_snapshot_overhead(state, exec::Backend::Pooled);
 }
@@ -186,12 +180,6 @@ void run_snapshot_latency(benchmark::State& state, exec::Backend backend) {
       samples_ns.size() / std::max<std::uint64_t>(1, state.iterations()));
   state.counters["snapshot_bytes"] = static_cast<double>(last_bytes);
 }
-
-void BM_SnapshotLatency_Threaded(benchmark::State& state) {
-  run_snapshot_latency(state, exec::Backend::Threaded);
-}
-BENCHMARK(BM_SnapshotLatency_Threaded)
-    ->Iterations(3)->Unit(benchmark::kMillisecond);
 
 void BM_SnapshotLatency_Pooled(benchmark::State& state) {
   run_snapshot_latency(state, exec::Backend::Pooled);

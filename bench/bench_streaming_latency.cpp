@@ -103,12 +103,6 @@ void BM_StreamLatency_Sim(benchmark::State& state) {
 }
 BENCHMARK(BM_StreamLatency_Sim)->Iterations(3)->Unit(benchmark::kMillisecond);
 
-void BM_StreamLatency_Threaded(benchmark::State& state) {
-  run_latency(state, exec::Backend::Threaded);
-}
-BENCHMARK(BM_StreamLatency_Threaded)
-    ->Iterations(3)->Unit(benchmark::kMillisecond);
-
 void BM_StreamLatency_Pooled(benchmark::State& state) {
   run_latency(state, exec::Backend::Pooled);
 }
@@ -177,12 +171,6 @@ void BM_StreamIngest_Sim(benchmark::State& state) {
   run_ingest(state, exec::Backend::Sim, /*pass_rate=*/0.1);
 }
 BENCHMARK(BM_StreamIngest_Sim)->Iterations(3)->Unit(benchmark::kMillisecond);
-
-void BM_StreamIngest_Threaded(benchmark::State& state) {
-  run_ingest(state, exec::Backend::Threaded, /*pass_rate=*/0.1);
-}
-BENCHMARK(BM_StreamIngest_Threaded)
-    ->Iterations(3)->Unit(benchmark::kMillisecond);
 
 void BM_StreamIngest_Pooled(benchmark::State& state) {
   run_ingest(state, exec::Backend::Pooled, /*pass_rate=*/0.1);

@@ -1,4 +1,4 @@
-// E10 -- end-to-end threaded throughput: what the avoidance wrappers cost
+// E10 -- end-to-end pooled throughput: what the avoidance wrappers cost
 // when the application actually computes. The workload is the
 // continuation-edge ladder (workloads::continuation_ladder): a filter stage
 // whose dropped items must continue down a relay chain as dummies, so at
@@ -8,7 +8,8 @@
 // dummies fire). Each workload runs message-at-a-time (batch=1, the
 // paper-faithful pacing and the pre-PR behaviour) and with the batch
 // quantum the data plane exists for (batch=64); per-edge traffic is
-// bit-identical across the two, only the cost changes.
+// bit-identical across the two, only the cost changes. Runs share one
+// pool of hardware-concurrency workers per benchmark.
 //
 // items_per_second is the figure of merit; tools/bench.sh records it in
 // BENCH_throughput.json.
@@ -17,6 +18,7 @@
 #include "src/core/compile.h"
 #include "src/exec/session.h"
 #include "src/obs/metrics.h"
+#include "src/runtime/pool_executor.h"
 #include "src/support/contracts.h"
 #include "src/workloads/filters.h"
 #include "src/workloads/topologies.h"
@@ -47,13 +49,15 @@ void run_throughput(benchmark::State& state, double pass_rate,
   const StreamGraph g = workloads::continuation_ladder(4, 64, 1);
   const auto compiled = core::compile(g);
   SDAF_ASSERT(compiled.ok);
+  runtime::PoolExecutor pool;
   std::uint64_t processed = 0;
   std::uint64_t dummies = 0;
   double wall = 0.0;
   for (auto _ : state) {
     exec::Session session(g, ladder_kernels(g, pass_rate, 17));
     exec::RunSpec spec;
-    spec.backend = exec::Backend::Threaded;
+    spec.backend = exec::Backend::Pooled;
+    spec.pool = &pool;
     spec.mode = runtime::DummyMode::Propagation;
     spec.apply(compiled);
     spec.num_inputs = kItems;
@@ -71,6 +75,7 @@ void run_throughput(benchmark::State& state, double pass_rate,
   state.counters["dummies_per_run"] = static_cast<double>(
       dummies / std::max<std::uint64_t>(1, state.iterations()));
   state.counters["batch"] = static_cast<double>(batch);
+  state.counters["workers"] = static_cast<double>(pool.worker_count());
 }
 
 void BM_Throughput_Pass100(benchmark::State& state) {
@@ -119,6 +124,7 @@ void BM_Throughput_Pass10_MetricsOverhead(benchmark::State& state) {
   const auto compiled = core::compile(g);
   SDAF_ASSERT(compiled.ok);
   obs::MetricsRegistry registry(g.node_count(), g.edge_count());
+  runtime::PoolExecutor pool;
   std::uint64_t processed = 0;
   double wall_off = 0.0;
   double wall_on = 0.0;
@@ -126,7 +132,8 @@ void BM_Throughput_Pass10_MetricsOverhead(benchmark::State& state) {
     for (int metrics_on = 0; metrics_on < 2; ++metrics_on) {
       exec::Session session(g, ladder_kernels(g, /*pass_rate=*/0.1, 17));
       exec::RunSpec spec;
-      spec.backend = exec::Backend::Threaded;
+      spec.backend = exec::Backend::Pooled;
+      spec.pool = &pool;
       spec.mode = runtime::DummyMode::Propagation;
       spec.apply(compiled);
       spec.num_inputs = kItems;

@@ -1,7 +1,8 @@
 // Fig. 2 live: the same triangle topology and the same adversarial
 // filtering pattern, run twice through exec::Session -- once bare
-// (deadlocks, detected by the watchdog, with a post-mortem state dump) and
-// once compiled with dummy intervals (completes).
+// (deadlocks, certified exactly by the pooled scheduler's quiescence check,
+// with a post-mortem state dump) and once compiled with dummy intervals
+// (completes).
 //
 //   $ ./deadlock_demo
 #include <cstdio>
@@ -34,7 +35,7 @@ int main() {
   const StreamGraph g = workloads::fig2_triangle(2, 2, 2);
   exec::Session session(g, make_kernels());
   exec::RunSpec spec;
-  spec.backend = exec::Backend::Threaded;
+  spec.backend = exec::Backend::Pooled;
   spec.num_inputs = 500;
 
   {

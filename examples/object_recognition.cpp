@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
 
   exec::Session session(g, kernels);
   exec::RunSpec spec;
-  spec.backend = exec::Backend::Threaded;
+  spec.backend = exec::Backend::Pooled;
   spec.mode = runtime::DummyMode::Propagation;
   spec.num_inputs = frames;
   const auto [compiled, run] = session.compile_and_run(spec);

@@ -1,6 +1,6 @@
 // Quickstart: build a filtering split/join, compile dummy intervals, and
 // run it through the exec::Session facade -- the one execution API over the
-// simulator, the thread-per-node executor, and the pooled scheduler.
+// deterministic simulator and the pooled scheduler.
 //
 //   $ ./quickstart
 //
@@ -34,11 +34,11 @@ int main() {
 
   // 3. Compile + run in one call: exec::Session memoizes the compile pass
   //    (classification + dummy intervals) and dispatches to the backend
-  //    named in the RunSpec -- here the thread-per-node executor, with the
+  //    named in the RunSpec -- here the pooled scheduler, with the
   //    Propagation Algorithm wrappers.
   exec::Session session(g, kernels);
   exec::RunSpec spec;
-  spec.backend = exec::Backend::Threaded;
+  spec.backend = exec::Backend::Pooled;
   spec.mode = runtime::DummyMode::Propagation;
   spec.num_inputs = 10'000;
   const auto [compiled, run] = session.compile_and_run(spec);

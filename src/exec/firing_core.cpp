@@ -18,7 +18,7 @@ namespace {
 constexpr std::size_t kNoTail = std::numeric_limits<std::size_t>::max();
 }  // namespace
 
-std::optional<runtime::HeadView> DeliverySink::peek_feed(bool /*may_wait*/) {
+std::optional<runtime::HeadView> DeliverySink::peek_feed() {
   SDAF_ASSERT(false && "sink does not support port-fed sources");
   return std::nullopt;
 }
@@ -267,10 +267,8 @@ bool FiringCore::drain_pending() {
 std::uint64_t FiringCore::fire_once(std::uint64_t budget) {
   static const std::vector<std::optional<runtime::Value>> no_inputs;
   if (in_slots_ == 0 && port_fed_) {
-    // Port-fed source: one feed message per firing. The blocking contract
-    // mirrors interior alignment -- the sink may only wait inside peek_feed
-    // when no outputs are pending.
-    auto head = sink_.peek_feed(/*may_wait=*/pending_.empty());
+    // Port-fed source: one feed message per firing.
+    auto head = sink_.peek_feed();
     if (!head.has_value()) return 0;  // feed empty (or aborted)
     if (head->kind == MessageKind::Marker) {
       // Barrier reaches a port-fed source directly from its InputPort:
@@ -322,16 +320,12 @@ std::uint64_t FiringCore::fire_once(std::uint64_t budget) {
     return 1;
   }
   // Interior / sink: alignment needs every input head present; the next
-  // accepted sequence number is the minimum head. Peeks are payload-free,
-  // and a blocking sink may only wait when no outputs are pending --
-  // otherwise an input wait could deadlock against our own undelivered
-  // messages.
-  const bool may_wait = pending_.empty();
+  // accepted sequence number is the minimum head. Peeks are payload-free.
   std::uint64_t min_seq = kEosSeq;
   bool any_data_at_min = false;
   bool marker_at_min = false;
   for (std::size_t j = 0; j < in_slots_; ++j) {
-    auto head = sink_.peek_head(j, may_wait);
+    auto head = sink_.peek_head(j);
     if (!head.has_value()) return 0;  // input unavailable (or aborted)
     heads_[j] = *head;
     if (head->seq < min_seq) {

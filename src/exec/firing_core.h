@@ -1,14 +1,14 @@
-// The one true firing rule. Every execution backend -- the deterministic
-// simulator, the thread-per-node executor, and the pooled scheduler -- runs
-// each node through this state machine: sequence-number alignment at the
-// minimum input head, kernel invocation only when data arrived, wrapper-
-// driven dummy origination/forwarding, per-channel-asynchronous output
-// delivery, and the EOS flood. Backends differ only in *delivery* -- how a
+// The one true firing rule. Both execution backends -- the deterministic
+// simulator and the pooled scheduler -- run each node through this state
+// machine: sequence-number alignment at the minimum input head, kernel
+// invocation only when data arrived, wrapper-driven dummy
+// origination/forwarding, per-channel-asynchronous output delivery, and
+// the EOS flood. Backends differ only in *delivery* -- how a
 // message moves through a channel and what happens when it cannot -- which
 // is exactly the DeliverySink contract below.
 //
 // The data plane is allocation-free, batched, and (on the concurrent
-// backends) lock-free: alignment peeks payload-free HeadViews (never
+// backend) lock-free: alignment peeks payload-free HeadViews (never
 // copying a payload), data is moved out of a channel by its single
 // consumer without a mutex (the channels ride runtime::SpscRing), and
 // consecutive-sequence dummy runs travel as single coalesced segments in
@@ -20,9 +20,9 @@
 // which the differential tests enforce.
 //
 // A FiringCore is single-owner: exactly one thread may call step() at a
-// time (the simulator sweep, the node's own OS thread, or the pool worker
-// that currently owns the task). The sink callbacks are invoked from inside
-// step() on that same thread.
+// time (the simulator sweep, or the pool worker that currently owns the
+// task). The sink callbacks are invoked from inside step() on that same
+// thread.
 #pragma once
 
 #include <cstdint>
@@ -51,11 +51,12 @@ enum class PushOutcome : std::uint8_t {
 // Backend delivery contract. Peeks/pops act on in-slots, pushes on
 // out-slots (slot indices follow StreamGraph::in_edges/out_edges order).
 //
-//   simulator      peek_head = ring head view, try_push = capacity check
-//   thread-per-node peek_head *blocks* until a head or abort; pushes are
-//                  non-blocking and the runner waits on its ProducerSignal
-//   pooled         peeks/pushes are non-blocking and additionally wake the
-//                  peer node on empty->non-empty / full->non-full edges
+//   simulator  peek_head = ring head view, try_push = capacity check
+//   pooled     peeks/pushes are non-blocking and additionally wake the
+//              peer node on empty->non-empty / full->non-full edges
+//
+// No sink operation blocks: an unavailable head or a full channel is
+// reported, and the backend decides when to step the node again.
 class DeliverySink {
  public:
   virtual ~DeliverySink() = default;
@@ -63,12 +64,8 @@ class DeliverySink {
   // Payload-free view of the head of in-slot `slot` (seq, kind, and the
   // length of the consecutive dummy run starting there), or empty when no
   // message is available (backend-specific: empty channel, or aborted run).
-  // `may_wait` is the blocking-backend contract: the core sets it only when
-  // it holds no undelivered outputs, so a sink that blocks inside peek
-  // (thread-per-node) can never wedge the graph by sitting on pending
-  // messages; with may_wait == false every sink must return immediately.
   [[nodiscard]] virtual std::optional<runtime::HeadView> peek_head(
-      std::size_t slot, bool may_wait) = 0;
+      std::size_t slot) = 0;
 
   // Removes the head of in-slot `slot` and returns it (payload moved out,
   // one critical section). Precondition: the immediately preceding
@@ -100,10 +97,9 @@ class DeliverySink {
 
   // Port-fed sources only (FiringCore constructed with port_fed = true):
   // head view / removal of the injected ingress feed, with the same
-  // blocking contract as peek_head. The defaults assert -- a backend that
-  // runs port-fed sources must override both.
-  [[nodiscard]] virtual std::optional<runtime::HeadView> peek_feed(
-      bool may_wait);
+  // contract as peek_head. The defaults assert -- a backend that runs
+  // port-fed sources must override both.
+  [[nodiscard]] virtual std::optional<runtime::HeadView> peek_feed();
   [[nodiscard]] virtual runtime::Message pop_feed();
 };
 
@@ -158,7 +154,7 @@ class FiringCore {
   // live behind `sink`. `batch` is the firing quantum (see RunSpec::batch;
   // clamped to >= 1). `tracer` (optional, not owned) records per-message
   // events; `tick` (optional, not owned) supplies the tracer timestamp --
-  // the simulator points it at its sweep counter, concurrent backends leave
+  // the simulator points it at its sweep counter, the pooled backend leaves
   // it null (tick 0; event *order* across threads is not meaningful there).
   // `port_fed` (sources only, in_slots == 0): consume the sink's injected
   // feed instead of self-generating num_inputs sequence numbers -- a

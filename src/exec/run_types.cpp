@@ -6,8 +6,6 @@ const char* to_string(Backend b) {
   switch (b) {
     case Backend::Sim:
       return "sim";
-    case Backend::Threaded:
-      return "threaded";
     case Backend::Pooled:
       return "pooled";
   }
@@ -16,7 +14,6 @@ const char* to_string(Backend b) {
 
 std::optional<Backend> backend_from_string(std::string_view s) {
   if (s == "sim") return Backend::Sim;
-  if (s == "threaded") return Backend::Threaded;
   if (s == "pooled") return Backend::Pooled;
   return std::nullopt;
 }

@@ -1,13 +1,9 @@
-// The one option/result surface for every execution backend. exec::RunSpec
-// is what a run needs regardless of backend (the old runtime::
-// ExecutorOptions and sim::SimOptions were per-backend copies of it, kept
-// as deprecated aliases for the differential tests that pin a backend on
-// purpose); exec::RunReport is the uniform result (ex runtime::RunResult /
-// sim::SimResult). The backends consume RunSpec directly and ignore the
-// fields that do not apply to them.
+// The one option/result surface for both execution backends. exec::RunSpec
+// is what a run needs regardless of backend; exec::RunReport is the uniform
+// result. The backends consume RunSpec directly and ignore the fields that
+// do not apply to them.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -38,10 +34,11 @@ class PoolExecutor;
 
 namespace sdaf::exec {
 
+// The values are wire bytes (docs/PROTOCOL.md). 1 is retired: it named a
+// thread-per-node backend, and the frame decoders reject it.
 enum class Backend : std::uint8_t {
-  Sim,       // deterministic single-threaded reference; exact sweep verdicts
-  Threaded,  // thread-per-node + watchdog; the paper's model made literal
-  Pooled,    // fixed worker pool; exact quiescence-based deadlock detection
+  Sim = 0,     // deterministic single-threaded reference; exact sweep verdicts
+  Pooled = 2,  // fixed worker pool; exact quiescence-based deadlock detection
 };
 
 [[nodiscard]] const char* to_string(Backend b);
@@ -130,10 +127,6 @@ struct RunSpec {
 
   // --- Sim tuning ---
   std::uint64_t max_sweeps = std::uint64_t{1} << 30;
-
-  // --- Threaded tuning ---
-  std::chrono::milliseconds watchdog_tick{2};
-  int deadlock_confirm_ticks = 30;
 
   // --- Pooled tuning ---
   // Shared pool to run on (not owned); lets many sessions/tenants

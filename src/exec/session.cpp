@@ -1,7 +1,6 @@
 #include "src/exec/session.h"
 
 #include "src/runtime/channel.h"
-#include "src/runtime/executor.h"
 #include "src/runtime/pool_executor.h"
 #include "src/sim/simulation.h"
 #include "src/support/contracts.h"
@@ -47,7 +46,7 @@ struct BatchFeeds {
     binding.live = false;
     for (const NodeId n : g.sources()) {
       auto feed = std::make_unique<runtime::BoundedChannel>(
-          static_cast<std::size_t>(num_inputs) + 1, /*monitor=*/nullptr);
+          static_cast<std::size_t>(num_inputs) + 1);
       for (std::uint64_t seq = 0; seq < num_inputs; ++seq) {
         const auto r = feed->try_push(runtime::Message::data(seq, {}));
         SDAF_ASSERT(r == runtime::PushResult::Ok);
@@ -83,11 +82,6 @@ RunReport Session::run(const RunSpec& spec) {
       sim::Simulation simulation(graph_, kernels_);
       report = simulation.run(spec);
       report.wall_seconds = clock.elapsed_seconds();
-      break;
-    }
-    case Backend::Threaded: {
-      runtime::Executor executor(graph_, kernels_);
-      report = executor.run(spec);
       break;
     }
     case Backend::Pooled: {

@@ -9,8 +9,8 @@
 //     same ports (open, feed N firing tokens, close, drain), bit-identical
 //     to the historical self-generating run.
 //
-// The backends -- the deterministic simulator, the thread-per-node
-// executor, and the pooled scheduler -- share one firing rule
+// The two backends -- the deterministic simulator (the reference model) and
+// the pooled scheduler (the concurrent engine) -- share one firing rule
 // (src/exec/firing_core.cpp) and are differential-tested bit-identical
 // (tests/test_session.cpp, tests/test_stream.cpp), so switching backends
 // changes cost, not semantics:
@@ -55,7 +55,7 @@ namespace sdaf::exec {
 class Session {
  public:
   // kernels[n] drives node n. Kernels must be stateless across runs (the
-  // wrapper/alignment state is per-run); on concurrent backends a kernel
+  // wrapper/alignment state is per-run); on the pooled backend a kernel
   // instance is invoked from one thread at a time per run.
   Session(const StreamGraph& g,
           std::vector<std::shared_ptr<runtime::Kernel>> kernels);

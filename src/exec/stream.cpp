@@ -13,7 +13,6 @@
 #include "src/qos/admission.h"
 #include "src/qos/credit.h"
 #include "src/runtime/channel.h"
-#include "src/runtime/executor.h"
 #include "src/runtime/pool_executor.h"
 #include "src/sim/simulation.h"
 #include "src/support/contracts.h"
@@ -49,8 +48,8 @@ std::string snapshot_signature(const StreamGraph& g, const RunSpec& run) {
 // stream is made of -- the port channels (feeds with one reserved EOS slot,
 // egress taps), the PortBinding the backend consumes, and the port handles
 // -- plus the backend-agnostic port logic. Subclasses supply how execution
-// is driven (sweeps on the caller's thread vs. threads vs. pool tasks) and
-// what a port transition must additionally do (nothing, or a task wake-up).
+// is driven (sweeps on the caller's thread vs. pool tasks) and what a port
+// transition must additionally do (nothing, or a task wake-up).
 struct Core {
   const StreamGraph& graph;
   std::vector<std::shared_ptr<runtime::Kernel>> kernels;
@@ -175,7 +174,7 @@ struct Core {
       // never fail for lack of space (data occupancy is capped at
       // feed_capacity by the port push path).
       feed_channels.push_back(std::make_unique<BoundedChannel>(
-          spec.feed_capacity + 1, /*monitor=*/nullptr));
+          spec.feed_capacity + 1));
       feed_signals.push_back(std::make_unique<ProducerSignal>());
       feed_channels.back()->set_producer_signal(feed_signals.back().get());
       if (credits != nullptr)
@@ -191,7 +190,7 @@ struct Core {
       binding.sink_nodes.push_back(n);
       if (spec.capture_outputs) {
         egress_channels.push_back(std::make_unique<BoundedChannel>(
-            spec.egress_capacity, /*monitor=*/nullptr));
+            spec.egress_capacity));
         binding.egress.push_back(egress_channels.back().get());
         auto port = std::unique_ptr<OutputPort>(new OutputPort());
         port->core_ = this;
@@ -832,12 +831,12 @@ struct Core {
 };
 
 bool Core::wait_feed_space(std::size_t i, const Deadline& deadline) {
-  // Wake-elision protocol, mirrored from the node runners: register as a
-  // waiter on the feed's ProducerSignal (every consumer pop bumps it),
-  // re-check, then park futex-style on the captured version -- bounded by
-  // the absolute deadline when the caller asked for timed parking. The
-  // caller loops, so a spurious wake-up (version moved but no space yet)
-  // just re-probes. See runtime::ProducerSignal::bump.
+  // Wake-elision protocol: register as a waiter on the feed's
+  // ProducerSignal (every consumer pop bumps it), re-check, then park
+  // futex-style on the captured version -- bounded by the absolute deadline
+  // when the caller asked for timed parking. The caller loops, so a
+  // spurious wake-up (version moved but no space yet) just re-probes. See
+  // runtime::ProducerSignal::bump.
   BoundedChannel& feed = *feed_channels[i];
   ProducerSignal& sig = *feed_signals[i];
   const std::uint32_t version = sig.event.capture();
@@ -952,46 +951,6 @@ struct SimCore final : Core {
   }
 };
 
-// ----------------------------------------------------------- Threaded ---
-// One thread per node; port calls block inside the channels. The watchdog
-// spawns unarmed (an input-starved source is idle, not wedged) and arms
-// when the last port closes -- from then on "every node thread blocked with
-// no progress" is again the exact certification, and certifying aborts the
-// port channels too, releasing any parked caller.
-struct ThreadedCore final : Core {
-  std::unique_ptr<runtime::ThreadEngine> engine;
-  std::atomic<std::size_t> closed_ports{0};
-
-  ThreadedCore(const StreamGraph& g,
-               std::vector<std::shared_ptr<runtime::Kernel>> k, StreamSpec s,
-               const ckpt::StreamSnapshot* restore)
-      : Core(g, std::move(k), std::move(s), restore) {
-    engine = std::make_unique<runtime::ThreadEngine>(graph, kernels,
-                                                     bound_spec());
-    restore_src = nullptr;  // borrow ends with engine construction
-    // Ports restored closed never call feed_closed; seed the count so the
-    // watchdog still arms when the *remaining* open ports close (or right
-    // away if the cut had closed them all).
-    std::size_t pre_closed = 0;
-    for (const auto& port : inputs)
-      if (port->closed()) ++pre_closed;
-    closed_ports.store(pre_closed);
-    engine->start(/*arm_watchdog=*/pre_closed == inputs.size());
-  }
-
-  void feed_closed(std::size_t /*i*/) override {
-    if (closed_ports.fetch_add(1) + 1 == inputs.size())
-      engine->arm_watchdog();
-  }
-
-  [[nodiscard]] ckpt::EdgeCut edge_cut_at(
-      EdgeId e, bool producer_checkpointed) const override {
-    return engine->edge_cut(e, producer_checkpointed);
-  }
-
-  RunReport collect() override { return engine->join(); }
-};
-
 // ------------------------------------------------------------- Pooled ---
 // Node tasks on a worker pool; port transitions become task wake-ups
 // through the PoolExecutor stream hooks, and the extended quiescence rule
@@ -1073,9 +1032,6 @@ std::unique_ptr<Core> make_core(const StreamGraph& graph,
     case Backend::Sim:
       return std::make_unique<SimCore>(graph, std::move(kernels),
                                        std::move(spec), restore);
-    case Backend::Threaded:
-      return std::make_unique<ThreadedCore>(graph, std::move(kernels),
-                                            std::move(spec), restore);
     case Backend::Pooled:
       return std::make_unique<PooledCore>(graph, std::move(kernels),
                                           std::move(spec), restore);

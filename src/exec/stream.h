@@ -15,10 +15,9 @@
 // One InputPort per source node (push / try_push / push_batch with
 // backpressure; close() is the dynamic end-of-stream that triggers the
 // existing EOS flood) and one OutputPort per sink node (poll / poll_batch /
-// blocking next), on all three backends: the simulator drains whatever was
-// pushed between deterministic sweeps on the caller's thread, the threaded
-// backend blocks port calls in the channels themselves, and the pooled
-// backend turns port transitions into task wake-ups with quiescence
+// blocking next), on both backends: the simulator drains whatever was
+// pushed between deterministic sweeps on the caller's thread, and the
+// pooled backend turns port transitions into task wake-ups with quiescence
 // extended to "quiescent *and* no port has pending items", so deadlock
 // certification stays exact while ports are open (see
 // runtime::PoolExecutor::submit).
@@ -51,7 +50,7 @@ struct Core;  // backend-polymorphic stream engine (src/exec/stream.cpp)
 
 // Everything a live stream needs. `run` carries the shared backend
 // configuration (backend, dummy mode, intervals, forward_on_filter, batch,
-// tracer, pool fields, watchdog tuning); num_inputs and ports are ignored
+// tracer, pool fields); num_inputs and ports are ignored
 // -- the ports make the item count dynamic.
 struct StreamSpec {
   RunSpec run;
@@ -102,7 +101,7 @@ class InputPort {
   // after pumping (a wedge the caller can confirm with finish()).
   //
   // Caveat for wedge-capable workloads (avoidance off, or unvalidated
-  // intervals) on the concurrent backends: deadlock is only certified once
+  // intervals) on the pooled backend: deadlock is only certified once
   // every port closes, so if the graph wedges while this port is open, a
   // blocked push() has no one to unblock it -- the caller parked here is
   // the one who would have closed the port. Such callers should drive
@@ -114,7 +113,7 @@ class InputPort {
   // ended, which closed() distinguishes).
   bool try_push(runtime::Value v = {});
   // Deadline-bounded push: parks on the feed at most `timeout` (timed cv
-  // wait on the concurrent backends; the Sim backend pumps instead and
+  // wait on the pooled backend; the Sim backend pumps instead and
   // reports TimedOut as soon as a pump cannot absorb the item). A caller
   // that must never hard-block on a wedge-capable stream -- a network
   // server ingesting on behalf of remote clients -- uses this instead of
@@ -219,7 +218,7 @@ class Stream {
 
   // Sim backend: run sweeps on the caller's thread until nothing more can
   // progress without new input (ports call this on demand too, so explicit
-  // pumping is optional). No-op on the concurrent backends.
+  // pumping is optional). No-op on the pooled backend.
   void pump();
 
   // Live metrics snapshot: per-node and per-channel counters from the

@@ -12,6 +12,14 @@ namespace {
 constexpr std::uint32_t kMaxBatchItems = 1u << 20;
 constexpr std::uint32_t kMaxVectorLen = 1u << 20;
 
+// Backend wire bytes are the exec::Backend values. Byte 1 is retired (it
+// named a thread-per-node backend) and decodes as malformed, like any
+// other unknown value.
+bool valid_backend(std::uint8_t b) {
+  return b == static_cast<std::uint8_t>(exec::Backend::Sim) ||
+         b == static_cast<std::uint8_t>(exec::Backend::Pooled);
+}
+
 void put_u16(std::uint8_t* out, std::uint16_t v) {
   out[0] = static_cast<std::uint8_t>(v);
   out[1] = static_cast<std::uint8_t>(v >> 8);
@@ -301,7 +309,7 @@ std::optional<OpenFrame> decode_open(const std::uint8_t* p, std::size_t n) {
   f.tenant = r.str();
   f.topology = r.str();
   if (!r.done()) return std::nullopt;
-  if (f.backend > 2 || f.mode > 2 ||
+  if (!valid_backend(f.backend) || f.mode > 2 ||
       kernel > static_cast<std::uint8_t>(KernelKind::Wedge))
     return std::nullopt;
   // Resource bounds: port-channel capacities and the firing quantum are
@@ -462,7 +470,7 @@ std::optional<VerdictFrame> decode_verdict(const std::uint8_t* p,
   rep.sweeps = r.u64();
   rep.wall_seconds = r.f64();
   const std::uint32_t edges = r.u32();
-  if (!r.ok() || backend > 2 || edges > kMaxVectorLen ||
+  if (!r.ok() || !valid_backend(backend) || edges > kMaxVectorLen ||
       edges > r.remaining() / 24)
     return std::nullopt;
   rep.backend = static_cast<exec::Backend>(backend);
@@ -571,7 +579,7 @@ std::optional<RestoreFrame> decode_restore(const std::uint8_t* p,
   f.open.topology = r.str();
   f.snapshot = r.str();
   if (!r.done()) return std::nullopt;
-  if (f.open.backend > 2 || f.open.mode > 2 ||
+  if (!valid_backend(f.open.backend) || f.open.mode > 2 ||
       kernel > static_cast<std::uint8_t>(KernelKind::Wedge))
     return std::nullopt;
   if (f.open.feed_capacity == 0 || f.open.feed_capacity > (1u << 20) ||

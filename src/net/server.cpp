@@ -538,7 +538,7 @@ struct Server::Impl {
     if (s == nullptr) return;
     // finish() closes any open ports, drains the taps, and waits for the
     // exact verdict. With avoidance armed this returns promptly; on an
-    // unprotected wedge it returns once deadlock is certified (watchdog /
+    // unprotected wedge it returns once deadlock is certified (sweep or
     // quiescence), which is the one deliberately-blocking call the
     // protocol exposes -- clients that closed every port and drained their
     // outputs (the Client::finish contract) see it return fast.

@@ -18,8 +18,9 @@
 //      clients opening the same topology skip CS4 decomposition and
 //      interval computation; OpenOk reports the hit so clients can see it.
 //
-// All streams run on one shared runtime::PoolExecutor (Pooled backend) or
-// on per-stream resources (Sim/Threaded, as the client requests).
+// Pooled streams share one runtime::PoolExecutor; a Sim stream (when the
+// client asks for the reference backend) sweeps on the server's own
+// thread. The retired backend byte 1 is rejected as a malformed frame.
 // Lifecycle: start() binds, run() serves until request_stop(), and
 // request_drain() begins a graceful shutdown -- listeners close, live
 // connections get drain_grace to Finish, then the loop exits and teardown

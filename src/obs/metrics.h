@@ -1,4 +1,4 @@
-// sdaf::obs -- the measurement substrate for all three backends.
+// sdaf::obs -- the measurement substrate for both backends.
 //
 // MetricsRegistry holds cache-line-padded counter shards -- one NodeCounters
 // per node, one ChannelCounters per edge (per-worker WorkerCounters shards
@@ -13,9 +13,9 @@
 // are incremented at the same FiringCore sites on every backend (emission
 // is counted where outputs are queued, consumption where heads are popped),
 // so the sim's deterministic counts are a bit-exact reference for the
-// threaded and pooled backends -- the differential tests assert exactly
-// that. Channel counters count logical messages (a coalesced run of k
-// dummies counts k), matching the paper's buffer-size semantics.
+// pooled backend -- the differential tests assert exactly that. Channel
+// counters count logical messages (a coalesced run of k dummies counts k),
+// matching the paper's buffer-size semantics.
 //
 // The snapshot structs are plain values: safe to copy out of a live run,
 // serialize (obs/export.h), or sample periodically (obs/sampler.h).

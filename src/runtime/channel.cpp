@@ -6,8 +6,7 @@
 
 namespace sdaf::runtime {
 
-BoundedChannel::BoundedChannel(std::size_t capacity, RuntimeMonitor* monitor)
-    : monitor_(monitor), ring_(capacity) {
+BoundedChannel::BoundedChannel(std::size_t capacity) : ring_(capacity) {
   SDAF_EXPECTS(capacity >= 1);
 }
 
@@ -40,7 +39,6 @@ void BoundedChannel::record_push(MessageKind kind, std::size_t count,
       obs::bump(metrics_->dummies_pushed, count);
     metrics_->note_high_water(occ);
   }
-  if (monitor_ != nullptr) monitor_->note_progress();
 }
 
 void BoundedChannel::notify_not_empty() {
@@ -49,36 +47,6 @@ void BoundedChannel::notify_not_empty() {
   // side always sees the other (lost-wakeup-free), and with no waiter
   // neither the version word nor the kernel is ever touched.
   not_empty_.bump_if_waiters();
-}
-
-void BoundedChannel::notify_not_full() { not_full_.bump_if_waiters(); }
-
-bool BoundedChannel::push(Message m) {
-  for (;;) {
-    if (aborted_.load(std::memory_order_acquire)) return false;
-    const MessageKind kind = m.kind;
-    SpscRing::PushEffect effect;
-    if (ring_.try_push(std::move(m), &effect)) {
-      record_push(kind, 1, effect);
-      notify_not_empty();
-      return true;
-    }
-    // Full: park futex-style until a pop frees space or the run aborts.
-    // Capture precedes registration precedes the re-check, and the fence
-    // pairs with finish_pop's fence (a seq_cst RMW alone does not order
-    // the acquire re-check under the standard's fence rules). If a pop
-    // lands after the re-check it bumps the version off `captured`, so the
-    // park falls through; the outer loop re-probes either way.
-    if (metrics_ != nullptr) obs::bump(metrics_->full_stalls);
-    const std::uint32_t captured = not_full_.capture();
-    not_full_.register_waiter();
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (ring_.full() && !aborted_.load(std::memory_order_acquire)) {
-      BlockedScope blocked(monitor_);
-      ParkingLot::park(not_full_.version, captured);
-    }
-    not_full_.unregister_waiter();
-  }
 }
 
 PushResult BoundedChannel::try_push(Message&& m, bool* was_empty) {
@@ -148,9 +116,8 @@ PushResult BoundedChannel::try_push_marker(std::uint64_t seq,
   if (!ring_.try_push_marker(seq, &effect)) return PushResult::Full;
   if (was_empty != nullptr) *was_empty = effect.was_empty;
   // Markers are not traffic: no data/dummy counters, no high-water (they
-  // are occupancy-neutral), but they ARE progress for the watchdog and
-  // pending work for a parked consumer.
-  if (monitor_ != nullptr) monitor_->note_progress();
+  // are occupancy-neutral), but they ARE pending work for a parked
+  // consumer.
   notify_not_empty();
   return PushResult::Ok;
 }
@@ -186,10 +153,8 @@ std::optional<HeadView> BoundedChannel::peek_head_wait() {
     const std::uint32_t captured = not_empty_.capture();
     not_empty_.register_waiter();
     std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (ring_.empty() && !aborted_.load(std::memory_order_acquire)) {
-      BlockedScope blocked(monitor_);
+    if (ring_.empty() && !aborted_.load(std::memory_order_acquire))
       ParkingLot::park(not_empty_.version, captured);
-    }
     not_empty_.unregister_waiter();
   }
 }
@@ -202,8 +167,6 @@ Message BoundedChannel::pop_head(bool* was_full) {
   SpscRing::PopEffect effect;
   Message m = ring_.pop_head(&effect);
   if (metrics_ != nullptr) obs::bump(metrics_->pops);
-  if (monitor_ != nullptr) monitor_->note_progress();
-  notify_not_full();
   if (producer_signal_ != nullptr) producer_signal_->bump();
   if (drain_hook_ != nullptr && m.kind == MessageKind::Data)
     drain_hook_->on_data_drained(1);
@@ -215,8 +178,6 @@ bool BoundedChannel::pop() {
   SpscRing::PopEffect effect;
   ring_.pop(&effect);
   if (metrics_ != nullptr) obs::bump(metrics_->pops);
-  if (monitor_ != nullptr) monitor_->note_progress();
-  notify_not_full();
   if (producer_signal_ != nullptr) producer_signal_->bump();
   return effect.was_full;
 }
@@ -228,18 +189,15 @@ BoundedChannel::PopRun BoundedChannel::pop_dummies(std::size_t count) {
   if (result.popped == 0) return result;
   result.was_full = effect.was_full;
   if (metrics_ != nullptr) obs::bump(metrics_->pops, result.popped);
-  if (monitor_ != nullptr) monitor_->note_progress();
-  notify_not_full();
   if (producer_signal_ != nullptr) producer_signal_->bump();
   return result;
 }
 
 void BoundedChannel::abort() {
   aborted_.store(true, std::memory_order_seq_cst);
-  // Unconditional bumps: the version moves off every captured value before
+  // Unconditional bump: the version moves off every captured value before
   // the wake, so a waiter between its re-check and its park falls through
   // instead of sleeping past the abort.
-  not_full_.bump();
   not_empty_.bump();
   if (producer_signal_ != nullptr) producer_signal_->bump(/*abort_flag=*/true);
 }

@@ -1,30 +1,29 @@
 // Bounded FIFO channel: the finite buffer of the paper's model. Exactly one
 // producer and one consumer thread per channel (the edge's endpoints), which
-// is what makes the data path lock-free: all non-blocking operations ride on
-// a runtime::SpscRing (atomic head/tail counters over MessageRing-style
-// coalescing segment storage) and never take a mutex.
+// is what makes the data path lock-free: every push and pop rides on a
+// runtime::SpscRing (atomic head/tail counters over MessageRing-style
+// coalescing segment storage) and never takes a mutex.
 //
-// There is no mutex anywhere: the *blocking* operations (push /
-// peek_head_wait, used by the thread-per-node backend and tests) park
-// futex-style directly on the channel's atomic event words
-// (runtime::ParkingLot). Wake-ups are elided with atomic waiter counts: a
-// fast-path push or pop never issues a wake syscall unless the opposite
-// side has registered as parked, so the hot path of the pooled backend
-// (which never blocks inside a channel) pays nothing. The protocol is
-// lost-wakeup-free: a waiter captures the event word, registers its count
-// with a seq_cst RMW *before* re-checking the ring, and the opposite
-// side's counter publish issues a seq_cst fence *before* reading the
-// waiter count, so one of the two always observes the other -- "never
-// falsely empty for a parked peer" (see docs/SCHEDULER.md).
+// Pushes never block: a full channel answers Full and the caller (a pooled
+// node task, or an exec::Stream port parked on the feed's ProducerSignal)
+// retries after a transition. The one blocking operation, peek_head_wait
+// (an OutputPort waiting on its egress tap), parks futex-style directly on
+// the channel's not-empty event word (runtime::ParkingLot). Wake-ups are
+// elided with an atomic waiter count: a push never issues a wake syscall
+// unless the consumer has registered as parked, so the hot path of the
+// pooled backend pays nothing. The protocol is lost-wakeup-free: a waiter
+// captures the event word, registers its count with a seq_cst RMW *before*
+// re-checking the ring, and the producer's counter publish issues a
+// seq_cst fence *before* reading the waiter count, so one of the two
+// always observes the other -- "never falsely empty for a parked peer"
+// (see docs/SCHEDULER.md).
 //
 // Occupancy, full() and the stats still count logical messages (a coalesced
 // run of k dummies counts k), so the paper's buffer-size semantics -- and
 // exact deadlock certification -- are untouched. Occupancy probes
 // (empty/full/size) are coherent snapshots, never torn, so the pooled
 // scheduler's park-probe protocol and the deadlock state dumps read sizes
-// that actually existed. Blocking operations report to the RuntimeMonitor
-// so the watchdog can certify deadlock; abort() releases all waiters, which
-// then unwind.
+// that actually existed. abort() releases every waiter, which then unwinds.
 #pragma once
 
 #include <atomic>
@@ -32,7 +31,6 @@
 #include <optional>
 
 #include "src/obs/metrics.h"
-#include "src/runtime/deadlock_detector.h"
 #include "src/runtime/message.h"
 #include "src/runtime/parking_lot.h"
 #include "src/runtime/spsc_ring.h"
@@ -45,13 +43,12 @@ struct ChannelStats {
   std::int64_t max_occupancy = 0;    // logical messages, not segments
 };
 
-// Wakeup channel from a node's output channels back to the node: a firing's
-// outputs are delivered per-channel asynchronously (whatever fits goes out;
-// the rest is retried), so a producer blocked on one full channel must wake
-// when *any* of its channels frees space. The event word's version counter
-// closes the check-then-wait race; the waiter count elides the wake syscall
-// on pops when the producer is not parked (the common case). Waiters park
-// futex-style on `event.version` -- no mutex, no condition variable.
+// Wakeup channel from a channel's consumer back to a producer waiting for
+// space: an exec::Stream InputPort pusher parked on its full feed. Every
+// pop bumps it. The event word's version counter closes the check-then-wait
+// race; the waiter count elides the wake syscall on pops when the producer
+// is not parked (the common case). Waiters park futex-style on
+// `event.version` -- no mutex, no condition variable.
 struct ProducerSignal {
   EventWord event;
   std::atomic<bool> aborted{false};
@@ -72,17 +69,13 @@ enum class PushResult : std::uint8_t { Ok, Full, Aborted };
 
 class BoundedChannel {
  public:
-  BoundedChannel(std::size_t capacity, RuntimeMonitor* monitor);
+  explicit BoundedChannel(std::size_t capacity);
 
-  // Blocks while full. Returns false iff the channel was aborted.
-  [[nodiscard]] bool push(Message m);
-
-  // Non-blocking push used by the per-channel-asynchronous emission path;
-  // consumes `m` only on Ok. When `was_empty` is non-null it is set to
-  // whether the push made the channel transition empty -> non-empty (the
-  // edge a pooled scheduler must turn into a consumer wake-up; may be
-  // spuriously true under concurrency, never falsely false for a parked
-  // consumer).
+  // Push used by the per-channel-asynchronous emission path; consumes `m`
+  // only on Ok. When `was_empty` is non-null it is set to whether the push
+  // made the channel transition empty -> non-empty (the edge a pooled
+  // scheduler must turn into a consumer wake-up; may be spuriously true
+  // under concurrency, never falsely false for a parked consumer).
   [[nodiscard]] PushResult try_push(Message&& m, bool* was_empty = nullptr);
 
   // Non-blocking bulk push of up to `count` data messages: one ring
@@ -116,8 +109,8 @@ class BoundedChannel {
 
   // Payload-free head views -- alignment never copies a payload. Consumer
   // side only.
-  // try_peek_head: empty when the channel holds no messages (never blocks,
-  // never reports to the monitor -- the caller parks instead).
+  // try_peek_head: empty when the channel holds no messages (never blocks;
+  // the caller parks instead).
   // peek_head_wait: blocks while empty; empty optional iff aborted.
   [[nodiscard]] std::optional<HeadView> try_peek_head() const;
   [[nodiscard]] std::optional<HeadView> peek_head_wait();
@@ -197,9 +190,7 @@ class BoundedChannel {
   void record_push(MessageKind kind, std::size_t count,
                    const SpscRing::PushEffect& effect);
   void notify_not_empty();
-  void notify_not_full();
 
-  RuntimeMonitor* monitor_;
   ProducerSignal* producer_signal_ = nullptr;
   obs::ChannelCounters* metrics_ = nullptr;
   DrainHook* drain_hook_ = nullptr;
@@ -221,10 +212,9 @@ class BoundedChannel {
   std::atomic<std::uint64_t> cut_data_pushed_{0};
   std::atomic<std::uint64_t> cut_dummies_pushed_{0};
 
-  // Slow path only: futex-parked event words for the blocking ops. The
-  // elided bumps are sound because SpscRing's publish/finish_pop each issue
-  // a seq_cst fence before the waiter-count read (see EventWord).
-  EventWord not_full_;
+  // Slow path only: the futex-parked event word for peek_head_wait. The
+  // elided bump is sound because SpscRing's publish issues a seq_cst fence
+  // before the waiter-count read (see EventWord).
   EventWord not_empty_;
 };
 

@@ -1,6 +1,6 @@
 // Fixed-capacity message buffer with dummy run-length coalescing: the one
 // queue representation behind every backend's channels (BoundedChannel for
-// the concurrent backends, SimChannel for the deterministic sweep), so the
+// the pooled backend, SimChannel for the deterministic sweep), so the
 // coalescing semantics cannot drift between them.
 //
 // A run of k dummies with consecutive sequence numbers is stored as a

@@ -26,8 +26,7 @@ NodeState::NodeState(NodeId node, Kernel& kernel,
   SDAF_EXPECTS(waker_ != nullptr);
 }
 
-std::optional<HeadView> NodeState::peek_head(std::size_t slot,
-                                             bool /*may_wait*/) {
+std::optional<HeadView> NodeState::peek_head(std::size_t slot) {
   return ins_[slot]->try_peek_head();  // empty = parked until input fills
 }
 
@@ -90,7 +89,7 @@ std::size_t NodeState::try_push_dummies(std::size_t slot,
   return accepted;
 }
 
-std::optional<HeadView> NodeState::peek_feed(bool /*may_wait*/) {
+std::optional<HeadView> NodeState::peek_feed() {
   return feed_->try_peek_head();  // empty = parked until the caller pushes
 }
 

@@ -8,7 +8,7 @@
 // a channel, which is what lets a fixed worker pool run graphs with orders
 // of magnitude more nodes than threads. The firing semantics themselves
 // (alignment, dummy wrappers, EOS flood) live in src/exec/firing_core.cpp,
-// shared with the simulator and the thread-per-node executor.
+// shared with the simulator.
 #pragma once
 
 #include <cstdint>
@@ -93,7 +93,7 @@ class NodeState final : private exec::DeliverySink {
   // DeliverySink: non-blocking channel ops plus peer wake-ups on the
   // empty->non-empty and full->non-full transitions. The batched ops issue
   // one wake-up per run, not per message.
-  std::optional<HeadView> peek_head(std::size_t slot, bool may_wait) override;
+  std::optional<HeadView> peek_head(std::size_t slot) override;
   Message pop_head(std::size_t slot) override;
   void pop(std::size_t slot) override;
   void pop_dummies(std::size_t slot, std::size_t count) override;
@@ -101,7 +101,7 @@ class NodeState final : private exec::DeliverySink {
   std::size_t try_push_dummies(std::size_t slot, std::uint64_t first_seq,
                                std::size_t count,
                                exec::PushOutcome* outcome) override;
-  std::optional<HeadView> peek_feed(bool may_wait) override;
+  std::optional<HeadView> peek_feed() override;
   Message pop_feed() override;
 
   std::vector<BoundedChannel*> ins_;

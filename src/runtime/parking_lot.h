@@ -1,7 +1,7 @@
 // Futex-style parking keyed directly on 32-bit atomic words: the blocking
-// half of every wait protocol in the runtime (idle pool workers, the
-// threaded backend's output waits, blocking channel ops, InputPort::push
-// backpressure) without a mutex or condition variable anywhere on the path.
+// half of every wait protocol in the runtime (idle pool workers,
+// OutputPort::next's egress wait, InputPort::push backpressure) without a
+// mutex or condition variable anywhere on the path.
 //
 // The protocol is the futex one: a waiter captures the word's value,
 // registers/re-checks whatever condition it is really waiting for, and then

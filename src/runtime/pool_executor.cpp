@@ -138,7 +138,7 @@ struct PoolExecutor::Instance final : Waker {
   std::condition_variable cv;
   bool finished = false;
   bool collected = false;
-  RunResult result;
+  exec::RunReport result;
 
   void wake(NodeId node) override {
     executor->schedule(&tasks[node]);
@@ -203,7 +203,7 @@ PoolExecutor::~PoolExecutor() {
 
 PoolExecutor::TicketId PoolExecutor::submit(
     const StreamGraph& g, std::vector<std::shared_ptr<Kernel>> kernels,
-    const ExecutorOptions& options) {
+    const exec::RunSpec& options) {
   const std::size_t edges = g.edge_count();
   const std::size_t node_count = g.node_count();
   SDAF_EXPECTS(kernels.size() == node_count);
@@ -232,7 +232,7 @@ PoolExecutor::TicketId PoolExecutor::submit(
   instance->channels.reserve(edges);
   for (EdgeId e = 0; e < edges; ++e) {
     instance->channels.push_back(std::make_unique<BoundedChannel>(
-        static_cast<std::size_t>(g.edge(e).buffer), /*monitor=*/nullptr));
+        static_cast<std::size_t>(g.edge(e).buffer)));
     if (options.metrics != nullptr)
       instance->channels.back()->set_metrics(&options.metrics->channel(e));
   }
@@ -648,7 +648,7 @@ void PoolExecutor::maybe_finalize(Instance& instance) {
 
 void PoolExecutor::finalize(Instance& instance) {
   const StreamGraph& g = *instance.graph;
-  RunResult result;
+  exec::RunReport result;
   result.backend = exec::Backend::Pooled;
   bool all_done = true;
   for (const auto& node : instance.nodes) all_done &= node->done();
@@ -659,7 +659,7 @@ void PoolExecutor::finalize(Instance& instance) {
   for (EdgeId e = 0; e < g.edge_count(); ++e) {
     const auto s = instance.channels[e]->stats();
     result.edges[e] =
-        EdgeTraffic{s.data_pushed, s.dummies_pushed, s.max_occupancy};
+        exec::EdgeTraffic{s.data_pushed, s.dummies_pushed, s.max_occupancy};
   }
   result.fires.resize(g.node_count());
   result.sink_data.resize(g.node_count());
@@ -785,7 +785,7 @@ std::vector<obs::TenantSchedMetrics> PoolExecutor::tenant_metrics() const {
   return out;
 }
 
-RunResult PoolExecutor::wait(TicketId ticket) {
+exec::RunReport PoolExecutor::wait(TicketId ticket) {
   std::shared_ptr<Instance> instance;
   {
     std::lock_guard lock(instances_mu_);
@@ -793,7 +793,7 @@ RunResult PoolExecutor::wait(TicketId ticket) {
     SDAF_EXPECTS(it != instances_.end());
     instance = it->second;
   }
-  RunResult result;
+  exec::RunReport result;
   {
     std::unique_lock lock(instance->mu);
     instance->cv.wait(lock, [&] { return instance->finished; });
@@ -812,9 +812,9 @@ RunResult PoolExecutor::wait(TicketId ticket) {
   return result;
 }
 
-RunResult PoolExecutor::run(const StreamGraph& g,
-                            std::vector<std::shared_ptr<Kernel>> kernels,
-                            const ExecutorOptions& options) {
+exec::RunReport PoolExecutor::run(
+    const StreamGraph& g, std::vector<std::shared_ptr<Kernel>> kernels,
+    const exec::RunSpec& options) {
   return wait(submit(g, std::move(kernels), options));
 }
 

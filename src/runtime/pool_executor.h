@@ -1,13 +1,14 @@
 // Pooled scheduler runtime: runs stream graphs as cooperatively scheduled
 // node tasks on a fixed-size worker pool, instead of one OS thread per node.
 //
-// Motivation: the thread-per-node Executor is faithful to the paper's model
-// but cannot scale -- a 10k-node ladder costs 10k threads, and concurrent
-// graph instances multiply that. Here each node is a non-blocking state
-// machine (runtime::NodeState) that a worker steps until it can make no
-// progress, then parks; channel transitions (input filled, full output
-// drained) re-enqueue it. Threads never block inside a kernel or a channel,
-// so a pool of W workers runs any number of graphs of any size with exactly
+// Motivation: the paper's runtime model (modelled exactly by sim::
+// SweepEngine) gives every node its own thread, which cannot scale -- a
+// 10k-node ladder would cost 10k threads, and concurrent graph instances
+// multiply that. Here each node is a non-blocking state machine
+// (runtime::NodeState) that a worker steps until it can make no progress,
+// then parks; channel transitions (input filled, full output drained)
+// re-enqueue it. Threads never block inside a kernel or a channel, so a
+// pool of W workers runs any number of graphs of any size with exactly
 // W + 1 OS threads.
 //
 // Scheduling (v2) is work-stealing: each worker owns a Chase-Lev deque
@@ -21,7 +22,7 @@
 // epoch word, with a pre-park re-scan of every source so the flush protocol
 // is "never falsely empty for a parked peer". See docs/SCHEDULER.md.
 //
-// Deadlock is certified *exactly*, not by watchdog timing: a per-instance
+// Deadlock is certified *exactly*, not by timing: a per-instance
 // counter tracks queued + running tasks; nodes are only woken by channel
 // transitions caused by other tasks of the same instance, so when the
 // counter reaches zero no future progress is possible. Distributing the
@@ -43,8 +44,7 @@
 // Prefer the exec::Session facade (src/exec/session.h) for new code --
 // point RunSpec::pool at a shared PoolExecutor; this header stays as the
 // backend implementation. The firing semantics live in
-// src/exec/firing_core.cpp, shared with the simulator and the
-// thread-per-node executor.
+// src/exec/firing_core.cpp, shared with the simulator.
 #pragma once
 
 #include <atomic>
@@ -58,10 +58,11 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/ckpt/snapshot.h"
+#include "src/exec/run_types.h"
 #include "src/graph/stream_graph.h"
 #include "src/obs/metrics.h"
 #include "src/runtime/channel.h"
-#include "src/runtime/executor.h"
 #include "src/runtime/kernel.h"
 #include "src/runtime/node_state.h"
 #include "src/runtime/parking_lot.h"
@@ -121,9 +122,9 @@ class PoolExecutor {
   using TicketId = std::uint64_t;
 
   // Starts an execution of `g`. The graph and kernels must stay alive until
-  // wait() returns. Options are the exec::RunSpec shared by every backend;
-  // the watchdog and backend-selection fields are ignored (deadlock here is
-  // certified by exact quiescence, not timing).
+  // wait() returns. Options are the exec::RunSpec shared by both backends;
+  // the backend-selection and Sim fields are ignored (deadlock here is
+  // certified by exact quiescence, not a sweep budget).
   //
   // With options.ports set, sources read the injected feeds and tapped
   // sinks gain an egress out-slot. Live ports (ports->live) extend the
@@ -136,7 +137,7 @@ class PoolExecutor {
   // the instance; exec::Stream owns them.
   [[nodiscard]] TicketId submit(const StreamGraph& g,
                                 std::vector<std::shared_ptr<Kernel>> kernels,
-                                const ExecutorOptions& options);
+                                const exec::RunSpec& options);
 
   // Streaming hooks for exec::Stream. The opaque handle (fetched once per
   // stream) keeps the per-push path off the ticket table; it pins the
@@ -158,12 +159,12 @@ class PoolExecutor {
       const StreamHandle& handle, EdgeId e, bool producer_checkpointed);
 
   // Blocks until the instance finishes; each ticket may be waited once.
-  [[nodiscard]] RunResult wait(TicketId ticket);
+  [[nodiscard]] exec::RunReport wait(TicketId ticket);
 
   // submit + wait.
-  [[nodiscard]] RunResult run(const StreamGraph& g,
-                              std::vector<std::shared_ptr<Kernel>> kernels,
-                              const ExecutorOptions& options);
+  [[nodiscard]] exec::RunReport run(
+      const StreamGraph& g, std::vector<std::shared_ptr<Kernel>> kernels,
+      const exec::RunSpec& options);
 
   [[nodiscard]] std::size_t worker_count() const { return threads_.size(); }
 

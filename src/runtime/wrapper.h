@@ -1,5 +1,5 @@
 // The dummy-message wrappers of Section II.B, as pure decision logic shared
-// verbatim by the threaded executor and the deterministic simulator.
+// verbatim by the pooled executor and the deterministic simulator.
 //
 // The silence gap is measured in *sequence numbers*, not firings: a node
 // only fires when messages arrive, and arrivals are sparse exactly when

@@ -23,7 +23,7 @@ namespace {
 
 // One edge's buffer: the shared coalescing ring plus traffic accounting.
 // Logical occupancy (a run of k dummies counts k) drives full()/capacity,
-// so buffer-size semantics match the concurrent backends exactly.
+// so buffer-size semantics match the pooled backend's channels exactly.
 struct SimChannel {
   explicit SimChannel(std::size_t capacity) : ring(capacity) {}
 
@@ -96,8 +96,7 @@ class SimNode final : private exec::DeliverySink {
   void mark_done() { core_.mark_done(); }
 
  private:
-  std::optional<HeadView> peek_head(std::size_t slot,
-                                    bool /*may_wait*/) override {
+  std::optional<HeadView> peek_head(std::size_t slot) override {
     SimChannel& ch = *ins_[slot];
     if (ch.ring.empty()) {
       if (ch.metrics != nullptr) obs::bump(ch.metrics->empty_waits);
@@ -180,7 +179,7 @@ class SimNode final : private exec::DeliverySink {
     return accepted;
   }
 
-  std::optional<HeadView> peek_feed(bool /*may_wait*/) override {
+  std::optional<HeadView> peek_feed() override {
     return feed_->try_peek_head();
   }
 

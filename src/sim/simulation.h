@@ -1,17 +1,18 @@
-// Deterministic single-threaded simulator of the identical streaming
-// semantics as runtime::Executor: the same exec::FiringCore drives every
-// node (same alignment rule, same wrappers, same blocking structure --
-// nodes stall mid-emission on a full channel, holding already-consumed
-// inputs). Deadlock is detected exactly -- a full round-robin sweep with no
-// progress while work remains -- with no timers, making the traffic and
-// deadlock benchmarks reproducible on any machine. Channels are the same
-// coalescing runtime::MessageRing as the concurrent backends', so the
-// batched data plane is differential-tested against the sweep semantics.
+// Deterministic single-threaded simulator of the paper's blocking,
+// thread-per-node runtime model, and the reference the pooled backend is
+// differential-tested against: the same exec::FiringCore drives every node
+// (same alignment rule, same wrappers, same blocking structure -- nodes
+// stall mid-emission on a full channel, holding already-consumed inputs).
+// Deadlock is detected exactly -- a full round-robin sweep with no progress
+// while work remains -- with no timers, making the traffic and deadlock
+// benchmarks reproducible on any machine. Channels are the coalescing
+// runtime::MessageRing whose segment layout the pooled backend's SpscRing
+// follows, so the batched data plane is differential-tested against the
+// sweep semantics.
 //
 // Prefer the exec::Session facade (src/exec/session.h) for new code; this
 // header stays as the backend implementation. Options and results are the
-// exec types (exec::RunSpec / exec::RunReport); the old per-backend names
-// remain as aliases for tests that pin this backend on purpose.
+// exec types (exec::RunSpec / exec::RunReport).
 #pragma once
 
 #include <memory>
@@ -24,19 +25,13 @@
 
 namespace sdaf::sim {
 
-// Deprecated aliases from before the exec:: fold; the exec names are the
-// one definition.
-using SimOptions = exec::RunSpec;
-using SimResult = exec::RunReport;
-
 class Simulation {
  public:
   Simulation(const StreamGraph& g,
              std::vector<std::shared_ptr<runtime::Kernel>> kernels);
 
   // Consumes spec.mode/intervals/forward_on_filter/num_inputs/tracer/batch,
-  // max_sweeps and ports; backend-selection, watchdog and pool fields are
-  // ignored.
+  // max_sweeps and ports; backend-selection and pool fields are ignored.
   [[nodiscard]] exec::RunReport run(const exec::RunSpec& options);
 
  private:

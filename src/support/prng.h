@@ -1,5 +1,5 @@
 // Deterministic pseudo-random number generation for workload generators,
-// filter models, and property tests. Reproducibility across the threaded
+// filter models, and property tests. Reproducibility across the pooled
 // runtime and the simulator requires a PRNG we own; std::mt19937 output is
 // standardized but distribution implementations are not, so distributions
 // here are implemented explicitly.

@@ -1,5 +1,4 @@
-// Monotonic wall-clock stopwatch for benchmark harnesses and the runtime's
-// deadlock watchdog.
+// Monotonic wall-clock stopwatch for benchmark harnesses and run reports.
 #pragma once
 
 #include <chrono>

@@ -1,6 +1,6 @@
 // Filtering-behaviour models: deterministic functions from (sequence
 // number, output slot) to pass/filter decisions. Determinism (counter-based
-// hashing rather than stream draws) makes the threaded runtime and the
+// hashing rather than stream draws) makes the pooled runtime and the
 // simulator produce identical message sequences for the same seed.
 #pragma once
 

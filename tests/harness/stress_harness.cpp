@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <thread>
@@ -409,8 +410,7 @@ std::optional<std::string> run_differential(const CaseSpec& spec,
   if (auto err = check_dump(reference, "sim"); err.has_value())
     return *err + "\n  repro: " + repro_command(spec);
 
-  std::vector<exec::Backend> backends = {exec::Backend::Threaded,
-                                         exec::Backend::Pooled};
+  std::vector<exec::Backend> backends = {exec::Backend::Pooled};
   if (spec.feed == FeedMode::Port)
     backends.insert(backends.begin(), exec::Backend::Sim);
   for (const exec::Backend backend : backends) {
@@ -786,8 +786,8 @@ SweepResult sweep_crash_cases(std::uint64_t sweep_seed, double seconds,
   Prng rng(sweep_seed);
   Stopwatch clock;
   const bool verbose = std::getenv("SDAF_STRESS_VERBOSE") != nullptr;
-  constexpr exec::Backend kBackends[] = {
-      exec::Backend::Sim, exec::Backend::Threaded, exec::Backend::Pooled};
+  constexpr exec::Backend kBackends[] = {exec::Backend::Sim,
+                                         exec::Backend::Pooled};
   while (result.cases_run < max_cases &&
          (result.cases_run == 0 || clock.elapsed_seconds() < seconds)) {
     CaseSpec spec = random_case(rng);
@@ -799,7 +799,8 @@ SweepResult sweep_crash_cases(std::uint64_t sweep_seed, double seconds,
       const std::uint32_t batches[] = {1, 7, 64};
       spec.batch = batches[rng.next_below(3)];
     }
-    const exec::Backend backend = kBackends[rng.next_below(3)];
+    const exec::Backend backend =
+        kBackends[rng.next_below(std::size(kBackends))];
     const std::uint64_t crash_seed = rng.next_u64();
     if (verbose)
       std::fprintf(stderr, "crash case: %s crash=%llu backend=%s\n",

@@ -1,9 +1,9 @@
 // Reusable randomized stress / differential harness for the execution
 // backends. One seeded CaseSpec fully determines a workload -- topology,
 // kernels, dummy mode, firing quantum -- and the harness runs it through
-// the deterministic simulator (the reference), the thread-per-node
-// executor, and the pooled scheduler, requiring bit-identical verdicts,
-// per-edge traffic, firing counts and sink deliveries.
+// the deterministic simulator (the reference) and the pooled scheduler,
+// requiring bit-identical verdicts, per-edge traffic, firing counts and
+// sink deliveries.
 //
 // On mismatch the harness reports a one-line repro command
 // (SDAF_HARNESS_REPRO='<spec>' ./test_harness_stress ...), so a failure
@@ -113,13 +113,12 @@ struct CaseSpec {
                                           runtime::PoolExecutor* pool);
 
 // The differential check: batch-fed simulator reference, then every
-// backend (all three in Port mode -- the port-fed sim included -- else
-// threaded and pooled) must match verdict, per-edge {data, dummies}, fires
-// and sink_data -- and every backend must emit a state_dump exactly when
-// deadlocked. Returns nullopt on agreement, else a mismatch description
-// ending in the repro command. `reference_deadlocked` (optional) reports
-// the reference verdict, so sweeps can tally without re-running the
-// simulator.
+// backend (both in Port mode -- the port-fed sim included -- else pooled
+// only) must match verdict, per-edge {data, dummies}, fires and sink_data
+// -- and every backend must emit a state_dump exactly when deadlocked.
+// Returns nullopt on agreement, else a mismatch description ending in the
+// repro command. `reference_deadlocked` (optional) reports the reference
+// verdict, so sweeps can tally without re-running the simulator.
 [[nodiscard]] std::optional<std::string> run_differential(
     const CaseSpec& spec, runtime::PoolExecutor* pool,
     bool* reference_deadlocked = nullptr);

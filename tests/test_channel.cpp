@@ -8,10 +8,10 @@ namespace sdaf::runtime {
 namespace {
 
 TEST(Channel, FifoOrder) {
-  BoundedChannel ch(4, nullptr);
-  ASSERT_TRUE(ch.push(Message::data(0, Value(1))));
-  ASSERT_TRUE(ch.push(Message::dummy(1)));
-  ASSERT_TRUE(ch.push(Message::data(2, Value(3))));
+  BoundedChannel ch(4);
+  ASSERT_EQ(ch.try_push(Message::data(0, Value(1))), PushResult::Ok);
+  ASSERT_EQ(ch.try_push(Message::dummy(1)), PushResult::Ok);
+  ASSERT_EQ(ch.try_push(Message::data(2, Value(3))), PushResult::Ok);
   auto m = ch.peek_head_wait();
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->seq, 0u);
@@ -24,19 +24,19 @@ TEST(Channel, FifoOrder) {
 }
 
 TEST(Channel, PeekDoesNotConsume) {
-  BoundedChannel ch(2, nullptr);
-  ASSERT_TRUE(ch.push(Message::data(7, Value(0))));
+  BoundedChannel ch(2);
+  ASSERT_EQ(ch.try_push(Message::data(7, Value(0))), PushResult::Ok);
   EXPECT_EQ(ch.peek_head_wait()->seq, 7u);
   EXPECT_EQ(ch.peek_head_wait()->seq, 7u);
   EXPECT_EQ(ch.try_peek()->seq, 7u);  // full-message peek agrees
 }
 
 TEST(Channel, StatsCountKinds) {
-  BoundedChannel ch(8, nullptr);
-  ASSERT_TRUE(ch.push(Message::data(0, Value(0))));
-  ASSERT_TRUE(ch.push(Message::data(1, Value(0))));
-  ASSERT_TRUE(ch.push(Message::dummy(2)));
-  ASSERT_TRUE(ch.push(Message::eos()));
+  BoundedChannel ch(8);
+  ASSERT_EQ(ch.try_push(Message::data(0, Value(0))), PushResult::Ok);
+  ASSERT_EQ(ch.try_push(Message::data(1, Value(0))), PushResult::Ok);
+  ASSERT_EQ(ch.try_push(Message::dummy(2)), PushResult::Ok);
+  ASSERT_EQ(ch.try_push(Message::eos()), PushResult::Ok);
   const auto s = ch.stats();
   EXPECT_EQ(s.data_pushed, 2u);
   EXPECT_EQ(s.dummies_pushed, 1u);
@@ -44,8 +44,9 @@ TEST(Channel, StatsCountKinds) {
 }
 
 TEST(Channel, PopHeadMovesPayloadInOneCall) {
-  BoundedChannel ch(2, nullptr);
-  ASSERT_TRUE(ch.push(Message::data(3, Value(std::int64_t{42}))));
+  BoundedChannel ch(2);
+  ASSERT_EQ(ch.try_push(Message::data(3, Value(std::int64_t{42}))),
+            PushResult::Ok);
   bool was_full = true;
   const Message m = ch.pop_head(&was_full);
   EXPECT_EQ(m.seq, 3u);
@@ -60,7 +61,7 @@ TEST(Channel, PopHeadMovesPayloadInOneCall) {
 TEST(Channel, ConsecutiveDummiesCoalesceButCountFully) {
   // A run of k consecutive dummies is one physical segment but k logical
   // messages: occupancy, capacity and the stats all see k.
-  BoundedChannel ch(4, nullptr);
+  BoundedChannel ch(4);
   for (std::uint64_t s = 0; s < 4; ++s)
     ASSERT_EQ(ch.try_push(Message::dummy(s)), PushResult::Ok);
   EXPECT_EQ(ch.size(), 4u);
@@ -77,8 +78,8 @@ TEST(Channel, ConsecutiveDummiesCoalesceButCountFully) {
 }
 
 TEST(Channel, BatchPushAcceptsExactlyFreeSpace) {
-  BoundedChannel ch(4, nullptr);
-  ASSERT_TRUE(ch.push(Message::data(0, Value(1))));
+  BoundedChannel ch(4);
+  ASSERT_EQ(ch.try_push(Message::data(0, Value(1))), PushResult::Ok);
   bool was_empty = true;
   bool aborted = true;
   EXPECT_EQ(ch.try_push_dummies(1, 10, &was_empty, &aborted), 3u);
@@ -90,12 +91,14 @@ TEST(Channel, BatchPushAcceptsExactlyFreeSpace) {
 }
 
 TEST(Channel, InterleavedDataDummyDataPopsInOrder) {
-  BoundedChannel ch(8, nullptr);
-  ASSERT_TRUE(ch.push(Message::data(0, Value(std::int64_t{10}))));
-  ASSERT_TRUE(ch.push(Message::dummy(1)));
-  ASSERT_TRUE(ch.push(Message::dummy(2)));
-  ASSERT_TRUE(ch.push(Message::data(3, Value(std::int64_t{30}))));
-  ASSERT_TRUE(ch.push(Message::dummy(4)));
+  BoundedChannel ch(8);
+  ASSERT_EQ(ch.try_push(Message::data(0, Value(std::int64_t{10}))),
+            PushResult::Ok);
+  ASSERT_EQ(ch.try_push(Message::dummy(1)), PushResult::Ok);
+  ASSERT_EQ(ch.try_push(Message::dummy(2)), PushResult::Ok);
+  ASSERT_EQ(ch.try_push(Message::data(3, Value(std::int64_t{30}))),
+            PushResult::Ok);
+  ASSERT_EQ(ch.try_push(Message::dummy(4)), PushResult::Ok);
   EXPECT_EQ(ch.size(), 5u);
 
   EXPECT_EQ(ch.pop_head().payload.as<std::int64_t>(), 10);
@@ -111,9 +114,10 @@ TEST(Channel, InterleavedDataDummyDataPopsInOrder) {
 }
 
 TEST(Channel, NonConsecutiveDummiesStaySeparate) {
-  BoundedChannel ch(4, nullptr);
-  ASSERT_TRUE(ch.push(Message::dummy(1)));
-  ASSERT_TRUE(ch.push(Message::dummy(5)));  // gap: upstream filtered 2..4
+  BoundedChannel ch(4);
+  ASSERT_EQ(ch.try_push(Message::dummy(1)), PushResult::Ok);
+  // Gap: upstream filtered 2..4.
+  ASSERT_EQ(ch.try_push(Message::dummy(5)), PushResult::Ok);
   auto head = ch.try_peek_head();
   EXPECT_EQ(head->seq, 1u);
   EXPECT_EQ(head->run, 1u);
@@ -124,9 +128,9 @@ TEST(Channel, NonConsecutiveDummiesStaySeparate) {
 }
 
 TEST(Channel, EosArrivingMidRunStaysOrdered) {
-  BoundedChannel ch(8, nullptr);
+  BoundedChannel ch(8);
   EXPECT_EQ(ch.try_push_dummies(7, 3), 3u);
-  ASSERT_TRUE(ch.push(Message::eos()));
+  ASSERT_EQ(ch.try_push(Message::eos()), PushResult::Ok);
   EXPECT_EQ(ch.size(), 4u);
   auto head = ch.try_peek_head();
   EXPECT_EQ(head->kind, MessageKind::Dummy);
@@ -140,7 +144,7 @@ TEST(Channel, EosArrivingMidRunStaysOrdered) {
 }
 
 TEST(Channel, PartialRunPopKeepsSequenceNumbers) {
-  BoundedChannel ch(8, nullptr);
+  BoundedChannel ch(8);
   EXPECT_EQ(ch.try_push_dummies(10, 5), 5u);
   EXPECT_EQ(ch.pop_dummies(2).popped, 2u);
   auto head = ch.try_peek_head();
@@ -157,7 +161,7 @@ TEST(Channel, PartialRunPopKeepsSequenceNumbers) {
 TEST(Channel, CoalescedRunRefillsAtCapacityBoundary) {
   // full()/occupancy around the boundary when a run partially drains and
   // the producer tops the same run back up.
-  BoundedChannel ch(3, nullptr);
+  BoundedChannel ch(3);
   EXPECT_EQ(ch.try_push_dummies(0, 3), 3u);
   EXPECT_TRUE(ch.full());
   EXPECT_EQ(ch.pop_dummies(2).popped, 2u);
@@ -174,7 +178,7 @@ TEST(Channel, CoalescedRunRefillsAtCapacityBoundary) {
 }
 
 TEST(Channel, AbortWithCoalescedRunInFlight) {
-  BoundedChannel ch(8, nullptr);
+  BoundedChannel ch(8);
   EXPECT_EQ(ch.try_push_dummies(0, 4), 4u);
   ch.abort();
   // Heads stay observable after abort: the consumer drains while
@@ -191,23 +195,10 @@ TEST(Channel, AbortWithCoalescedRunInFlight) {
   EXPECT_EQ(ch.try_push(Message::dummy(4)), PushResult::Aborted);
 }
 
-// --- blocking / abort / monitor ---------------------------------------
-
-TEST(Channel, BlocksWhenFullUntilPop) {
-  BoundedChannel ch(1, nullptr);
-  ASSERT_TRUE(ch.push(Message::data(0, Value(0))));
-  std::thread producer([&] {
-    // Blocks until the consumer pops.
-    EXPECT_TRUE(ch.push(Message::data(1, Value(0))));
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  (void)ch.pop();
-  producer.join();
-  EXPECT_EQ(ch.peek_head_wait()->seq, 1u);
-}
+// --- blocking consumer / abort ----------------------------------------
 
 TEST(Channel, BlocksWhenEmptyUntilPush) {
-  BoundedChannel ch(1, nullptr);
+  BoundedChannel ch(1);
   std::uint64_t got = 99;
   std::thread consumer([&] {
     const auto m = ch.peek_head_wait();
@@ -215,93 +206,19 @@ TEST(Channel, BlocksWhenEmptyUntilPush) {
     got = m->seq;
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  ASSERT_TRUE(ch.push(Message::data(5, Value(0))));
+  ASSERT_EQ(ch.try_push(Message::data(5, Value(0))), PushResult::Ok);
   consumer.join();
   EXPECT_EQ(got, 5u);
 }
 
-TEST(Channel, AbortReleasesBlockedProducer) {
-  BoundedChannel ch(1, nullptr);
-  ASSERT_TRUE(ch.push(Message::data(0, Value(0))));
-  std::thread producer([&] {
-    EXPECT_FALSE(ch.push(Message::data(1, Value(0))));  // aborted
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  ch.abort();
-  producer.join();
-  EXPECT_TRUE(ch.aborted());
-}
-
 TEST(Channel, AbortReleasesBlockedConsumer) {
-  BoundedChannel ch(1, nullptr);
+  BoundedChannel ch(1);
   std::thread consumer([&] {
     EXPECT_FALSE(ch.peek_head_wait().has_value());  // aborted while empty
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   ch.abort();
   consumer.join();
-}
-
-TEST(Channel, MonitorSeesBlockedStates) {
-  RuntimeMonitor monitor;
-  BoundedChannel ch(1, &monitor);
-  monitor.thread_started();
-  ASSERT_TRUE(ch.push(Message::data(0, Value(0))));
-  std::thread producer([&] { (void)ch.push(Message::data(1, Value(0))); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  EXPECT_EQ(monitor.blocked(), 1);
-  const auto progress_before = monitor.progress();
-  (void)ch.pop();
-  producer.join();
-  EXPECT_EQ(monitor.blocked(), 0);
-  EXPECT_GT(monitor.progress(), progress_before);
-}
-
-TEST(Watchdog, FiresOnAllBlocked) {
-  RuntimeMonitor monitor;
-  monitor.thread_started();
-  monitor.enter_blocked();  // simulate a single permanently-blocked thread
-  std::atomic<bool> stop{false};
-  bool aborted = false;
-  const bool deadlocked = run_watchdog(
-      monitor, stop, WatchdogOptions{std::chrono::milliseconds(1), 5},
-      [&] { aborted = true; });
-  EXPECT_TRUE(deadlocked);
-  EXPECT_TRUE(aborted);
-}
-
-TEST(Watchdog, StopsCleanlyWithoutDeadlock) {
-  RuntimeMonitor monitor;
-  std::atomic<bool> stop{false};
-  std::thread stopper([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    stop = true;
-  });
-  const bool deadlocked = run_watchdog(
-      monitor, stop, WatchdogOptions{std::chrono::milliseconds(1), 5},
-      [] { FAIL() << "no deadlock expected"; });
-  stopper.join();
-  EXPECT_FALSE(deadlocked);
-}
-
-TEST(Watchdog, ProgressSuppressesFalsePositive) {
-  RuntimeMonitor monitor;
-  monitor.thread_started();
-  monitor.enter_blocked();
-  std::atomic<bool> stop{false};
-  // A background thread keeps making progress; the watchdog must not fire.
-  std::thread worker([&] {
-    for (int i = 0; i < 50; ++i) {
-      monitor.note_progress();
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    stop = true;
-  });
-  const bool deadlocked = run_watchdog(
-      monitor, stop, WatchdogOptions{std::chrono::milliseconds(2), 8},
-      [] { FAIL() << "progress should prevent deadlock"; });
-  worker.join();
-  EXPECT_FALSE(deadlocked);
 }
 
 // --- the coalesced bulk-ingest path (try_push_batch) --------------------
@@ -316,7 +233,7 @@ std::vector<Message> data_batch(std::uint64_t first_seq, std::size_t count) {
 }
 
 TEST(Channel, TryPushBatchAcceptsRoomLimitedPrefix) {
-  BoundedChannel ch(4, nullptr);
+  BoundedChannel ch(4);
   auto msgs = data_batch(0, 6);
   bool was_empty = false;
   bool aborted = true;
@@ -333,7 +250,7 @@ TEST(Channel, TryPushBatchAcceptsRoomLimitedPrefix) {
     (void)ch.pop();
   }
   // A second batch on the now non-empty channel reports no wake edge.
-  ASSERT_TRUE(ch.push(Message::data(10, Value(0))));
+  ASSERT_EQ(ch.try_push(Message::data(10, Value(0))), PushResult::Ok);
   auto more = data_batch(11, 2);
   was_empty = true;
   EXPECT_EQ(ch.try_push_batch(more.data(), more.size(), &was_empty, &aborted),
@@ -342,7 +259,7 @@ TEST(Channel, TryPushBatchAcceptsRoomLimitedPrefix) {
 }
 
 TEST(Channel, TryPushBatchCountsEveryMessageInStats) {
-  BoundedChannel ch(8, nullptr);
+  BoundedChannel ch(8);
   auto msgs = data_batch(0, 5);
   EXPECT_EQ(ch.try_push_batch(msgs.data(), msgs.size()), 5u);
   const auto s = ch.stats();
@@ -351,7 +268,7 @@ TEST(Channel, TryPushBatchCountsEveryMessageInStats) {
 }
 
 TEST(Channel, TryPushBatchDistinguishesAbortFromFull) {
-  BoundedChannel full_ch(2, nullptr);
+  BoundedChannel full_ch(2);
   auto fill = data_batch(0, 2);
   ASSERT_EQ(full_ch.try_push_batch(fill.data(), fill.size()), 2u);
   auto extra = data_batch(2, 1);
@@ -359,7 +276,7 @@ TEST(Channel, TryPushBatchDistinguishesAbortFromFull) {
   EXPECT_EQ(full_ch.try_push_batch(extra.data(), 1, nullptr, &aborted), 0u);
   EXPECT_FALSE(aborted);  // just full
 
-  BoundedChannel dead_ch(4, nullptr);
+  BoundedChannel dead_ch(4);
   dead_ch.abort();
   auto msgs = data_batch(0, 2);
   aborted = false;
@@ -370,8 +287,8 @@ TEST(Channel, TryPushBatchDistinguishesAbortFromFull) {
 // Differential: a batch push drains to exactly the same consumer-visible
 // stream as the same messages pushed one at a time.
 TEST(Channel, TryPushBatchEquivalentToSinglePushes) {
-  BoundedChannel one(16, nullptr);
-  BoundedChannel bulk(16, nullptr);
+  BoundedChannel one(16);
+  BoundedChannel bulk(16);
   std::uint64_t seq = 0;
   for (int round = 0; round < 8; ++round) {
     const std::size_t n = 1 + (round * 3) % 7;

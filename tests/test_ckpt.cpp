@@ -30,8 +30,7 @@ using runtime::DummyMode;
 using runtime::Kernel;
 using runtime::Value;
 
-constexpr Backend kBackends[] = {Backend::Sim, Backend::Threaded,
-                                 Backend::Pooled};
+constexpr Backend kBackends[] = {Backend::Sim, Backend::Pooled};
 
 constexpr std::chrono::milliseconds kSnapTimeout{5000};
 
@@ -324,7 +323,7 @@ TEST(Ckpt, RestoreResumesBitIdenticallyOnEveryBackend) {
   }
 }
 
-// Snapshots are backend-portable: cut on Threaded, resume on Sim.
+// Snapshots are backend-portable: cut on Pooled, resume on Sim.
 TEST(Ckpt, RestoreCrossesBackends) {
   const StreamGraph g = workloads::pipeline(3, 4);
   StreamSpec ss;
@@ -332,7 +331,7 @@ TEST(Ckpt, RestoreCrossesBackends) {
   ckpt::StreamSnapshot snap;
   {
     Session session(g, cumsum_kernels());
-    ss.run.backend = Backend::Threaded;
+    ss.run.backend = Backend::Pooled;
     Stream stream = session.open(ss);
     for (std::int64_t i = 0; i < 30; ++i)
       ASSERT_TRUE(stream.input(0).push(Value(i)));

@@ -5,7 +5,7 @@
 // dedup by seq) and the final report bit-identical to an uninterrupted run.
 //
 //   - ReproFromEnv: replays exactly one kill/restore from SDAF_CRASH_REPRO
-//     ('<case line> crash=<seed> backend=<sim|threaded|pooled>', the tokens
+//     ('<case line> crash=<seed> backend=<sim|pooled>', the tokens
 //     the harness prints on mismatch).
 //   - TimeBoxedCrashSweep: random cases for SDAF_STRESS_SECONDS (default
 //     ~2s; tools/ci.sh --crash raises it under ASan/TSan) steered by
@@ -27,8 +27,8 @@ namespace {
 
 TEST(CrashRecovery, EveryTopologyCrashesAndRecovers) {
   runtime::PoolExecutor pool(2);
-  constexpr exec::Backend kBackends[] = {
-      exec::Backend::Sim, exec::Backend::Threaded, exec::Backend::Pooled};
+  constexpr exec::Backend kBackends[] = {exec::Backend::Sim,
+                                         exec::Backend::Pooled};
   for (const Topology topo : {Topology::Sp, Topology::Ladder,
                               Topology::Triangle, Topology::Continuation}) {
     CaseSpec spec;
@@ -58,7 +58,7 @@ TEST(CrashRecovery, NonPropagationAndBatchedQuanta) {
   spec.batch = 7;
   spec.feed = FeedMode::Port;
   for (const exec::Backend backend :
-       {exec::Backend::Sim, exec::Backend::Threaded, exec::Backend::Pooled}) {
+       {exec::Backend::Sim, exec::Backend::Pooled}) {
     const auto failure =
         run_crash_differential(spec, backend, /*crash_seed=*/0x7EA, &pool);
     EXPECT_FALSE(failure.has_value()) << *failure;
@@ -83,16 +83,9 @@ TEST(CrashRecovery, ReproFromEnv) {
       crash_seed = std::strtoull(token.c_str() + 6, nullptr, 0);
       saw_crash = true;
     } else if (token.rfind("backend=", 0) == 0) {
-      const std::string name = token.substr(8);
-      saw_backend = true;
-      if (name == "sim")
-        backend = exec::Backend::Sim;
-      else if (name == "threaded")
-        backend = exec::Backend::Threaded;
-      else if (name == "pooled")
-        backend = exec::Backend::Pooled;
-      else
-        saw_backend = false;
+      const auto parsed = exec::backend_from_string(token.substr(8));
+      saw_backend = parsed.has_value();
+      if (saw_backend) backend = *parsed;
     } else {
       if (!case_line.empty()) case_line += ' ';
       case_line += token;

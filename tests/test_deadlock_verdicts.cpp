@@ -99,7 +99,7 @@ TEST(DeadlockVerdicts, StateDumpShapeIsUnifiedAcrossBackends) {
     if (!reference.deadlocked) continue;
     found_wedge = true;
     for (const exec::Backend backend :
-         {exec::Backend::Sim, exec::Backend::Threaded, exec::Backend::Pooled}) {
+         {exec::Backend::Sim, exec::Backend::Pooled}) {
       const auto report = run_backend(g, spec, backend, &pool);
       ASSERT_TRUE(report.deadlocked) << to_string(backend);
       ASSERT_FALSE(report.state_dump.empty()) << to_string(backend);

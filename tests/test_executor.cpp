@@ -1,4 +1,4 @@
-#include "src/runtime/executor.h"
+#include "src/runtime/pool_executor.h"
 
 #include <gtest/gtest.h>
 
@@ -6,89 +6,24 @@
 #include "src/workloads/filters.h"
 #include "src/workloads/topologies.h"
 
+// Runtime behaviours of the paper's model on the pooled backend: alignment
+// at joins, no dummies without cycles, dummy propagation, the continuation
+// rule's counterexample, and payload flow. Pipeline delivery, the Fig. 2
+// verdicts and repeated runs are covered in test_pool_executor.cpp.
 namespace sdaf::runtime {
 namespace {
 
-// Kernels for the Fig. 2 triangle: A passes everything to B (slot 0) and
-// filters the direct A->C channel (slot 1) for `prefix` sequence numbers.
-std::vector<std::shared_ptr<Kernel>> triangle_kernels(std::uint64_t prefix) {
-  std::vector<std::shared_ptr<Kernel>> kernels;
-  kernels.push_back(std::make_shared<RelayKernel>(
-      workloads::adversarial_prefix_filter(1, prefix)));
-  kernels.push_back(pass_through_kernel());  // B
-  kernels.push_back(pass_through_kernel());  // C (sink)
-  return kernels;
-}
-
-TEST(Executor, PipelineDeliversEverything) {
-  const StreamGraph g = workloads::pipeline(4, 2);
-  Executor ex(g, workloads::passthrough_kernels(g));
-  ExecutorOptions opt;
-  opt.mode = DummyMode::None;
-  opt.num_inputs = 100;
-  const auto r = ex.run(opt);
-  EXPECT_TRUE(r.completed);
-  EXPECT_FALSE(r.deadlocked);
-  for (EdgeId e = 0; e < g.edge_count(); ++e) {
-    EXPECT_EQ(r.edges[e].data, 100u);
-    EXPECT_EQ(r.edges[e].dummies, 0u);
-  }
-  EXPECT_EQ(r.sink_data.back(), 100u);
-}
-
 TEST(Executor, SplitJoinAligned) {
   const StreamGraph g = workloads::fig1_splitjoin(4);
-  Executor ex(g, workloads::passthrough_kernels(g));
-  ExecutorOptions opt;
+  PoolExecutor pool(2);
+  exec::RunSpec opt;
   opt.mode = DummyMode::None;
   opt.num_inputs = 50;
-  const auto r = ex.run(opt);
+  const auto r = pool.run(g, workloads::passthrough_kernels(g), opt);
   EXPECT_TRUE(r.completed);
   // D consumed both branches at every seq.
   EXPECT_EQ(r.sink_data[3], 100u);
   EXPECT_EQ(r.fires[3], 50u);
-}
-
-TEST(Executor, Fig2DeadlocksWithoutDummies) {
-  const StreamGraph g = workloads::fig2_triangle(2, 2, 2);
-  Executor ex(g, triangle_kernels(/*prefix=*/100));
-  ExecutorOptions opt;
-  opt.mode = DummyMode::None;
-  opt.num_inputs = 100;
-  const auto r = ex.run(opt);
-  EXPECT_TRUE(r.deadlocked);
-  EXPECT_FALSE(r.completed);
-}
-
-TEST(Executor, Fig2SafeWithPropagationIntervals) {
-  const StreamGraph g = workloads::fig2_triangle(2, 2, 2);
-  const auto compiled = core::compile(g);
-  ASSERT_TRUE(compiled.ok);
-  Executor ex(g, triangle_kernels(/*prefix=*/100));
-  ExecutorOptions opt;
-  opt.mode = DummyMode::Propagation;
-  opt.intervals = compiled.integer_intervals(core::Rounding::Floor);
-  opt.forward_on_filter = compiled.forward_on_filter();
-  opt.num_inputs = 100;
-  const auto r = ex.run(opt);
-  EXPECT_TRUE(r.completed) << "deadlocked despite computed intervals";
-  EXPECT_GT(r.edges[2].dummies, 0u);  // A->C carried dummies
-  EXPECT_EQ(r.sink_data[2], 100u);    // C got all of B's relayed data
-}
-
-TEST(Executor, Fig2SafeWithNonPropagationIntervals) {
-  const StreamGraph g = workloads::fig2_triangle(2, 2, 2);
-  core::CompileOptions copt;
-  copt.algorithm = core::Algorithm::NonPropagation;
-  const auto compiled = core::compile(g, copt);
-  ASSERT_TRUE(compiled.ok);
-  Executor ex(g, triangle_kernels(/*prefix=*/100));
-  ExecutorOptions opt;
-  opt.mode = DummyMode::NonPropagation;
-  opt.intervals = compiled.integer_intervals(core::Rounding::Floor);
-  opt.num_inputs = 100;
-  const auto r = ex.run(opt);
-  EXPECT_TRUE(r.completed);
 }
 
 TEST(Executor, FilteringWithoutCyclesNeedsNoDummies) {
@@ -98,11 +33,11 @@ TEST(Executor, FilteringWithoutCyclesNeedsNoDummies) {
   for (NodeId n = 0; n < g.node_count(); ++n)
     kernels.push_back(std::make_shared<RelayKernel>(
         workloads::bernoulli_filter(0.5, 1234 + n)));
-  Executor ex(g, kernels);
-  ExecutorOptions opt;
+  PoolExecutor pool(2);
+  exec::RunSpec opt;
   opt.mode = DummyMode::None;
   opt.num_inputs = 200;
-  const auto r = ex.run(opt);
+  const auto r = pool.run(g, kernels, opt);
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(r.total_dummies(), 0u);
 }
@@ -130,13 +65,13 @@ TEST(Executor, DummiesArePropagatedDownstream) {
   kernels.push_back(pass_through_kernel());
   kernels.push_back(pass_through_kernel());
   kernels.push_back(pass_through_kernel());
-  Executor ex(g, kernels);
-  ExecutorOptions opt;
+  PoolExecutor pool(2);
+  exec::RunSpec opt;
   opt.mode = DummyMode::Propagation;
   opt.intervals = compiled.integer_intervals(core::Rounding::Floor);
   opt.forward_on_filter = compiled.forward_on_filter();
   opt.num_inputs = 64;
-  const auto r = ex.run(opt);
+  const auto r = pool.run(g, kernels, opt);
   EXPECT_TRUE(r.completed);
   EXPECT_GT(r.edges[2].dummies, 0u);  // originated at A
   EXPECT_GT(r.edges[3].dummies, 0u);  // propagated through M
@@ -177,22 +112,22 @@ TEST(Executor, InteriorFilteringCounterexample) {
 
   // Without the continuation rule: deadlock.
   {
-    Executor ex(g, make_kernels());
-    ExecutorOptions opt;
+    PoolExecutor pool(2);
+    exec::RunSpec opt;
     opt.mode = DummyMode::Propagation;
     opt.intervals = compiled.integer_intervals(core::Rounding::Floor);
     opt.num_inputs = 100;  // forward_on_filter deliberately left empty
-    EXPECT_TRUE(ex.run(opt).deadlocked);
+    EXPECT_TRUE(pool.run(g, make_kernels(), opt).deadlocked);
   }
   // With it: completes.
   {
-    Executor ex(g, make_kernels());
-    ExecutorOptions opt;
+    PoolExecutor pool(2);
+    exec::RunSpec opt;
     opt.mode = DummyMode::Propagation;
     opt.intervals = compiled.integer_intervals(core::Rounding::Floor);
     opt.forward_on_filter = compiled.forward_on_filter();
     opt.num_inputs = 100;
-    const auto r = ex.run(opt);
+    const auto r = pool.run(g, make_kernels(), opt);
     EXPECT_TRUE(r.completed);
     EXPECT_GT(r.edges[1].dummies, 0u);  // a converted filtered data
   }
@@ -214,26 +149,13 @@ TEST(Executor, ValuesFlowThroughPayloads) {
       [&sum](std::uint64_t, const auto& inputs, Emitter&) {
         sum += inputs[0]->template as<std::int64_t>();
       }));
-  Executor ex(g, kernels);
-  ExecutorOptions opt;
+  PoolExecutor pool(2);
+  exec::RunSpec opt;
   opt.mode = DummyMode::None;
   opt.num_inputs = 10;
-  const auto r = ex.run(opt);
+  const auto r = pool.run(g, kernels, opt);
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(sum.load(), 3 * 45);
-}
-
-TEST(Executor, RepeatedRunsAreIndependent) {
-  const StreamGraph g = workloads::fig1_splitjoin(2);
-  Executor ex(g, workloads::passthrough_kernels(g));
-  ExecutorOptions opt;
-  opt.mode = DummyMode::None;
-  opt.num_inputs = 20;
-  const auto r1 = ex.run(opt);
-  const auto r2 = ex.run(opt);
-  EXPECT_TRUE(r1.completed);
-  EXPECT_TRUE(r2.completed);
-  EXPECT_EQ(r1.total_data(), r2.total_data());
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // rates and buffer sizes. The paper's central safety claim -- computed
 // intervals make filtering executions deadlock-free -- is stress-tested on
 // the deterministic simulator (hundreds of configurations) and spot-checked
-// on the threaded executor.
+// on the pooled executor.
 #include <gtest/gtest.h>
 
 #include "src/core/compile.h"
@@ -267,15 +267,16 @@ TEST(Integration, MultiSourceJoinViaNormalization) {
   }
 }
 
-// Threaded executor spot-check of the same property (kept small: the
+// Pooled executor spot-check of the same property (kept small: the
 // machine may have a single core).
-TEST(Integration, ThreadedExecutorAgreesOnSafety) {
+TEST(Integration, PooledExecutorAgreesOnSafety) {
   const StreamGraph g = workloads::fig5_ladder(2);
   const auto compiled = core::compile(g);
   ASSERT_TRUE(compiled.ok);
   exec::Session session(g, workloads::relay_kernels(g, 0.4, 11));
   exec::RunSpec spec;
-  spec.backend = exec::Backend::Threaded;
+  spec.backend = exec::Backend::Pooled;
+  spec.pool_workers = 2;
   spec.mode = DummyMode::Propagation;
   spec.intervals = compiled.integer_intervals(core::Rounding::Floor);
   spec.forward_on_filter = compiled.forward_on_filter();

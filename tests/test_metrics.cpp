@@ -4,10 +4,10 @@
 // incremented at shared FiringCore sites (emission where outputs are
 // queued, consumption where heads are popped), so for a deterministic
 // workload the simulator's counts are a bit-exact reference for the
-// threaded and pooled backends -- per node and per channel, completed or
-// wedged. Scheduling-shaped counters (full_stalls, empty_waits, worker
-// stats) are intentionally NOT asserted equal; they measure contention,
-// which is backend-specific by nature.
+// pooled backend -- per node and per channel, completed or wedged.
+// Scheduling-shaped counters (full_stalls, empty_waits, worker stats) are
+// intentionally NOT asserted equal; they measure contention, which is
+// backend-specific by nature.
 //
 // The exporters are schema-stable interfaces: tests pin the JSON key set
 // and the Prometheus family names/types so downstream dashboards never
@@ -89,7 +89,7 @@ TEST(MetricsRegistry, BumpSnapshotReset) {
 }
 
 TEST(MetricsDifferential, CountersBitIdenticalAcrossBackends) {
-  // The sim is the reference; threaded and pooled must agree per node on
+  // The sim is the reference; pooled must agree with it per node on
   // fires / data_out / dummy_out / eos_out / data_in / dummy_in and per
   // channel on data_pushed / dummies_pushed / pops -- exact at quiescence,
   // completed AND wedged. The sweep covers all topologies, both avoidance
@@ -137,30 +137,26 @@ TEST(MetricsDifferential, CountersBitIdenticalAcrossBackends) {
                 ref.report.edges[e].dummies)
           << e;
     }
-    for (const Backend backend : {Backend::Threaded, Backend::Pooled}) {
-      SCOPED_TRACE(to_string(backend));
-      const MeteredRun got = run_metered(g, cs, backend, &pool);
-      ASSERT_EQ(got.report.deadlocked, ref.report.deadlocked);
-      for (NodeId n = 0; n < g.node_count(); ++n) {
-        const auto& want = ref.registry.node(n);
-        const auto& have = got.registry.node(n);
-        ASSERT_EQ(have.fires.load(), want.fires.load()) << "node " << n;
-        ASSERT_EQ(have.data_out.load(), want.data_out.load()) << "node " << n;
-        ASSERT_EQ(have.dummy_out.load(), want.dummy_out.load())
-            << "node " << n;
-        ASSERT_EQ(have.eos_out.load(), want.eos_out.load()) << "node " << n;
-        ASSERT_EQ(have.data_in.load(), want.data_in.load()) << "node " << n;
-        ASSERT_EQ(have.dummy_in.load(), want.dummy_in.load()) << "node " << n;
-      }
-      for (EdgeId e = 0; e < g.edge_count(); ++e) {
-        const auto& want = ref.registry.channel(e);
-        const auto& have = got.registry.channel(e);
-        ASSERT_EQ(have.data_pushed.load(), want.data_pushed.load())
-            << "edge " << e;
-        ASSERT_EQ(have.dummies_pushed.load(), want.dummies_pushed.load())
-            << "edge " << e;
-        ASSERT_EQ(have.pops.load(), want.pops.load()) << "edge " << e;
-      }
+    const MeteredRun got = run_metered(g, cs, Backend::Pooled, &pool);
+    ASSERT_EQ(got.report.deadlocked, ref.report.deadlocked);
+    for (NodeId n = 0; n < g.node_count(); ++n) {
+      const auto& want = ref.registry.node(n);
+      const auto& have = got.registry.node(n);
+      ASSERT_EQ(have.fires.load(), want.fires.load()) << "node " << n;
+      ASSERT_EQ(have.data_out.load(), want.data_out.load()) << "node " << n;
+      ASSERT_EQ(have.dummy_out.load(), want.dummy_out.load()) << "node " << n;
+      ASSERT_EQ(have.eos_out.load(), want.eos_out.load()) << "node " << n;
+      ASSERT_EQ(have.data_in.load(), want.data_in.load()) << "node " << n;
+      ASSERT_EQ(have.dummy_in.load(), want.dummy_in.load()) << "node " << n;
+    }
+    for (EdgeId e = 0; e < g.edge_count(); ++e) {
+      const auto& want = ref.registry.channel(e);
+      const auto& have = got.registry.channel(e);
+      ASSERT_EQ(have.data_pushed.load(), want.data_pushed.load())
+          << "edge " << e;
+      ASSERT_EQ(have.dummies_pushed.load(), want.dummies_pushed.load())
+          << "edge " << e;
+      ASSERT_EQ(have.pops.load(), want.pops.load()) << "edge " << e;
     }
   }
 }
@@ -210,7 +206,7 @@ TEST(MetricsExport, JsonSchemaStable) {
   obs::bump(reg.channel(0).data_pushed, 7);
 
   obs::SnapshotOptions opts;
-  opts.backend = "threaded";
+  opts.backend = "pooled";
   opts.tenant = "we\"ird\\tenant";
   opts.bytes_per_slot = 16;
   auto s = obs::snapshot(g, reg, opts);
@@ -225,7 +221,7 @@ TEST(MetricsExport, JsonSchemaStable) {
   const std::string j = obs::to_json(s);
   // Envelope and key set -- the schema tag is the compatibility contract.
   EXPECT_NE(j.find("\"schema\":\"sdaf.metrics.v1\""), std::string::npos) << j;
-  EXPECT_NE(j.find("\"backend\":\"threaded\""), std::string::npos);
+  EXPECT_NE(j.find("\"backend\":\"pooled\""), std::string::npos);
   EXPECT_NE(j.find("\"tenant\":{\"name\":\"we\\\"ird\\\\tenant\""),
             std::string::npos)
       << j;
@@ -286,8 +282,7 @@ TEST(MetricsExport, PrometheusExpositionStable) {
 }
 
 TEST(StreamMetrics, LiveSnapshotAcrossBackends) {
-  for (const Backend backend :
-       {Backend::Sim, Backend::Threaded, Backend::Pooled}) {
+  for (const Backend backend : {Backend::Sim, Backend::Pooled}) {
     SCOPED_TRACE(to_string(backend));
     const StreamGraph g = workloads::pipeline(3, 2);
     exec::Session session(g, workloads::passthrough_kernels(g));

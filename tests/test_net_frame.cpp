@@ -253,6 +253,45 @@ TEST(NetFrame, VerdictRoundTripIncludingDeadlockDump) {
   expect_exact_consumption(bytes, decode_verdict, "Verdict");
 }
 
+// Backend byte 1 named the retired thread-per-node backend: every frame
+// that carries a backend field refuses it as malformed, beside the two
+// live values.
+TEST(NetFrame, RetiredBackendByteIsRejected) {
+  const auto open_decodes = [](std::uint8_t backend) {
+    OpenFrame f;
+    f.backend = backend;
+    Writer w;
+    encode(f, w);
+    const auto b = payload_of(w);
+    return decode_open(b.data(), b.size()).has_value();
+  };
+  const auto restore_decodes = [](std::uint8_t backend) {
+    RestoreFrame f;
+    f.open.backend = backend;
+    f.snapshot = "x";
+    Writer w;
+    encode(f, w);
+    const auto b = payload_of(w);
+    return decode_restore(b.data(), b.size()).has_value();
+  };
+  const auto verdict_decodes = [](std::uint8_t backend) {
+    VerdictFrame f;
+    f.report.backend = static_cast<exec::Backend>(backend);
+    Writer w;
+    encode(f, w);
+    const auto b = payload_of(w);
+    return decode_verdict(b.data(), b.size()).has_value();
+  };
+  for (const std::uint8_t live : {0, 2}) {
+    EXPECT_TRUE(open_decodes(live)) << int{live};
+    EXPECT_TRUE(restore_decodes(live)) << int{live};
+    EXPECT_TRUE(verdict_decodes(live)) << int{live};
+  }
+  EXPECT_FALSE(open_decodes(1));
+  EXPECT_FALSE(restore_decodes(1));
+  EXPECT_FALSE(verdict_decodes(1));
+}
+
 TEST(NetFrame, SimpleFramesRoundTrip) {
   {
     HelloOkFrame f;
@@ -377,7 +416,7 @@ TEST(NetFrame, SnapshotFramesRoundTrip) {
   }
   {
     RestoreFrame f;
-    f.open.backend = 1;
+    f.open.backend = 2;
     f.open.mode = 2;
     f.open.kernel = KernelKind::Relay;
     f.open.pass_rate = 0.5;
@@ -388,7 +427,7 @@ TEST(NetFrame, SnapshotFramesRoundTrip) {
     const auto b = payload_of(w);
     const auto back = decode_restore(b.data(), b.size());
     ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(back->open.backend, 1);
+    EXPECT_EQ(back->open.backend, 2);
     EXPECT_EQ(back->open.mode, 2);
     EXPECT_EQ(back->open.kernel, KernelKind::Relay);
     EXPECT_EQ(back->open.topology, f.open.topology);

@@ -170,7 +170,7 @@ TEST_F(LoopbackTest, WireRunBitIdenticalToInProcess) {
 
   Client client = connect();
   std::uint16_t next_id = 1;
-  for (const std::uint8_t backend : {0, 1, 2}) {
+  for (const std::uint8_t backend : {0, 2}) {
     for (const std::uint8_t mode : {1, 2}) {
       OpenFrame spec;
       spec.backend = backend;
@@ -417,6 +417,24 @@ TEST_F(LoopbackTest, MultipleStreamsMultiplexOneConnection) {
   // Reusing a live id is a protocol error.
   ClientStream s3 = client.open(3, spec);
   EXPECT_THROW((void)client.open(3, spec), ProtocolError);
+}
+
+// Backend byte 1 named the retired thread-per-node backend: sdafd answers
+// an Open carrying it with Error(BadFrame) and runs nothing for it.
+TEST_F(LoopbackTest, RetiredBackendByteEarnsBadFrame) {
+  Client client = connect();
+  OpenFrame spec;
+  spec.backend = 1;
+  spec.topology = "node a\nnode b\nedge a b 4\n";
+  try {
+    (void)client.open(1, spec);
+    ADD_FAILURE() << "an Open with backend byte 1 was accepted";
+  } catch (const ProtocolError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::BadFrame) << e.what();
+  }
+  const ServiceStats stats = server_->stats();
+  EXPECT_EQ(stats.streams_open, 0u);
+  EXPECT_GE(stats.errors_total, 1u);
 }
 
 // Opening the same topology twice hits the shared compile cache, and the

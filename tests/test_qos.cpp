@@ -277,10 +277,6 @@ TEST(QosBackpressure, SimRoundTripUnderTightWindow) {
   credit_backpressure_roundtrip(exec::Backend::Sim);
 }
 
-TEST(QosBackpressure, ThreadedRoundTripUnderTightWindow) {
-  credit_backpressure_roundtrip(exec::Backend::Threaded);
-}
-
 TEST(QosBackpressure, PooledRoundTripUnderTightWindow) {
   credit_backpressure_roundtrip(exec::Backend::Pooled);
 }
@@ -294,7 +290,8 @@ TEST(QosBackpressure, ExhaustedWindowSurfacesAsBackpressure) {
   qos::CreditGauge credits(4);
   ASSERT_TRUE(credits.try_acquire(4));  // co-tenant holds the whole window
   exec::StreamSpec spec;
-  spec.run.backend = exec::Backend::Threaded;
+  spec.run.backend = exec::Backend::Pooled;
+  spec.run.pool_workers = 2;
   spec.run.credits = &credits;
   exec::Stream stream = session.open(std::move(spec));
   EXPECT_FALSE(stream.input(0).try_push());

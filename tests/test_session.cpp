@@ -18,8 +18,7 @@ namespace {
 using runtime::DummyMode;
 using runtime::Kernel;
 
-constexpr Backend kBackends[] = {Backend::Sim, Backend::Threaded,
-                                 Backend::Pooled};
+constexpr Backend kBackends[] = {Backend::Sim, Backend::Pooled};
 
 // The facade-level differential harness: the same RunSpec through every
 // backend must produce identical verdicts, per-edge traffic, firing counts
@@ -50,7 +49,7 @@ std::vector<std::shared_ptr<Kernel>> wedge_kernels() {
 
 TEST(Session, RandomizedWorkloadsIdenticalAcrossBackendsAndModes) {
   // Ported onto the stress harness (tests/harness/stress_harness.h): the
-  // same randomized SP/ladder sweep through all three backends and both
+  // same randomized SP/ladder sweep through both backends and both
   // dummy modes at a random firing quantum, now with a one-line repro
   // command on any mismatch.
   Prng rng(0xC0FFEE);
@@ -170,9 +169,9 @@ TEST(Session, Fig2CompiledIntervalsCompleteOnEveryBackend) {
   }
 }
 
-// The tracer rides on the shared firing core, so all three backends must
-// record the same per-message events; only ordering and ticks may differ
-// between the deterministic sweep and the concurrent backends.
+// The tracer rides on the shared firing core, so both backends must record
+// the same per-message events; only ordering and ticks may differ between
+// the deterministic sweep and the concurrent backend.
 TEST(Session, TracerEventMultisetIdenticalAcrossBackends) {
   const StreamGraph g = workloads::fig2_triangle(2, 2, 2);
   const auto compiled = core::compile(g);

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/compile.h"
-#include "src/runtime/executor.h"
+#include "src/runtime/pool_executor.h"
 #include "src/workloads/filters.h"
 #include "src/workloads/topologies.h"
 
@@ -26,7 +26,7 @@ std::vector<std::shared_ptr<Kernel>> triangle_kernels(std::uint64_t prefix) {
 TEST(Sim, PipelineCompletes) {
   const StreamGraph g = workloads::pipeline(4, 2);
   Simulation sim(g, workloads::passthrough_kernels(g));
-  SimOptions opt;
+  exec::RunSpec opt;
   opt.mode = DummyMode::None;
   opt.num_inputs = 100;
   const auto r = sim.run(opt);
@@ -37,7 +37,7 @@ TEST(Sim, PipelineCompletes) {
 TEST(Sim, Fig2DeadlocksWithoutDummies) {
   const StreamGraph g = workloads::fig2_triangle(2, 2, 2);
   Simulation sim(g, triangle_kernels(100));
-  SimOptions opt;
+  exec::RunSpec opt;
   opt.mode = DummyMode::None;
   opt.num_inputs = 100;
   const auto r = sim.run(opt);
@@ -55,7 +55,7 @@ TEST(Sim, Fig2DeadlockThresholdTracksBufferSlack) {
     const StreamGraph g = workloads::fig2_triangle(b, b, 2);
     const auto deadlocks = [&](std::uint64_t prefix) {
       Simulation sim(g, triangle_kernels(prefix));
-      SimOptions opt;
+      exec::RunSpec opt;
       opt.mode = DummyMode::None;
       opt.num_inputs = 1000;
       const auto r = sim.run(opt);
@@ -85,7 +85,7 @@ TEST(Sim, Fig2SafeWithIntervals) {
   const StreamGraph g = workloads::fig2_triangle(2, 2, 2);
   const auto compiled = core::compile(g);
   Simulation sim(g, triangle_kernels(1000));
-  SimOptions opt;
+  exec::RunSpec opt;
   opt.mode = DummyMode::Propagation;
   opt.intervals = compiled.integer_intervals(core::Rounding::Floor);
   opt.forward_on_filter = compiled.forward_on_filter();
@@ -97,13 +97,13 @@ TEST(Sim, Fig2SafeWithIntervals) {
 
 TEST(Sim, MatchesExecutorTrafficExactly) {
   // Identical kernels and seeds: the deterministic simulator and the
-  // threaded executor must produce identical per-edge message counts.
+  // pooled executor must produce identical per-edge message counts.
   const StreamGraph g = workloads::fig1_splitjoin(3);
   const auto compiled = core::compile(g);
   const auto intervals = compiled.integer_intervals(core::Rounding::Floor);
   const auto forward = compiled.forward_on_filter();
   for (const double p : {0.3, 0.7, 1.0}) {
-    SimOptions sopt;
+    exec::RunSpec sopt;
     sopt.mode = DummyMode::Propagation;
     sopt.intervals = intervals;
     sopt.forward_on_filter = forward;
@@ -112,13 +112,13 @@ TEST(Sim, MatchesExecutorTrafficExactly) {
     const auto sr = sim.run(sopt);
     ASSERT_TRUE(sr.completed);
 
-    runtime::ExecutorOptions xopt;
+    exec::RunSpec xopt;
     xopt.mode = DummyMode::Propagation;
     xopt.intervals = intervals;
     xopt.forward_on_filter = forward;
     xopt.num_inputs = 300;
-    runtime::Executor ex(g, workloads::relay_kernels(g, p, 42));
-    const auto xr = ex.run(xopt);
+    runtime::PoolExecutor pool(2);
+    const auto xr = pool.run(g, workloads::relay_kernels(g, p, 42), xopt);
     ASSERT_TRUE(xr.completed);
 
     for (EdgeId e = 0; e < g.edge_count(); ++e) {
@@ -132,7 +132,7 @@ TEST(Sim, MatchesExecutorTrafficExactly) {
 
 TEST(Sim, DeterministicAcrossRuns) {
   const StreamGraph g = workloads::fig1_splitjoin(2);
-  SimOptions opt;
+  exec::RunSpec opt;
   opt.mode = DummyMode::NonPropagation;
   opt.intervals.assign(g.edge_count(), 2);
   opt.num_inputs = 500;
@@ -150,7 +150,7 @@ TEST(Sim, DeterministicAcrossRuns) {
 TEST(Sim, MaxOccupancyBounded) {
   const StreamGraph g = workloads::fig1_splitjoin(3);
   Simulation sim(g, workloads::passthrough_kernels(g));
-  SimOptions opt;
+  exec::RunSpec opt;
   opt.mode = DummyMode::None;
   opt.num_inputs = 100;
   const auto r = sim.run(opt);
@@ -161,7 +161,7 @@ TEST(Sim, MaxOccupancyBounded) {
 TEST(Sim, SweepGuardReportsNeither) {
   const StreamGraph g = workloads::pipeline(3, 1);
   Simulation sim(g, workloads::passthrough_kernels(g));
-  SimOptions opt;
+  exec::RunSpec opt;
   opt.mode = DummyMode::None;
   opt.num_inputs = 1000;
   opt.max_sweeps = 3;  // far too few

@@ -154,6 +154,15 @@ TEST(StealDequeModel, InterleavedGrowthKeepsLiveRange) {
 // nothing is invented, nothing is lost, and each thief's steal sequence is
 // strictly increasing in push order (top only ever advances).
 // SDAF_STRESS_SECONDS scales it up for tools/ci.sh --stress.
+//
+// The owner reuses the same kBatch arena cells every round, so each cell
+// is stamped with its round before it is pushed, and the ordering check
+// compares rounds first and push indices only within a round. A thief
+// cannot tell rounds apart any other way: between two of its steals the
+// owner may finish a round and push the next batch, whose low indices
+// would otherwise read as going backwards. The stamp write is ordered
+// before the steal that reads it by push_bottom's release, and the read is
+// ordered before the next round's rewrite by claim()'s acq_rel count.
 // ---------------------------------------------------------------------
 
 void run_hammer(std::uint64_t seed, double seconds, std::size_t capacity) {
@@ -162,7 +171,6 @@ void run_hammer(std::uint64_t seed, double seconds, std::size_t capacity) {
   Arena arena(kBatch);
 
   std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> round{0};
   // Claim slots: claimed[i] counts how many threads took item i this
   // round; any value > 1 is a double-delivery, caught immediately.
   std::vector<std::atomic<std::uint32_t>> claimed(kBatch);
@@ -179,25 +187,22 @@ void run_hammer(std::uint64_t seed, double seconds, std::size_t capacity) {
 
   auto thief = [&](std::uint64_t thief_seed) {
     Prng rng(thief_seed);
-    std::uint64_t seen_round = 0;
+    std::uint64_t last_round = 0;  // rounds are numbered from 1
     std::size_t last_index = 0;
-    bool have_last = false;
     while (!stop.load(std::memory_order_acquire)) {
-      const std::uint64_t r = round.load(std::memory_order_acquire);
-      if (r != seen_round) {  // new batch: push order restarts
-        seen_round = r;
-        have_last = false;
-      }
       void* out = nullptr;
       switch (deque.steal(&out)) {
         case StealDeque::StealResult::Ok: {
           const std::size_t i = arena.index(out);
-          // Within one round a thief's steals come off a monotonically
-          // advancing top, so its observed push indices must increase.
-          if (have_last && i <= last_index)
+          const std::uint64_t item_round = *static_cast<std::uint64_t*>(out);
+          // A thief's steals come off a monotonically advancing top: never
+          // an earlier round, and within one round strictly increasing
+          // push indices.
+          if (item_round < last_round ||
+              (item_round == last_round && i <= last_index))
             bad_order.store(true, std::memory_order_relaxed);
+          last_round = item_round;
           last_index = i;
-          have_last = true;
           claim(out);
           break;
         }
@@ -211,49 +216,62 @@ void run_hammer(std::uint64_t seed, double seconds, std::size_t capacity) {
     }
   };
 
-  std::thread t1([&] { thief(seed ^ 0x1111); });
-  std::thread t2([&] { thief(seed ^ 0x2222); });
-
-  // Owner (this thread): rounds of push-all / mixed pop+work until every
-  // item of the round is claimed by someone.
-  Prng rng(seed);
-  Stopwatch clock;
-  int rounds = 0;
-  while (clock.elapsed_seconds() < seconds || rounds == 0) {
-    for (auto& c : claimed) c.store(0, std::memory_order_relaxed);
-    claimed_total.store(0, std::memory_order_release);
-    round.fetch_add(1, std::memory_order_acq_rel);
-    std::size_t pushed = 0;
-    while (pushed < kBatch) {
-      const std::size_t burst =
-          std::min<std::size_t>(1 + rng.next_below(16), kBatch - pushed);
-      for (std::size_t i = 0; i < burst; ++i)
-        deque.push_bottom(arena.item(pushed + i));
-      pushed += burst;
-      // Interleave owner pops so the last-item CAS race actually runs.
-      const std::size_t pops = rng.next_below(burst + 1);
-      for (std::size_t i = 0; i < pops; ++i) {
-        if (void* item = deque.pop_bottom()) claim(item);
+  {
+    std::thread t1([&] { thief(seed ^ 0x1111); });
+    std::thread t2([&] { thief(seed ^ 0x2222); });
+    // Stops and joins the thieves on every exit from the owner loop below,
+    // including a failed ASSERT, which returns with the threads joinable.
+    struct JoinThieves {
+      std::atomic<bool>& stop;
+      std::thread& t1;
+      std::thread& t2;
+      ~JoinThieves() {
+        stop.store(true, std::memory_order_release);
+        t1.join();
+        t2.join();
       }
+    } join_thieves{stop, t1, t2};
+
+    // Owner (this thread): rounds of push-all / mixed pop+work until every
+    // item of the round is claimed by someone.
+    Prng rng(seed);
+    Stopwatch clock;
+    std::uint64_t rounds = 0;
+    while (clock.elapsed_seconds() < seconds || rounds == 0) {
+      for (auto& c : claimed) c.store(0, std::memory_order_relaxed);
+      claimed_total.store(0, std::memory_order_release);
+      const std::uint64_t round = rounds + 1;
+      std::size_t pushed = 0;
+      while (pushed < kBatch) {
+        const std::size_t burst =
+            std::min<std::size_t>(1 + rng.next_below(16), kBatch - pushed);
+        for (std::size_t i = 0; i < burst; ++i) {
+          arena.cells[pushed + i] = round;
+          deque.push_bottom(arena.item(pushed + i));
+        }
+        pushed += burst;
+        // Interleave owner pops so the last-item CAS race actually runs.
+        const std::size_t pops = rng.next_below(burst + 1);
+        for (std::size_t i = 0; i < pops; ++i) {
+          if (void* item = deque.pop_bottom()) claim(item);
+        }
+      }
+      // Drain the remainder (owner side) and wait for in-flight steals.
+      while (claimed_total.load(std::memory_order_acquire) < kBatch) {
+        if (void* item = deque.pop_bottom())
+          claim(item);
+        else
+          std::this_thread::yield();
+      }
+      ASSERT_FALSE(double_claim.load()) << "item delivered twice";
+      ASSERT_FALSE(bad_order.load()) << "thief observed non-monotonic steals";
+      // Exactly-once: every claim counter is exactly 1.
+      for (std::size_t i = 0; i < kBatch; ++i)
+        ASSERT_EQ(claimed[i].load(std::memory_order_relaxed), 1u)
+            << "item " << i << " round " << rounds;
+      ++rounds;
     }
-    // Drain the remainder (owner side) and wait for in-flight steals.
-    while (claimed_total.load(std::memory_order_acquire) < kBatch) {
-      if (void* item = deque.pop_bottom())
-        claim(item);
-      else
-        std::this_thread::yield();
-    }
-    ASSERT_FALSE(double_claim.load()) << "item delivered twice";
-    ASSERT_FALSE(bad_order.load()) << "thief observed non-monotonic steals";
-    // Exactly-once: every claim counter is exactly 1.
-    for (std::size_t i = 0; i < kBatch; ++i)
-      ASSERT_EQ(claimed[i].load(std::memory_order_relaxed), 1u)
-          << "item " << i << " round " << rounds;
-    ++rounds;
   }
-  stop.store(true, std::memory_order_release);
-  t1.join();
-  t2.join();
   EXPECT_EQ(deque.pop_bottom(), nullptr);
 }
 

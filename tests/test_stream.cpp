@@ -27,8 +27,7 @@ using runtime::DummyMode;
 using runtime::Kernel;
 using runtime::Value;
 
-constexpr Backend kBackends[] = {Backend::Sim, Backend::Threaded,
-                                 Backend::Pooled};
+constexpr Backend kBackends[] = {Backend::Sim, Backend::Pooled};
 
 void expect_same_report(const RunReport& expected, const RunReport& actual,
                         const std::string& label) {
@@ -199,27 +198,24 @@ TEST(Stream, DeadlockVerdictWaitsForPortCloseOnEveryBackend) {
 }
 
 // Taps must never affect deadlock verdicts: a caller draining the tap
-// slower than the threaded watchdog's certification window (tick x
-// confirm_ticks) keeps the sink parked on a full tap while every other
-// thread is blocked -- which must read as "awaiting the caller", not as a
-// certifiable wedge. Regression test for the tap-park being hidden from
-// the watchdog monitor.
-TEST(Stream, ThreadedSlowTapDrainIsNotDeadlock) {
+// slowly keeps the sink parked on a full tap after every port closed and
+// every other task parked -- which must read as "awaiting the caller", not
+// as a quiescent wedge.
+TEST(Stream, PooledSlowTapDrainIsNotDeadlock) {
   const StreamGraph g = workloads::pipeline(2, 4);
   Session session(g, workloads::passthrough_kernels(g));
   StreamSpec ss;
-  ss.run.backend = Backend::Threaded;
+  ss.run.backend = Backend::Pooled;
+  ss.run.pool_workers = 2;
   ss.run.mode = DummyMode::None;
-  ss.run.watchdog_tick = std::chrono::milliseconds(1);
-  ss.run.deadlock_confirm_ticks = 5;  // ~5ms window, far below the drain gap
   ss.egress_capacity = 2;
   Stream stream = session.open(ss);
   for (int i = 0; i < 12; ++i) ASSERT_TRUE(stream.input(0).push());
-  stream.input(0).close();  // arms the watchdog
+  stream.input(0).close();
   std::uint64_t received = 0;
   while (auto item = stream.output(0).next()) {
     ++received;
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   EXPECT_EQ(received, 12u);
   const RunReport report = stream.finish();
@@ -260,10 +256,11 @@ class GateKernel final : public Kernel {
 
 // Session::submit must be genuinely asynchronous on every backend: the
 // source kernel blocks until the test releases it *after* submit returns,
-// so an inline submit would trip the kernel's 10s timeout.
-TEST(Stream, SubmitIsAsynchronousOnSimAndThreaded) {
+// so an inline submit would trip the kernel's 10s timeout. (Pooled without
+// a shared pool takes the same offload path as Sim.)
+TEST(Stream, SubmitIsAsynchronousWithoutSharedPool) {
   const StreamGraph g = workloads::pipeline(2, 4);
-  for (const Backend backend : {Backend::Sim, Backend::Threaded}) {
+  for (const Backend backend : kBackends) {
     auto gate = std::make_shared<GateKernel>();
     std::vector<std::shared_ptr<Kernel>> kernels{gate,
                                                  runtime::pass_through_kernel()};

@@ -155,7 +155,7 @@ TEST(SimTracing, DummyOriginationAndForwardingVisible) {
               static_cast<std::uint64_t>(interval));
 }
 
-TEST(ThreadedTracing, WallClockTimestampsAttached) {
+TEST(PooledTracing, WallClockTimestampsAttached) {
   // Off the simulator there is no sweep tick, so trace events carry a
   // steady-clock ts_ns instead (and tick stays 0). The sim keeps ts_ns == 0
   // -- its deterministic tick is the timestamp.
@@ -163,7 +163,8 @@ TEST(ThreadedTracing, WallClockTimestampsAttached) {
   exec::Session session(g, workloads::passthrough_kernels(g));
   Tracer tracer(1u << 14);
   exec::RunSpec spec;
-  spec.backend = exec::Backend::Threaded;
+  spec.backend = exec::Backend::Pooled;
+  spec.pool_workers = 2;
   spec.mode = DummyMode::None;
   spec.num_inputs = 20;
   spec.tracer = &tracer;

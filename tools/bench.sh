@@ -68,10 +68,9 @@ fi
 # budget <= 2% -- into BENCH_throughput.json), the pooled filtering sweep,
 # (since the SPSC channel fast path) two batch=1 pooled ladder configs whose
 # per-op channel cost is the figure the lock-free path exists to cut, and
-# (since the streaming ports) one latency and one ingest config per
-# concurrent backend, and (since checkpoint/restore) the threaded
-# snapshot overhead pair + barrier latency (budget: snapshot_overhead_pct
-# <= 5%).
+# (since the streaming ports) the pooled latency and ingest configs, and
+# (since checkpoint/restore) the pooled snapshot overhead pair + barrier
+# latency (budget: snapshot_overhead_pct <= 5%).
 throughput_filter='.'
 pool_filter='Filtering|CompileCache'
 streaming_filter='.'
@@ -80,8 +79,8 @@ qos_filter='.'
 if [[ $smoke -eq 1 ]]; then
   throughput_filter='BM_Throughput_Pass(100|50|10)/|BM_Throughput_Pass10_MetricsOverhead'
   pool_filter='BM_PoolExecutor_Filtering|BM_PoolExecutor_Ladder/(100|1000)/2|BM_PoolExecutor_LadderScaling'
-  streaming_filter='BM_Stream(Latency|Ingest)_(Pooled|Threaded)'
-  snapshot_filter='BM_Snapshot(Overhead|Latency)_Threaded'
+  streaming_filter='BM_Stream(Latency|Ingest)_Pooled'
+  snapshot_filter='BM_Snapshot(Overhead|Latency)_Pooled'
   qos_filter='BM_QosInteractive_(Solo|SharedDRR)'
 fi
 

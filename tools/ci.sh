@@ -255,8 +255,7 @@ if [[ "$mode" == "--crash" ]]; then
   build/asan/test_net_snapshot
 
   # TSan over the barrier itself: markers racing live pushes, EOS floods,
-  # deadlock verdicts and concurrent pollers on the threaded/pooled
-  # backends.
+  # deadlock verdicts and concurrent pollers on the pooled backend.
   echo "==> tsan build + marker interleavings"
   cmake --preset tsan
   cmake --build --preset tsan -j "$jobs"

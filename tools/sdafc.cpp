@@ -6,7 +6,7 @@
 // filtering workload.
 //
 //   sdafc [--nonprop] [--reject-general] [--dot] [--ceil] FILE
-//   sdafc --run [--backend=sim|threaded|pooled] [--items=N]
+//   sdafc --run [--backend=sim|pooled] [--items=N]
 //         [--pass-rate=P] [--seed=S] [--no-avoidance] [--metrics[=json|prom]]
 //         [--tenant=NAME] [--tenant-weight=W]
 //         FILE
@@ -69,7 +69,7 @@ int usage() {
   std::fprintf(
       stderr,
       "usage: sdafc [--nonprop] [--reject-general] [--dot] [--ceil]\n"
-      "             [--run] [--backend=sim|threaded|pooled] [--items=N]\n"
+      "             [--run] [--backend=sim|pooled] [--items=N]\n"
       "             [--pass-rate=P] [--seed=S] [--no-avoidance] [--stdin]\n"
       "             FILE\n"
       "  FILE format:  node <name> | edge <from> <to> <buffer>\n"
@@ -290,7 +290,7 @@ int run_stdin_stream(const StreamGraph& g, exec::StreamSpec spec,
   while (!wedged && std::getline(std::cin, line)) {
     int stalls = 0;
     while (!in.try_push(runtime::Value(line))) {
-      stream.pump();  // Sim: run sweeps; concurrent backends: no-op
+      stream.pump();  // Sim: run sweeps; Pooled: no-op
       drain();
       if (++stalls > 5000) {
         std::fprintf(stderr,
