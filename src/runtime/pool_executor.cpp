@@ -64,8 +64,8 @@ using pool_detail::kRunningNotified;
 using pool_detail::NodeTask;
 
 // One worker's scheduling state. Only the owning worker touches the deque
-// bottom, the PRNG, and pending_wakes; the hot slot and the deque top are
-// shared with thieves.
+// bottom, the PRNG, pending_wakes and the quiescence credits; the hot slot
+// and the deque top are shared with thieves.
 struct PoolExecutor::Worker {
   Worker(std::size_t deque_capacity, std::uint64_t seed)
       : deque(deque_capacity), rng(seed) {}
@@ -75,8 +75,16 @@ struct PoolExecutor::Worker {
   // channel data still in this worker's cache. Any thread takes it with an
   // exchange, so a task here is never stranded -- thieves probe it too.
   alignas(64) std::atomic<NodeTask*> hot{nullptr};
-  Prng rng;                        // owner-only
-  std::size_t pending_wakes = 0;  // owner-only: pushes since the last flush
+  // Owner-only fields start on their own cache line, so thieves exchanging
+  // `hot` never invalidate them.
+  alignas(64) Prng rng;
+  std::size_t pending_wakes = 0;  // pushes since the last flush
+  // Quiescence credits: parks of credit_instance's tasks whose `active`
+  // decrement this worker still holds (see Instance::active). A wake of
+  // that instance spends one instead of incrementing; flush_credits
+  // returns the rest with a single RMW.
+  Instance* credit_instance = nullptr;
+  std::int64_t credits = 0;
 };
 
 // One submitted graph execution: channels, node state machines, tasks, and
@@ -94,19 +102,28 @@ struct PoolExecutor::Instance final : Waker {
   // in (the submitting tenant's, or lane 0 with fair_injector off).
   std::size_t lane = 0;
 
-  // Queued + running tasks of this instance. Wake-ups only originate from
-  // tasks of the same instance (or, for live ports, from the stream hooks,
-  // which always follow the channel transition they report), so 0 here
-  // means quiescence: no node of this instance can progress until a port
-  // supplies more work -- and with no open ports that verdict is final:
-  // either all nodes finished (completed) or some cannot (deadlock),
-  // exactly. Distribution does not blur this: a task counts from its
-  // schedule() CAS until its park decrement wherever it sits -- a hot
-  // slot, any deque, any tenant lane of the injector, or a thief's hands
-  // between the winning steal CAS and run_task -- so a steal in flight is
-  // still pending work. DRR only reorders *when* a queued task runs, never
-  // whether it is counted: deferral in a low-weight lane keeps `active`
-  // nonzero, so quiescence stays exact per instance (docs/SCHEDULER.md).
+  // Queued + running tasks of this instance, plus the credits workers hold
+  // for it. A task counts from its kIdle->kQueued CAS until its park
+  // decrement, wherever it sits -- a hot slot, any deque, any tenant lane
+  // of the injector, or a thief's hands between the winning steal CAS and
+  // run_task -- so a steal in flight is still pending work. The park
+  // decrement is deferred: the parking worker keeps it as a credit, spends
+  // it on its next wake of this instance (instead of an increment), and
+  // returns what is left with one fetch_sub when it switches to another
+  // instance's task or finds no task at all. So
+  //   active = queued + running + credits held,
+  // which is never below the true queued + running count (no false
+  // verdict), and every credit comes back once its holder goes idle or
+  // moves on (a quiescent instance always reaches 0). Wake-ups only
+  // originate from tasks of the same instance (or, for live ports, from
+  // the stream hooks, which always follow the channel transition they
+  // report), so 0 here means quiescence: no node of this instance can
+  // progress until a port supplies more work -- and with no open ports
+  // that verdict is final: either all nodes finished (completed) or some
+  // cannot (deadlock), exactly. DRR only reorders *when* a queued task
+  // runs, never whether it is counted: deferral in a low-weight lane keeps
+  // `active` nonzero, so quiescence stays exact per instance
+  // (docs/SCHEDULER.md).
   std::atomic<std::int64_t> active{0};
 
   // Live-port bookkeeping. `streaming` is set for ports->live submissions;
@@ -503,11 +520,19 @@ void PoolExecutor::schedule(NodeTask* task) {
           // multi-writer, so a rare lost increment there is tolerated --
           // these are scheduling diagnostics, not exactness-checked counts.
           obs::bump(current_shard().wakes);
-          task->instance->active.fetch_add(1);
-          if (tls_pool == this)
-            enqueue_local(*static_cast<Worker*>(tls_worker), task);
-          else
+          if (tls_pool == this) {
+            // A worker of this pool pays for the wake with a park credit
+            // of the same instance when it holds one.
+            auto& w = *static_cast<Worker*>(tls_worker);
+            if (w.credit_instance == task->instance && w.credits > 0)
+              --w.credits;
+            else
+              task->instance->active.fetch_add(1);
+            enqueue_local(w, task);
+          } else {
+            task->instance->active.fetch_add(1);
             enqueue_injector(task);
+          }
           return;
         }
         break;
@@ -520,15 +545,33 @@ void PoolExecutor::schedule(NodeTask* task) {
   }
 }
 
-void PoolExecutor::run_task(NodeTask* task) {
+void PoolExecutor::flush_credits(Worker& w) {
+  if (w.credits == 0) return;
+  Instance& instance = *w.credit_instance;
+  const std::int64_t n = w.credits;
+  w.credits = 0;
+  // If these were the last, the instance is quiescent and its verdict is
+  // exact. The guest count pins the instance across the window (see
+  // Instance::verdict_guests).
+  instance.verdict_guests.fetch_add(1, std::memory_order_acq_rel);
+  if (instance.active.fetch_sub(n) == n) maybe_finalize(instance);
+  instance.verdict_guests.fetch_sub(1, std::memory_order_release);
+}
+
+void PoolExecutor::run_task(Worker& w, NodeTask* task) {
   NodeState& node = *task->node;
   obs::WorkerCounters& shard = current_shard();
-  auto* w = static_cast<Worker*>(tls_worker);
   obs::bump(shard.task_runs);
-  if (w != nullptr)
-    shard.sample_depth(
-        w->deque.approx_size() +
-        (w->hot.load(std::memory_order_relaxed) != nullptr ? 1 : 0));
+  shard.sample_depth(
+      w.deque.approx_size() +
+      (w.hot.load(std::memory_order_relaxed) != nullptr ? 1 : 0));
+  // Credits are held for one instance at a time: switching instances
+  // returns the old one's, so a co-tenant keeping this worker busy cannot
+  // hold back another instance's verdict.
+  if (w.credit_instance != task->instance) {
+    flush_credits(w);
+    w.credit_instance = task->instance;
+  }
   // An RMW, not a blind store: acquire-reading the enqueuer's kQueued write
   // orders this runner after the previous runner through the sched word
   // itself (park CAS -> wake CAS -> this exchange), independent of which
@@ -538,7 +581,7 @@ void PoolExecutor::run_task(NodeTask* task) {
   for (;;) {
     std::size_t steps = 0;
     while (node.step()) {
-      if (w != nullptr) maybe_perturb(options_.perturb_yield_in_256, w->rng);
+      maybe_perturb(options_.perturb_yield_in_256, w.rng);
       if (++steps >= options_.max_steps_per_quantum) {
         // Yield for fairness; the task stays accounted as active. It goes
         // to the shared FIFO, not our own LIFO end, so co-tenant tasks in
@@ -582,13 +625,9 @@ void PoolExecutor::run_task(NodeTask* task) {
     }
     break;
   }
-  // This task is no longer queued or running; if it was the last one, the
-  // instance is quiescent and its verdict is exact. The guest count pins
-  // the instance across the window (see Instance::verdict_guests).
-  Instance& instance = *task->instance;
-  instance.verdict_guests.fetch_add(1, std::memory_order_acq_rel);
-  if (instance.active.fetch_sub(1) == 1) maybe_finalize(instance);
-  instance.verdict_guests.fetch_sub(1, std::memory_order_release);
+  // This task is no longer queued or running: keep its `active` decrement
+  // as a credit (returned by flush_credits).
+  ++w.credits;
 }
 
 void PoolExecutor::maybe_finalize(Instance& instance) {
@@ -716,12 +755,15 @@ void PoolExecutor::worker_loop(std::size_t worker_index) {
   for (;;) {
     bool contended = false;
     if (NodeTask* task = find_task(w, &contended)) {
-      run_task(task);
+      run_task(w, task);
       // The amortized wake point: one epoch bump covers every push this
       // drain produced.
       flush_wakes(w);
       continue;
     }
+    // No task: return every held credit before yielding or parking, so an
+    // idle worker never sits on an instance's quiescence.
+    flush_credits(w);
     if (stop_.load(std::memory_order_acquire)) return;
     if (contended) {
       // A steal lost its race: work exists, re-sweep instead of parking
@@ -749,7 +791,7 @@ void PoolExecutor::worker_loop(std::size_t worker_index) {
     }
     work_event_.unregister_waiter();
     if (task != nullptr) {
-      run_task(task);
+      run_task(w, task);
       flush_wakes(w);
     }
   }

@@ -23,17 +23,24 @@
 // is "never falsely empty for a parked peer". See docs/SCHEDULER.md.
 //
 // Deadlock is certified *exactly*, not by timing: a per-instance
-// counter tracks queued + running tasks; nodes are only woken by channel
+// counter tracks queued + running tasks plus the quiescence credits
+// workers hold for the instance; nodes are only woken by channel
 // transitions caused by other tasks of the same instance, so when the
 // counter reaches zero no future progress is possible. Distributing the
 // ready queue does not move that quiescence point: a task counts from its
-// schedule() transition until its park decrement, wherever it sits -- a
-// hot slot, any deque, a per-tenant injector lane, or a thief's hands
-// between the winning steal CAS and run_task. If nodes remain unfinished
-// at quiescence the instance deadlocked -- the same verdict sim::simulate
-// computes. The DRR lanes (qos) reorder only *when* queued tasks run,
-// never whether they are counted, so weighting one tenant down cannot
-// turn another tenant's starvation into a false deadlock verdict.
+// kIdle->kQueued CAS until its park decrement, wherever it sits -- a hot
+// slot, any deque, a per-tenant injector lane, or a thief's hands between
+// the winning steal CAS and run_task. The park decrement is worker-held:
+// a parking worker keeps it as a credit, spends it on its next wake of the
+// same instance, and returns the rest in one RMW when it starts a task of
+// another instance or finds no task. So the counter is queued + running +
+// credits -- never below the true count (no false verdict), and back to
+// zero once every holder has moved on or gone idle (liveness). If nodes
+// remain unfinished at quiescence the instance deadlocked -- the same
+// verdict sim::simulate computes. The DRR lanes (qos) reorder only *when*
+// queued tasks run, never whether they are counted, so weighting one
+// tenant down cannot turn another tenant's starvation into a false
+// deadlock verdict.
 //
 // The pool is multi-tenant: submit() may be called concurrently for many
 // independent graph instances, which interleave on the same workers. Pair
@@ -192,8 +199,11 @@ class PoolExecutor {
   struct Worker;
 
   void worker_loop(std::size_t worker_index);
-  void run_task(pool_detail::NodeTask* task);
+  void run_task(Worker& w, pool_detail::NodeTask* task);
   void schedule(pool_detail::NodeTask* task);
+  // Returns w's quiescence credits to their instance with one decrement,
+  // finalizing it if that was its last pending work.
+  void flush_credits(Worker& w);
   // Local enqueue on the calling worker (hot slot / deque bottom),
   // deferring the wake to the next flush; w is the caller's own Worker.
   void enqueue_local(Worker& w, pool_detail::NodeTask* task);

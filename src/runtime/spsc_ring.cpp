@@ -49,6 +49,13 @@ void SpscRing::publish(std::size_t count, PushEffect* effect) {
   // the happens-before edge to the consumer's last writes to that slot.
   const std::uint64_t popped_now = popped_.load(std::memory_order_acquire);
   p_.popped_cache = popped_now;
+  // Keep logical_space's refresh order (popped_ first, then markers): a
+  // fresh popped_cache paired with a stale nonzero markers_cache would
+  // subtract a marker the consumer has already popped and over-admit one
+  // message past capacity. A cached 0 can only under-admit, so the load
+  // is skipped then -- the data path pays nothing outside snapshots.
+  if (p_.markers_cache != 0)
+    p_.markers_cache = markers_in_ring_.load(std::memory_order_acquire);
   if (effect != nullptr) {
     // popped_now > before means the consumer already consumed part of this
     // very push: it is certainly awake, so the wake-up may be elided.

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 #include "src/core/compile.h"
 #include "src/exec/session.h"
 #include "src/exec/stream.h"
@@ -368,6 +371,67 @@ TEST(PoolExecutor, OpenPortStreamIdlesNotDeadlocksUnderAdversarialSchedule) {
   ASSERT_EQ(got.size(), 60u);
   for (std::size_t k = 0; k < got.size(); ++k)
     EXPECT_EQ(got[k].value.as<std::int64_t>(), static_cast<std::int64_t>(k));
+}
+
+TEST(PoolExecutor, DeadlockVerdictNotHeldByBusyCoTenant) {
+  // Liveness of the worker-held quiescence credits: a worker keeps each
+  // park's `active` decrement as a credit and returns it when it goes idle
+  // *or* starts a task of another instance. Here a live stream keeps every
+  // worker busy -- 32 equally costly stages on deep buffers, fed faster
+  // than they drain, so there are always more runnable stages than workers
+  // and no worker goes idle while the Fig. 2 wedge runs beside it. The
+  // wedge's verdict must still arrive, sim-exact, with the stream open.
+  // (Credits returned only on going idle would hang here.)
+  const StreamGraph tri = workloads::fig2_triangle(2, 2, 2);
+  auto tri_kernels = [] {
+    std::vector<std::shared_ptr<Kernel>> k;
+    k.push_back(std::make_shared<RelayKernel>(
+        workloads::adversarial_prefix_filter(1, 100)));
+    k.push_back(pass_through_kernel());
+    k.push_back(pass_through_kernel());
+    return k;
+  };
+  exec::RunSpec opt;
+  opt.mode = DummyMode::None;
+  opt.num_inputs = 100;
+  const auto expected = sim::Simulation(tri, tri_kernels()).run(opt);
+  ASSERT_TRUE(expected.deadlocked);
+
+  PoolExecutor pool(4);
+  const StreamGraph busy = workloads::pipeline(32, 256);
+  std::vector<std::shared_ptr<Kernel>> work;
+  for (NodeId n = 0; n < busy.node_count(); ++n)
+    work.push_back(std::make_shared<WorkKernel>(
+        5000, [](std::uint64_t, std::size_t) { return true; }));
+  exec::Session session(busy, std::move(work));
+  exec::StreamSpec ss;
+  ss.run.backend = exec::Backend::Pooled;
+  ss.run.pool = &pool;
+  ss.run.mode = DummyMode::None;
+  ss.feed_capacity = 4096;
+  ss.capture_outputs = false;
+  exec::Stream stream = session.open(ss);
+  std::atomic<bool> stop{false};
+  std::atomic<std::int64_t> pushed{0};
+  std::thread pusher([&] {
+    std::int64_t next = 0;
+    while (!stop.load(std::memory_order_relaxed))
+      if (stream.input(0).try_push(Value(next))) pushed.store(++next);
+  });
+  // Let the stream saturate the pool before the wedge arrives.
+  while (pushed.load() < 256) std::this_thread::yield();
+
+  const auto r = pool.run(tri, tri_kernels(), opt);
+  // The verdict came while the stream was open and still absorbing input.
+  const std::int64_t at_verdict = pushed.load();
+  while (pushed.load() < at_verdict + 16) std::this_thread::yield();
+  stop.store(true);
+  pusher.join();
+  expect_parity(expected, r, "wedge beside a busy stream");
+  EXPECT_TRUE(r.deadlocked);
+
+  stream.input(0).close();
+  EXPECT_TRUE(stream.finish().completed);
 }
 
 TEST(PoolExecutor, BarrierSnapshotPendingMidStealRestoresExactly) {

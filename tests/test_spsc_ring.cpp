@@ -408,6 +408,25 @@ TEST(SpscRing, MarkerOccupancyNeutralOrderedAndPending) {
   EXPECT_TRUE(ring.empty());
 }
 
+// The producer's cached marker count must not outlive the marker: once the
+// consumer pops it, a push that refreshes the cached popped_ count has to
+// refresh the marker count too, or the stale marker is subtracted from
+// occupancy and the ring admits one message past its capacity (and past
+// its capacity + 1 physical segments).
+TEST(SpscRing, PoppedMarkerDoesNotInflateAdmission) {
+  SpscRing ring(2);
+  ASSERT_TRUE(ring.try_push_marker(0));
+  ASSERT_TRUE(ring.try_push(Message::data(0, Value(std::int64_t{1}))));
+  ring.pop();  // the marker
+  ASSERT_TRUE(ring.try_push(Message::data(1, Value(std::int64_t{2}))));
+  EXPECT_TRUE(ring.full());
+  EXPECT_FALSE(ring.try_push(Message::data(2, Value(std::int64_t{3}))));
+  EXPECT_EQ(ring.size(), 2u);
+  EXPECT_EQ(ring.pop_head().payload.as<std::int64_t>(), 1);
+  EXPECT_EQ(ring.pop_head().payload.as<std::int64_t>(), 2);
+  EXPECT_TRUE(ring.empty());
+}
+
 // Marker behaviour must agree with the mutex-era model ring: it terminates
 // a coalesced dummy run and the run behind the barrier starts fresh.
 TEST(SpscRing, MarkerNeverCoalescesWithDummyRunsModelAgreement) {

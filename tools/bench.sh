@@ -61,6 +61,25 @@ if [[ ! -x "$build_dir/bench_throughput" ||
       bench_snapshot bench_qos_isolation sdafd sdaf_loadgen
 fi
 
+# Every google-benchmark JSON records what produced it: the commit (with
+# -dirty when tracked files differ from it), the compiler, the CMake build
+# type of the bench binaries and the runner's core count. (The
+# library_build_type google-benchmark prints describes the benchmark
+# library itself, not this code.)
+cmake_cache="$build_dir/CMakeCache.txt"
+build_type=$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' "$cmake_cache")
+compiler_cmake=$(ls "$build_dir"/CMakeFiles/*/CMakeCXXCompiler.cmake | head -1)
+compiler_id=$(sed -n 's/^set(CMAKE_CXX_COMPILER_ID "\(.*\)")$/\1/p' "$compiler_cmake")
+compiler_version=$(sed -n 's/^set(CMAKE_CXX_COMPILER_VERSION "\(.*\)")$/\1/p' \
+    "$compiler_cmake")
+commit=$(git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)
+if [[ "$commit" != unknown ]] && ! git diff --quiet HEAD -- 2>/dev/null; then
+  commit="$commit-dirty"
+fi
+context="--benchmark_context=git_commit=$commit"
+context+=",compiler=$compiler_id $compiler_version"
+context+=",cmake_build_type=${build_type:-unknown},nproc=$jobs"
+
 # The smoke subset is fixed so the JSON schema (benchmark names + counters)
 # stays stable across PRs: the three throughput pass rates at the batched
 # quantum, the metrics-on/off overhead pair (records the observability cost
@@ -70,7 +89,8 @@ fi
 # per-op channel cost is the figure the lock-free path exists to cut, and
 # (since the streaming ports) the pooled latency and ingest configs, and
 # (since checkpoint/restore) the pooled snapshot overhead pair + barrier
-# latency (budget: snapshot_overhead_pct <= 5%).
+# latency (budget: snapshot_overhead_pct <= 5%), and the whole batch=1
+# LadderScaling ladder (1/4/8/16 workers; the 1 -> 4 rows are the speedup).
 throughput_filter='.'
 pool_filter='Filtering|CompileCache'
 streaming_filter='.'
@@ -85,13 +105,13 @@ if [[ $smoke -eq 1 ]]; then
 fi
 
 echo "==> bench_throughput -> BENCH_throughput.json"
-"$build_dir/bench_throughput" \
+"$build_dir/bench_throughput" "$context" \
     --benchmark_filter="$throughput_filter" \
     --benchmark_out=BENCH_throughput.json \
     --benchmark_out_format=json
 
 echo "==> bench_pool_scaling -> BENCH_pool_scaling.json"
-"$build_dir/bench_pool_scaling" \
+"$build_dir/bench_pool_scaling" "$context" \
     --benchmark_filter="$pool_filter" \
     --benchmark_out=BENCH_pool_scaling.json \
     --benchmark_out_format=json
@@ -100,7 +120,9 @@ echo "==> bench_pool_scaling -> BENCH_pool_scaling.json"
 # wall time) next to the runner's core count, so a BENCH_pool_scaling.json
 # produced on a 1-cpu runner is visibly non-evidence of scaling rather than
 # a silent flat line (tools/ci.sh --smoke asserts on these same counters
-# when the runner has >= 4 cores).
+# when the runner has >= 4 cores), plus the 1000-node speedup from 1 to 4
+# workers -- the throughput ratio, which, unlike effective_parallelism,
+# does not count workers spinning on shared state as parallel work.
 python3 - <<'PY'
 import json
 with open("BENCH_pool_scaling.json") as f:
@@ -114,25 +136,33 @@ if rows:
         print(f"    {b['name']}: {b.get('items_per_second', 0):,.0f} items/s, "
               f"effective_parallelism={b.get('effective_parallelism', 0):.2f} "
               f"of {int(b.get('workers', 0))} workers")
+    large = {int(b.get("workers", 0)): b for b in rows
+             if "/1000/" in b["name"]}
+    if 1 in large and 4 in large and large[1]["items_per_second"] > 0:
+        speedup = (large[4]["items_per_second"] /
+                   large[1]["items_per_second"])
+        print(f"    1000-node, 1 -> 4 workers: speedup {speedup:.2f}x, "
+              "effective_parallelism "
+              f"{large[4].get('effective_parallelism', 0):.2f}")
     if hw < 4:
         print(f"    WARNING: {hw} hardware thread(s) < 4 -- these numbers "
               "cannot demonstrate scaling; run on a multi-core host")
 PY
 
 echo "==> bench_streaming_latency -> BENCH_streaming.json"
-"$build_dir/bench_streaming_latency" \
+"$build_dir/bench_streaming_latency" "$context" \
     --benchmark_filter="$streaming_filter" \
     --benchmark_out=BENCH_streaming.json \
     --benchmark_out_format=json
 
 echo "==> bench_snapshot -> BENCH_snapshot.json"
-"$build_dir/bench_snapshot" \
+"$build_dir/bench_snapshot" "$context" \
     --benchmark_filter="$snapshot_filter" \
     --benchmark_out=BENCH_snapshot.json \
     --benchmark_out_format=json
 
 echo "==> bench_qos_isolation -> BENCH_qos.json"
-"$build_dir/bench_qos_isolation" \
+"$build_dir/bench_qos_isolation" "$context" \
     --benchmark_filter="$qos_filter" \
     --benchmark_out=BENCH_qos.json \
     --benchmark_out_format=json
