@@ -1,17 +1,15 @@
-// Ablations for the design decisions DESIGN.md section 6/6b calls out.
+// Ablations for the forward-on-filter rule (core::CompileResult::
+// forward_on_filter()).
 //
 // 1. Paper-literal Propagation protocol (no continuation forwarding) vs
 //    the augmented protocol: deadlock rate over random CS4 chains with
-//    interior filtering. This quantifies reproduction finding 2.
-// 2. Section VI.A recurrence with vs without the shared-endpoint fixup:
-//    how many component bounds the paper-literal recurrence leaves looser
-//    than exact (unsafe) on shared-endpoint ladders.
-// 3. Forwarding traffic cost: dummies with the augmented Propagation
+//    interior filtering (the rule's counterexample is
+//    Executor.InteriorFilteringCounterexample).
+// 2. Forwarding traffic cost: dummies with the augmented Propagation
 //    protocol vs Non-Propagation on the same interior-filtering workload.
 #include <benchmark/benchmark.h>
 
 #include "src/core/compile.h"
-#include "src/cs4/propagation_ladder.h"
 #include "src/exec/session.h"
 #include "src/support/contracts.h"
 #include "src/support/prng.h"
@@ -59,42 +57,6 @@ BENCHMARK(BM_Ablation_PaperLiteralPropagation_DeadlockRate)
     ->Arg(0)   // paper-literal: schedules + dummy forwarding only
     ->Arg(1)   // augmented: + continuation forwarding
     ->Iterations(60);
-
-void BM_Ablation_RecurrenceFixup_LooseBounds(benchmark::State& state) {
-  const bool fixup = state.range(0) != 0;
-  std::size_t loose = 0;
-  std::size_t bounds_total = 0;
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    Prng rng(seed * 103 + 29);
-    workloads::RandomLadderOptions opt;
-    opt.rungs = 2 + seed % 4;
-    opt.left_interior = 1 + seed % 2;   // force shared endpoints
-    opt.right_interior = 1 + seed % 2;
-    const auto g = workloads::random_ladder(rng, opt);
-    const auto analysis = analyze_cs4(g);
-    SDAF_ASSERT(analysis.is_cs4);
-    for (const Ladder& ladder : analysis.ladders) {
-      const auto exact =
-          ladder_component_bounds_enum(analysis.skeleton, ladder);
-      RecurrenceOptions ropt;
-      ropt.shared_endpoint_fixup = fixup;
-      const auto rec = ladder_component_bounds_recurrence(
-          analysis.skeleton, ladder, ropt);
-      for (std::size_t i = 0; i < exact.size(); ++i) {
-        ++bounds_total;
-        if (rec[i] > exact[i]) ++loose;  // looser than exact = unsafe
-      }
-    }
-    ++seed;
-  }
-  state.counters["loose_bounds"] = static_cast<double>(loose);
-  state.counters["bounds_total"] = static_cast<double>(bounds_total);
-}
-BENCHMARK(BM_Ablation_RecurrenceFixup_LooseBounds)
-    ->Arg(0)   // paper-literal recurrence
-    ->Arg(1)   // with shared-endpoint fixup
-    ->Iterations(200);
 
 void BM_Ablation_ForwardingTrafficCost(benchmark::State& state) {
   // Interior-filtering pipeline inside a cycle: every hop filters, so the

@@ -5,7 +5,6 @@
 #include "src/graph/cycles.h"
 #include "src/graph/undirected.h"
 #include "src/intervals/baseline.h"
-#include "src/support/contracts.h"
 
 namespace sdaf::core {
 
@@ -30,24 +29,19 @@ void mark_component_internal(const Skeleton& skel,
   }
 }
 
-// Marks every edge of a contracted component as continuation.
-void mark_whole_component(const Skeleton& skel, SpTree::Index root,
-                          std::vector<std::uint8_t>& forward) {
-  for (const SpTree::Index leaf : skel.tree.leaves_under(root))
-    forward[skel.tree.node(leaf).edge] = 1;
-}
-
-// Marks the non-source-out edges of a component that is the first hop of a
-// ladder-cycle run.
-void mark_component_as_first(const Skeleton& skel, SpTree::Index root,
-                             std::vector<std::uint8_t>& forward) {
+// Marks a contracted component's edges as continuation: all of them, or,
+// for the first hop of every ladder-cycle run through it, those past the
+// component's source.
+void mark_component(const Skeleton& skel, SpTree::Index root,
+                    bool first_hop, std::vector<std::uint8_t>& forward) {
   const NodeId source = skel.tree.node(root).source;
   for (const SpTree::Index leaf : skel.tree.leaves_under(root)) {
     const SpNode& ln = skel.tree.node(leaf);
-    if (ln.source != source) forward[ln.edge] = 1;
+    if (!first_hop || ln.source != source) forward[ln.edge] = 1;
   }
 }
 
+// The ladder layout rule proved at CompileResult::forward_on_filter().
 std::vector<std::uint8_t> forward_edges_cs4(const StreamGraph& g,
                                             const Cs4Analysis& analysis) {
   std::vector<std::uint8_t> forward(g.edge_count(), 0);
@@ -56,27 +50,12 @@ std::vector<std::uint8_t> forward_edges_cs4(const StreamGraph& g,
   for (const auto& se : skel.edges)
     mark_component_internal(skel, parents, se.tree, forward);
   for (const Ladder& ladder : analysis.ladders) {
-    for (const UCycle& cycle : ladder.cycles) {
-      for (const auto& run : directed_runs(skel.graph, cycle)) {
-        mark_component_as_first(skel, skel.edges[run.edges.front()].tree,
-                                forward);
-        for (std::size_t k = 1; k < run.edges.size(); ++k)
-          mark_whole_component(skel, skel.edges[run.edges[k]].tree, forward);
-      }
-    }
+    for (const auto* side : {&ladder.left_seg, &ladder.right_seg})
+      for (std::size_t p = 0; p < side->size(); ++p)
+        mark_component(skel, skel.edges[(*side)[p]].tree, p == 0, forward);
+    for (const LadderRung& r : ladder.rungs)
+      mark_component(skel, skel.edges[r.skel_edge].tree, false, forward);
   }
-  return forward;
-}
-
-std::vector<std::uint8_t> forward_edges_general(const StreamGraph& g,
-                                                std::size_t cycle_limit) {
-  std::vector<std::uint8_t> forward(g.edge_count(), 0);
-  const auto enumeration = enumerate_undirected_cycles(g, cycle_limit);
-  SDAF_EXPECTS(!enumeration.truncated);
-  for (const auto& cycle : enumeration.cycles)
-    for (const auto& run : directed_runs(g, cycle))
-      for (std::size_t k = 1; k < run.edges.size(); ++k)
-        forward[run.edges[k]] = 1;
   return forward;
 }
 
@@ -114,7 +93,7 @@ CompileResult compile(const StreamGraph& g, const CompileOptions& options) {
                                              : Classification::Cs4Chain;
     result.intervals =
         options.algorithm == Algorithm::Propagation
-            ? cs4_propagation_intervals(g, analysis, options.ladder_method)
+            ? cs4_propagation_intervals(g, analysis)
             : cs4_nonprop_intervals(g, analysis);
     result.forward_edges = forward_edges_cs4(g, analysis);
     result.ok = true;
@@ -134,11 +113,34 @@ CompileResult compile(const StreamGraph& g, const CompileOptions& options) {
         "allow the exponential fallback";
     return result;
   }
-  result.intervals =
-      options.algorithm == Algorithm::Propagation
-          ? propagation_intervals_exact(g, options.cycle_limit)
-          : nonprop_intervals_exact(g, options.cycle_limit);
-  result.forward_edges = forward_edges_general(g, options.cycle_limit);
+  // Count first, so a graph past the limit fails fast; then one pass,
+  // never stored, feeds both the intervals and the forward set: an edge
+  // continues a run iff it is not the first edge of some directed run of
+  // some cycle through it.
+  if (!for_each_undirected_cycle(g, options.cycle_limit,
+                                 [](const UCycle&) {})) {
+    result.diagnostics =
+        "topology is not CS4 (" + analysis.reason + ") and has more than " +
+        std::to_string(options.cycle_limit) +
+        " undirected cycles, the limit for exact enumeration -- restructure "
+        "the graph (Section VII)";
+    return result;
+  }
+  IntervalMap intervals(g.edge_count());
+  std::vector<std::uint8_t> forward(g.edge_count(), 0);
+  const auto fold = options.algorithm == Algorithm::Propagation
+                        ? propagation_fold
+                        : nonprop_fold;
+  (void)for_each_undirected_cycle(
+      g, options.cycle_limit, [&](const UCycle& cycle) {
+        const auto runs = directed_runs(g, cycle);
+        fold(runs, intervals);
+        for (const auto& run : runs)
+          for (std::size_t k = 1; k < run.edges.size(); ++k)
+            forward[run.edges[k]] = 1;
+      });
+  result.intervals = std::move(intervals);
+  result.forward_edges = std::move(forward);
   result.ok = true;
   result.diagnostics =
       "topology is not CS4 (" + analysis.reason +

@@ -29,7 +29,8 @@ enum class Classification : std::uint8_t {
 
 enum class GeneralPolicy : std::uint8_t {
   // Fall back to the exponential cycle-enumeration baseline (Section II.B);
-  // only sensible for small graphs.
+  // only sensible for small graphs. A graph with more than
+  // CompileOptions::cycle_limit cycles is rejected (ok = false).
   ExactExponential,
   // Refuse to compile non-CS4 topologies (what a production compiler that
   // promises bounded compile times would do; the user must restructure,
@@ -40,7 +41,6 @@ enum class GeneralPolicy : std::uint8_t {
 struct CompileOptions {
   Algorithm algorithm = Algorithm::Propagation;
   GeneralPolicy general_policy = GeneralPolicy::ExactExponential;
-  LadderMethod ladder_method = LadderMethod::Enumeration;
   std::size_t cycle_limit = 1u << 22;  // for the exponential fallback
 };
 
@@ -87,9 +87,25 @@ struct CompileResult {
   // whole cycle budget, so the knowledge must travel on at zero added gap.
   // The paper leaves this rule implicit ("dummy messages ... must be
   // propagated on all output channels"); without extending it to filtered
-  // data the Propagation Algorithm deadlocks under interior filtering (a
-  // three-node counterexample is in tests/test_executor.cpp, and
-  // EXPERIMENTS.md E2 records the reproduction finding).
+  // data the Propagation Algorithm deadlocks under interior filtering (the
+  // three-node counterexample is Executor.InteriorFilteringCounterexample
+  // in tests/test_executor.cpp).
+  //
+  // For a CS4 graph the set is read from the skeleton in O(|G|), without
+  // cycles. Within a contracted SP component, a leaf continues a run iff
+  // some parallel ancestor's cycles start above the leaf's tail. Within an
+  // SP-ladder block, every component except the two leaving the entry,
+  // left_seg[0] and right_seg[0], is a continuation component and is
+  // marked whole; those two are marked past their first hop. Proof, over
+  // the cycles ladder_cycles() lists:
+  //   * The entry has no in-edge in the block, so every run through a
+  //     segment leaving it starts at the segment's tail: only edges past
+  //     the component's source continue a run.
+  //   * A side segment leaving left[p], p >= 1, continues the outer
+  //     cycle's left run X..Y, which starts at the entry X.
+  //   * A rung leaving interior left[u] continues the run X..left[u] + rung
+  //     of its entry closure. The right side is symmetric.
+  // Bridges between blocks lie on no ladder cycle.
   [[nodiscard]] const std::vector<std::uint8_t>& forward_on_filter() const {
     return forward_edges;
   }

@@ -28,8 +28,6 @@ std::string CompileCache::signature(const StreamGraph& g,
   key += ',';
   key += std::to_string(static_cast<int>(options.general_policy));
   key += ',';
-  key += std::to_string(static_cast<int>(options.ladder_method));
-  key += ',';
   key += std::to_string(options.cycle_limit);
   return key;
 }

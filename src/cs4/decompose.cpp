@@ -1,7 +1,5 @@
 #include "src/cs4/decompose.h"
 
-#include <algorithm>
-
 #include "src/cs4/nonprop_ladder.h"
 #include "src/cs4/propagation_ladder.h"
 #include "src/graph/undirected.h"
@@ -32,39 +30,33 @@ Cs4Analysis analyze_cs4(const StreamGraph& g) {
 
   // Biconnected blocks of the skeleton are the serial-chain components:
   // single-edge blocks are contracted SP components (bridges), multi-edge
-  // blocks must be SP-ladder skeletons.
+  // blocks must be SP-ladder skeletons. A block's terminals are the unique
+  // vertices with no in-edge / out-edge inside it; degrees are counted in
+  // id-indexed arrays reset per block.
   const auto blocks = biconnected_components(out.skeleton.graph);
+  const std::size_t n = out.skeleton.graph.node_count();
+  std::vector<std::uint32_t> in_deg(n, 0), out_deg(n, 0);
+  std::vector<NodeId> touched;
   for (const auto& block : blocks) {
     if (block.size() == 1) {
       out.bridge_edges.push_back(block.front());
       continue;
     }
-    // Terminals: the unique vertices with no in-edge / out-edge inside the
-    // block.
     std::vector<std::size_t> indices(block.begin(), block.end());
     std::vector<NodeId> entries;
     std::vector<NodeId> exits;
-    {
-      std::vector<int> delta_in, delta_out;
-      std::vector<NodeId> nodes;
-      auto local = [&](NodeId n) {
-        const auto it = std::find(nodes.begin(), nodes.end(), n);
-        if (it != nodes.end())
-          return static_cast<std::size_t>(it - nodes.begin());
-        nodes.push_back(n);
-        delta_in.push_back(0);
-        delta_out.push_back(0);
-        return nodes.size() - 1;
-      };
-      for (const EdgeId e : block) {
-        const auto& ed = out.skeleton.graph.edge(e);
-        ++delta_out[local(ed.from)];
-        ++delta_in[local(ed.to)];
-      }
-      for (std::size_t i = 0; i < nodes.size(); ++i) {
-        if (delta_in[i] == 0) entries.push_back(nodes[i]);
-        if (delta_out[i] == 0) exits.push_back(nodes[i]);
-      }
+    touched.clear();
+    for (const EdgeId e : block) {
+      const auto& ed = out.skeleton.graph.edge(e);
+      for (const NodeId v : {ed.from, ed.to})
+        if (in_deg[v] == 0 && out_deg[v] == 0) touched.push_back(v);
+      ++out_deg[ed.from];
+      ++in_deg[ed.to];
+    }
+    for (const NodeId v : touched) {
+      if (in_deg[v] == 0) entries.push_back(v);
+      if (out_deg[v] == 0) exits.push_back(v);
+      in_deg[v] = out_deg[v] = 0;
     }
     if (entries.size() != 1 || exits.size() != 1) {
       out.reason = "skeleton block lacks unique entry/exit terminals; graph "
@@ -84,18 +76,14 @@ Cs4Analysis analyze_cs4(const StreamGraph& g) {
 }
 
 IntervalMap cs4_propagation_intervals(const StreamGraph& g,
-                                      const Cs4Analysis& analysis,
-                                      LadderMethod method) {
+                                      const Cs4Analysis& analysis) {
   SDAF_EXPECTS(analysis.is_cs4);
   const Skeleton& skel = analysis.skeleton;
 
   // External (ladder-level) bound per skeleton component.
   std::vector<Rational> bounds(skel.edges.size(), Rational::infinity());
   for (const Ladder& ladder : analysis.ladders) {
-    const auto lb = method == LadderMethod::Enumeration
-                        ? ladder_component_bounds_enum(skel, ladder)
-                        : ladder_component_bounds_recurrence(skel, ladder,
-                                                             {});
+    const auto lb = ladder_component_bounds_recurrence(skel, ladder);
     for (std::size_t i = 0; i < bounds.size(); ++i)
       bounds[i] = min(bounds[i], lb[i]);
   }

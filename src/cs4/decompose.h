@@ -28,19 +28,10 @@ struct Cs4Analysis {
 
 [[nodiscard]] Cs4Analysis analyze_cs4(const StreamGraph& g);
 
-enum class LadderMethod {
-  // Exact minimization over the ladder's skeleton cycles (reference).
-  Enumeration,
-  // The paper's O(|G|) Ls/Lk/Ld recurrences of Section VI.A, plus a fixup
-  // for rungs sharing a source vertex (see DESIGN.md section 6).
-  PaperRecurrence,
-};
-
-// Propagation-Algorithm intervals for a CS4 graph. Precondition:
-// analysis.is_cs4.
+// Propagation-Algorithm intervals for a CS4 graph (Section VI.A, O(|G|)).
+// Precondition: analysis.is_cs4.
 [[nodiscard]] IntervalMap cs4_propagation_intervals(
-    const StreamGraph& g, const Cs4Analysis& analysis,
-    LadderMethod method = LadderMethod::Enumeration);
+    const StreamGraph& g, const Cs4Analysis& analysis);
 
 // Non-Propagation-Algorithm intervals (Section VI.B, O(|G|^3)).
 [[nodiscard]] IntervalMap cs4_nonprop_intervals(const StreamGraph& g,

@@ -110,92 +110,6 @@ UCycle join_paths(const std::vector<EdgeId>& path1,
   return cycle;
 }
 
-// Direct construction of all undirected simple cycles of a valid ladder:
-// the outer cycle, two closures per rung (around the entry, around the
-// exit), and one cycle per usable rung pair. A cycle of a non-crossing
-// ladder cannot involve three or more rungs.
-std::vector<UCycle> construct_cycles(const Ladder& ladder) {
-  const auto& rungs = ladder.rungs;
-  const auto lsegs = [&](std::size_t from, std::size_t to) {
-    return std::vector<EdgeId>(ladder.left_seg.begin() +
-                                   static_cast<std::ptrdiff_t>(from),
-                               ladder.left_seg.begin() +
-                                   static_cast<std::ptrdiff_t>(to));
-  };
-  const auto rsegs = [&](std::size_t from, std::size_t to) {
-    return std::vector<EdgeId>(ladder.right_seg.begin() +
-                                   static_cast<std::ptrdiff_t>(from),
-                               ladder.right_seg.begin() +
-                                   static_cast<std::ptrdiff_t>(to));
-  };
-  const auto cat = [](std::vector<EdgeId> a, EdgeId e,
-                      std::vector<EdgeId> b = {}) {
-    a.push_back(e);
-    a.insert(a.end(), b.begin(), b.end());
-    return a;
-  };
-
-  std::vector<UCycle> cycles;
-  // Outer cycle.
-  cycles.push_back(join_paths(lsegs(0, ladder.left_seg.size()),
-                              rsegs(0, ladder.right_seg.size())));
-
-  for (const LadderRung& r : rungs) {
-    const EdgeId k = static_cast<EdgeId>(r.skel_edge);
-    if (r.left_to_right) {
-      // Entry closure: X..L[la] + K  vs  X..R[ra]; sink R[ra].
-      cycles.push_back(
-          join_paths(cat(lsegs(0, r.left_pos), k), rsegs(0, r.right_pos)));
-      // Exit closure: K + R[ra]..Y  vs  L[la]..Y; source L[la].
-      cycles.push_back(join_paths(
-          cat({}, k, rsegs(r.right_pos, ladder.right_seg.size())),
-          lsegs(r.left_pos, ladder.left_seg.size())));
-    } else {
-      cycles.push_back(
-          join_paths(cat(rsegs(0, r.right_pos), k), lsegs(0, r.left_pos)));
-      cycles.push_back(join_paths(
-          cat({}, k, lsegs(r.left_pos, ladder.left_seg.size())),
-          rsegs(r.right_pos, ladder.right_seg.size())));
-    }
-  }
-
-  // Rung pairs (sorted, so la1 <= la2 and ra1 <= ra2).
-  for (std::size_t i = 0; i < rungs.size(); ++i) {
-    for (std::size_t j = i + 1; j < rungs.size(); ++j) {
-      const LadderRung& a = rungs[i];
-      const LadderRung& b = rungs[j];
-      const EdgeId ka = static_cast<EdgeId>(a.skel_edge);
-      const EdgeId kb = static_cast<EdgeId>(b.skel_edge);
-      SDAF_ASSERT(a.left_pos <= b.left_pos && a.right_pos <= b.right_pos);
-      if (a.left_to_right && b.left_to_right) {
-        SDAF_ASSERT(a.left_pos < b.left_pos || a.right_pos < b.right_pos);
-        // L[la1] -K1-> R .. R[ra2]  vs  L[la1] .. L[la2] -K2-> R[ra2].
-        cycles.push_back(
-            join_paths(cat({}, ka, rsegs(a.right_pos, b.right_pos)),
-                       cat(lsegs(a.left_pos, b.left_pos), kb)));
-      } else if (!a.left_to_right && !b.left_to_right) {
-        // R[ra1] -K1-> L .. L[la2]  vs  R[ra1] .. R[ra2] -K2-> L[la2].
-        cycles.push_back(
-            join_paths(cat({}, ka, lsegs(a.left_pos, b.left_pos)),
-                       cat(rsegs(a.right_pos, b.right_pos), kb)));
-      } else if (a.left_to_right && !b.left_to_right) {
-        // Source L[la1], sink L[la2]: through K1, right side, K2 back.
-        SDAF_ASSERT(a.left_pos < b.left_pos);  // equality = directed cycle
-        cycles.push_back(join_paths(
-            cat(cat({}, ka, rsegs(a.right_pos, b.right_pos)), kb),
-            lsegs(a.left_pos, b.left_pos)));
-      } else {
-        // r2l then l2r: source R[ra1], sink R[ra2] via the left side.
-        SDAF_ASSERT(a.right_pos < b.right_pos);  // equality = directed cycle
-        cycles.push_back(join_paths(
-            cat(cat({}, ka, lsegs(a.left_pos, b.left_pos)), kb),
-            rsegs(a.right_pos, b.right_pos)));
-      }
-    }
-  }
-  return cycles;
-}
-
 // Node path visited by a directed edge sequence starting at `from`.
 std::vector<NodeId> path_nodes(const StreamGraph& g, NodeId from,
                                const std::vector<EdgeId>& edges) {
@@ -314,13 +228,91 @@ LadderRecognition recognize_ladder(const Skeleton& skel,
     }
   }
 
-  // Cycles for the enumeration-based interval engines, in skeleton edge
-  // indices. Segment arrays already hold skeleton edge indices, so the
-  // construction needs no remapping.
-  ladder.cycles = construct_cycles(ladder);
-
   out.ladder = std::move(ladder);
   return out;
+}
+
+// A cycle of a non-crossing ladder cannot involve three or more rungs.
+std::vector<UCycle> ladder_cycles(const Ladder& ladder) {
+  const auto& rungs = ladder.rungs;
+  const auto lsegs = [&](std::size_t from, std::size_t to) {
+    return std::vector<EdgeId>(ladder.left_seg.begin() +
+                                   static_cast<std::ptrdiff_t>(from),
+                               ladder.left_seg.begin() +
+                                   static_cast<std::ptrdiff_t>(to));
+  };
+  const auto rsegs = [&](std::size_t from, std::size_t to) {
+    return std::vector<EdgeId>(ladder.right_seg.begin() +
+                                   static_cast<std::ptrdiff_t>(from),
+                               ladder.right_seg.begin() +
+                                   static_cast<std::ptrdiff_t>(to));
+  };
+  const auto cat = [](std::vector<EdgeId> a, EdgeId e,
+                      std::vector<EdgeId> b = {}) {
+    a.push_back(e);
+    a.insert(a.end(), b.begin(), b.end());
+    return a;
+  };
+
+  std::vector<UCycle> cycles;
+  // Outer cycle.
+  cycles.push_back(join_paths(lsegs(0, ladder.left_seg.size()),
+                              rsegs(0, ladder.right_seg.size())));
+
+  for (const LadderRung& r : rungs) {
+    const EdgeId k = static_cast<EdgeId>(r.skel_edge);
+    if (r.left_to_right) {
+      // Entry closure: X..L[la] + K  vs  X..R[ra]; sink R[ra].
+      cycles.push_back(
+          join_paths(cat(lsegs(0, r.left_pos), k), rsegs(0, r.right_pos)));
+      // Exit closure: K + R[ra]..Y  vs  L[la]..Y; source L[la].
+      cycles.push_back(join_paths(
+          cat({}, k, rsegs(r.right_pos, ladder.right_seg.size())),
+          lsegs(r.left_pos, ladder.left_seg.size())));
+    } else {
+      cycles.push_back(
+          join_paths(cat(rsegs(0, r.right_pos), k), lsegs(0, r.left_pos)));
+      cycles.push_back(join_paths(
+          cat({}, k, lsegs(r.left_pos, ladder.left_seg.size())),
+          rsegs(r.right_pos, ladder.right_seg.size())));
+    }
+  }
+
+  // Rung pairs (sorted, so la1 <= la2 and ra1 <= ra2).
+  for (std::size_t i = 0; i < rungs.size(); ++i) {
+    for (std::size_t j = i + 1; j < rungs.size(); ++j) {
+      const LadderRung& a = rungs[i];
+      const LadderRung& b = rungs[j];
+      const EdgeId ka = static_cast<EdgeId>(a.skel_edge);
+      const EdgeId kb = static_cast<EdgeId>(b.skel_edge);
+      SDAF_ASSERT(a.left_pos <= b.left_pos && a.right_pos <= b.right_pos);
+      if (a.left_to_right && b.left_to_right) {
+        SDAF_ASSERT(a.left_pos < b.left_pos || a.right_pos < b.right_pos);
+        // L[la1] -K1-> R .. R[ra2]  vs  L[la1] .. L[la2] -K2-> R[ra2].
+        cycles.push_back(
+            join_paths(cat({}, ka, rsegs(a.right_pos, b.right_pos)),
+                       cat(lsegs(a.left_pos, b.left_pos), kb)));
+      } else if (!a.left_to_right && !b.left_to_right) {
+        // R[ra1] -K1-> L .. L[la2]  vs  R[ra1] .. R[ra2] -K2-> L[la2].
+        cycles.push_back(
+            join_paths(cat({}, ka, lsegs(a.left_pos, b.left_pos)),
+                       cat(rsegs(a.right_pos, b.right_pos), kb)));
+      } else if (a.left_to_right && !b.left_to_right) {
+        // Source L[la1], sink L[la2]: through K1, right side, K2 back.
+        SDAF_ASSERT(a.left_pos < b.left_pos);  // equality = directed cycle
+        cycles.push_back(join_paths(
+            cat(cat({}, ka, rsegs(a.right_pos, b.right_pos)), kb),
+            lsegs(a.left_pos, b.left_pos)));
+      } else {
+        // r2l then l2r: source R[ra1], sink R[ra2] via the left side.
+        SDAF_ASSERT(a.right_pos < b.right_pos);  // equality = directed cycle
+        cycles.push_back(join_paths(
+            cat(cat({}, ka, lsegs(a.left_pos, b.left_pos)), kb),
+            rsegs(a.right_pos, b.right_pos)));
+      }
+    }
+  }
+  return cycles;
 }
 
 }  // namespace sdaf

@@ -12,9 +12,11 @@
 // only O(k^2) simple cycles but exponentially many simple *paths*, which a
 // backtracking enumerator would visit.
 //
-// The cycles themselves (each uses 0, 1 or 2 rungs -- three or more would
-// force crossing rungs) are then *constructed* from the ladder layout for
-// the interval engines.
+// Recognition stores only the layout (sides, segments, rungs); the
+// Propagation intervals and the forward-on-filter set are read from it in
+// O(k). The cycles themselves (each uses 0, 1 or 2 rungs -- three or more
+// would force crossing rungs) are built on demand by ladder_cycles() for
+// the Non-Propagation bound of Section VI.B and for tests.
 #pragma once
 
 #include <optional>
@@ -48,10 +50,6 @@ struct Ladder {
 
   // Sorted by (left_pos, right_pos); non-crossing.
   std::vector<LadderRung> rungs;
-
-  // Undirected simple cycles of this block, in *skeleton* edge indices.
-  // Retained from recognition for the enumeration-based interval engines.
-  std::vector<UCycle> cycles;
 };
 
 struct LadderRecognition {
@@ -65,5 +63,11 @@ struct LadderRecognition {
 [[nodiscard]] LadderRecognition recognize_ladder(
     const Skeleton& skel, const std::vector<std::size_t>& block_edges,
     NodeId entry, NodeId exit);
+
+// Every undirected simple cycle of a recognized ladder, in skeleton edge
+// indices: the outer cycle, two closures per rung (around the entry,
+// around the exit) and one cycle per rung pair. O(k^2) cycles of O(k)
+// steps each.
+[[nodiscard]] std::vector<UCycle> ladder_cycles(const Ladder& ladder);
 
 }  // namespace sdaf

@@ -41,7 +41,7 @@ void ladder_nonprop_external(const Skeleton& skel, const Ladder& ladder,
     return skel.metrics.longest_hops[skel.edges[skel_edge].tree];
   };
 
-  for (const UCycle& cycle : ladder.cycles) {
+  for (const UCycle& cycle : ladder_cycles(ladder)) {
     const auto runs = directed_runs(skel.graph, cycle);
     SDAF_ASSERT(runs.size() == 2);
     for (std::size_t side = 0; side < 2; ++side) {

@@ -3,9 +3,9 @@
 //   [e] <= L(opposite side of C) / (h(side of e) - h(H) + h(H, e)),
 // where H is e's contracted component, h(side) sums the component-level
 // longest-hop metrics along e's side, and h(H, e) is the longest through-
-// path inside H. Enumerating cycles realizes the paper's minimization over
-// source / potential-sink pairs; with O(k^2) cycles and O(|G|) edge work
-// per cycle this is the paper's O(|G|^3) bound.
+// path inside H. Walking the cycles that ladder_cycles() builds realizes the
+// paper's minimization over source / potential-sink pairs; with O(k^2)
+// cycles and O(|G|) edge work per cycle this is the paper's O(|G|^3) bound.
 #pragma once
 
 #include <vector>

@@ -2,28 +2,9 @@
 
 #include <algorithm>
 
-#include "src/graph/cycles.h"
 #include "src/support/contracts.h"
 
 namespace sdaf {
-
-std::vector<Rational> ladder_component_bounds_enum(const Skeleton& skel,
-                                                   const Ladder& ladder) {
-  std::vector<Rational> bounds(skel.edges.size(), Rational::infinity());
-  for (const UCycle& cycle : ladder.cycles) {
-    const auto runs = directed_runs(skel.graph, cycle);
-    SDAF_ASSERT(runs.size() == 2);  // guaranteed CS4 by recognition
-    for (std::size_t i = 0; i < 2; ++i) {
-      // Only the run's first component leaves the cycle's source; the
-      // other run's total length (skeleton buffers are component L values)
-      // is the paper's L(C, e) for its source-out edges.
-      const EdgeId first = runs[i].edges.front();
-      bounds[first] =
-          min(bounds[first], Rational(runs[1 - i].buffer_length));
-    }
-  }
-  return bounds;
-}
 
 namespace {
 
@@ -84,7 +65,7 @@ LadderArrays make_arrays(const Skeleton& skel, const Ladder& ladder) {
 }  // namespace
 
 std::vector<Rational> ladder_component_bounds_recurrence(
-    const Skeleton& skel, const Ladder& ladder, RecurrenceOptions options) {
+    const Skeleton& skel, const Ladder& ladder) {
   std::vector<Rational> bounds(skel.edges.size(), Rational::infinity());
   const LadderArrays a = make_arrays(skel, ladder);
   const std::size_t k = a.k;
@@ -117,50 +98,45 @@ std::vector<Rational> ladder_component_bounds_recurrence(
   update(ladder.right_seg.front(),
          a.left_between(0, a.u[0]) + desc_l[0]);
 
-  // Internal sources: rung i's own edges are bounded by the same-side
-  // descent that skips it (Ls(u_i)); the segment leaving its source vertex
-  // is bounded by crossing the rung and descending the far side (Lk(u_i)).
+  // Internal sources. Rungs leaving one side vertex ("siblings") are
+  // consecutive in the sorted order, and they end the rungs at that
+  // vertex: an opposite rung after them would close a directed cycle.
+  //   * Rung i's own edges are bounded by the same-side descent that skips
+  //     it (Ls(u_i)), and by each earlier sibling j plus the far-side walk
+  //     between their landings (the cycle sourced at the shared vertex
+  //     through j and i).
+  //   * The segment leaving the shared vertex is bounded once per group
+  //     (Lk(u_i)): cross any sibling, walk the far side past the whole
+  //     group, then descend. A descent stopping at a sibling's landing
+  //     would close a cycle through two siblings, which does not contain
+  //     the segment.
+  // `sibling` is min over the group so far of K_j minus the far-side
+  // prefix at j's landing, so K_j + far(landing_j, p) = sibling + pre(p).
+  std::int64_t sibling = 0;
   for (std::size_t i = 0; i < k; ++i) {
-    if (a.l2r[i]) {
+    const bool l2r = a.l2r[i];
+    const auto tail = [&](std::size_t j) { return l2r ? a.u[j] : a.v[j]; };
+    const bool continues =
+        i > 0 && a.l2r[i - 1] == l2r && tail(i - 1) == tail(i);
+    const std::int64_t landing = l2r ? a.rpre[a.v[i]] : a.lpre[a.u[i]];
+    if (continues) {
+      update(ladder.rungs[i].skel_edge, sibling + landing);
+      sibling = std::min(sibling, a.rung_len[i] - landing);
+    } else {
+      sibling = a.rung_len[i] - landing;
+    }
+    if (l2r) {
       update(ladder.rungs[i].skel_edge, a.walk_left(i) + desc_l[i + 1]);
-      const std::int64_t via_rung =
-          a.rung_len[i] + a.walk_right(i) + desc_r[i + 1];
-      if (options.shared_endpoint_fixup) {
-        // Every segment leaving u_i benefits; without the fixup only the
-        // paper's "last virtual slot at the vertex" does, which is the
-        // unique slot whose S_i is the real segment.
-        update(ladder.left_seg[a.u[i]], via_rung);
-      } else if (i + 1 == k || a.u[i + 1] != a.u[i]) {
-        update(ladder.left_seg[a.u[i]], via_rung);
-      }
+      if (i + 1 == k || a.u[i + 1] != a.u[i])
+        update(ladder.left_seg[a.u[i]],
+               sibling + a.rpre[i + 1 < k ? a.v[i + 1] : a.pr] +
+                   desc_r[i + 1]);
     } else {
       update(ladder.rungs[i].skel_edge, a.walk_right(i) + desc_r[i + 1]);
-      const std::int64_t via_rung =
-          a.rung_len[i] + a.walk_left(i) + desc_l[i + 1];
-      if (options.shared_endpoint_fixup) {
-        update(ladder.right_seg[a.v[i]], via_rung);
-      } else if (i + 1 == k || a.v[i + 1] != a.v[i]) {
-        update(ladder.right_seg[a.v[i]], via_rung);
-      }
-    }
-  }
-
-  if (options.shared_endpoint_fixup) {
-    // Cycles pairing two same-direction rungs that share a source vertex:
-    // the later rung (larger far-side position) is bounded by the earlier
-    // rung plus the far-side walk between their landings. The opposite
-    // direction (earlier bounded by later) is already inside desc_* via the
-    // zero-length virtual segment.
-    for (std::size_t i = 0; i < k; ++i) {
-      for (std::size_t j = i + 1; j < k; ++j) {
-        if (a.l2r[i] && a.l2r[j] && a.u[i] == a.u[j]) {
-          update(ladder.rungs[j].skel_edge,
-                 a.rung_len[i] + a.right_between(a.v[i], a.v[j]));
-        } else if (!a.l2r[i] && !a.l2r[j] && a.v[i] == a.v[j]) {
-          update(ladder.rungs[j].skel_edge,
-                 a.rung_len[i] + a.left_between(a.u[i], a.u[j]));
-        }
-      }
+      if (i + 1 == k || a.v[i + 1] != a.v[i])
+        update(ladder.right_seg[a.v[i]],
+               sibling + a.lpre[i + 1 < k ? a.u[i + 1] : a.pl] +
+                   desc_l[i + 1]);
     }
   }
   return bounds;

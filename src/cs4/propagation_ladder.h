@@ -1,8 +1,9 @@
 // Propagation-Algorithm interval bounds contributed by the *external*
-// cycles of one SP-ladder (Section VI.A). Both engines return, per skeleton
+// cycles of one SP-ladder (Section VI.A). The result is, per skeleton
 // component, the tightest bound V any ladder cycle imposes on edges leaving
-// that component's source; the CS4 driver then threads V through each
-// component with SETIVALS.
+// that component's source: the length of the cycle's other directed run,
+// minimized over every cycle whose run starts with the component. The CS4
+// driver then threads V through each component with SETIVALS.
 #pragma once
 
 #include <vector>
@@ -13,24 +14,13 @@
 
 namespace sdaf {
 
-// Exact: minimizes over the ladder's (polynomially many) skeleton cycles,
-// retained from recognition. O(k^2) for k rungs.
-[[nodiscard]] std::vector<Rational> ladder_component_bounds_enum(
-    const Skeleton& skel, const Ladder& ladder);
-
-struct RecurrenceOptions {
-  // The paper's recurrences miss cycles pairing two cross-links that share
-  // a source vertex (Fig. 6 allows shared endpoints but Section VI.A's
-  // update rules consult only one cross-link per virtual position). The
-  // fixup adds those pairwise constraints; disable for a paper-literal run.
-  bool shared_endpoint_fixup = true;
-};
-
 // The paper's O(|G|) bottom-up Ls/Lk/Ld recurrences over virtual per-rung
-// positions. Exact on ladders without shared rung endpoints; with the
-// fixup enabled it is safe (never looser than exact) everywhere and may be
-// tighter than exact only in degenerate shared-endpoint stop cases.
+// positions, exact on every ladder: with shared rung endpoints (Fig. 6's
+// u_i = u_{i+1}) each group of sibling rungs at one vertex is treated as a
+// unit, so a descent never closes a cycle on a sibling of the rung it
+// started from. Equal to minimizing over ladder_cycles(), in O(k) for k
+// rungs rather than O(k^3).
 [[nodiscard]] std::vector<Rational> ladder_component_bounds_recurrence(
-    const Skeleton& skel, const Ladder& ladder, RecurrenceOptions options);
+    const Skeleton& skel, const Ladder& ladder);
 
 }  // namespace sdaf

@@ -16,34 +16,36 @@ namespace {
 // the closing edge id leaves exactly one representative.
 class Enumerator {
  public:
-  Enumerator(const StreamGraph& g, std::size_t limit)
-      : g_(g), view_(g), limit_(limit), on_path_(g.node_count(), false),
-        edge_used_(g.edge_count(), false) {}
+  Enumerator(const StreamGraph& g, std::size_t limit, const CycleVisitor& visit)
+      : g_(g), view_(g), limit_(limit), visit_(visit),
+        on_path_(g.node_count(), false), edge_used_(g.edge_count(), false) {}
 
-  CycleEnumeration run() {
-    for (NodeId s = 0; s < g_.node_count() && !out_.truncated; ++s) {
+  // False when the enumeration stopped at the limit.
+  bool run() {
+    for (NodeId s = 0; s < g_.node_count() && !truncated_; ++s) {
       start_ = s;
       on_path_[s] = true;
       dfs(s);
       on_path_[s] = false;
     }
-    return std::move(out_);
+    return !truncated_;
   }
 
  private:
   void dfs(NodeId v) {
-    if (out_.truncated) return;
+    if (truncated_) return;
     for (const HalfEdge& half : view_.incident(v)) {
       if (edge_used_[half.edge]) continue;
       if (half.other == start_) {
         if (!path_.empty() && path_.front().edge < half.edge) {
-          UCycle cycle = path_;
-          cycle.push_back(CycleStep{half.edge, half.forward});
-          if (out_.cycles.size() >= limit_) {
-            out_.truncated = true;
+          if (visited_ >= limit_) {
+            truncated_ = true;
             return;
           }
-          out_.cycles.push_back(std::move(cycle));
+          ++visited_;
+          path_.push_back(CycleStep{half.edge, half.forward});
+          visit_(path_);
+          path_.pop_back();
         }
         continue;
       }
@@ -55,18 +57,20 @@ class Enumerator {
       path_.pop_back();
       edge_used_[half.edge] = false;
       on_path_[half.other] = false;
-      if (out_.truncated) return;
+      if (truncated_) return;
     }
   }
 
   const StreamGraph& g_;
   UndirectedView view_;
   std::size_t limit_;
+  const CycleVisitor& visit_;
   NodeId start_ = kNoNode;
   std::vector<bool> on_path_;
   std::vector<bool> edge_used_;
   UCycle path_;
-  CycleEnumeration out_;
+  std::size_t visited_ = 0;
+  bool truncated_ = false;
 };
 
 NodeId step_from(const StreamGraph& g, const CycleStep& s) {
@@ -81,9 +85,17 @@ NodeId step_to(const StreamGraph& g, const CycleStep& s) {
 
 }  // namespace
 
+bool for_each_undirected_cycle(const StreamGraph& g, std::size_t limit,
+                               const CycleVisitor& visit) {
+  return Enumerator(g, limit, visit).run();
+}
+
 CycleEnumeration enumerate_undirected_cycles(const StreamGraph& g,
                                              std::size_t limit) {
-  return Enumerator(g, limit).run();
+  CycleEnumeration out;
+  out.truncated = !for_each_undirected_cycle(
+      g, limit, [&](const UCycle& cycle) { out.cycles.push_back(cycle); });
+  return out;
 }
 
 std::vector<NodeId> cycle_nodes(const StreamGraph& g, const UCycle& cycle) {

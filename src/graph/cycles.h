@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "src/graph/stream_graph.h"
@@ -35,6 +36,14 @@ struct CycleEnumeration {
 // number of cycles collected.
 [[nodiscard]] CycleEnumeration enumerate_undirected_cycles(
     const StreamGraph& g, std::size_t limit = static_cast<std::size_t>(-1));
+
+// The same enumeration without storing it: calls `visit` on each cycle in
+// turn, in O(|G|) memory. Returns false, having visited `limit` cycles,
+// when g has more.
+using CycleVisitor = std::function<void(const UCycle&)>;
+[[nodiscard]] bool for_each_undirected_cycle(const StreamGraph& g,
+                                             std::size_t limit,
+                                             const CycleVisitor& visit);
 
 // Node sequence visited by a cycle: v0, v1, ..., vk-1 with the closing step
 // returning to v0.

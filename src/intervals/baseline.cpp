@@ -7,69 +7,61 @@ namespace sdaf {
 
 namespace {
 
-// Runs of one cycle, with run i paired against the run adjacent at its
-// source. Runs alternate orientation around the cycle, so the run sharing
-// run i's source is its cyclic neighbour on the source side.
-struct PairedRuns {
-  std::vector<DirectedRun> runs;
-  std::vector<std::size_t> opposite;  // index of the run sourced at runs[i].source
-};
-
-PairedRuns paired_runs(const StreamGraph& g, const UCycle& cycle) {
-  PairedRuns out;
-  out.runs = directed_runs(g, cycle);
-  const std::size_t k = out.runs.size();
-  out.opposite.resize(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    // directed_runs emits blocks in cycle order; adjacent blocks share
-    // either both runs' sources or both runs' sinks. Find the neighbour
-    // sharing the source.
-    const std::size_t prev = (i + k - 1) % k;
-    const std::size_t next = (i + 1) % k;
-    if (out.runs[prev].source == out.runs[i].source) {
-      out.opposite[i] = prev;
-    } else {
-      SDAF_ASSERT(out.runs[next].source == out.runs[i].source);
-      out.opposite[i] = next;
-    }
-  }
-  return out;
+// The run sharing runs[i]'s source. Runs alternate orientation around the
+// cycle, and directed_runs emits them in cycle order, so adjacent runs
+// share either both sources or both sinks: the opposite run is the cyclic
+// neighbour on the source side.
+const DirectedRun& opposite(const std::vector<DirectedRun>& runs,
+                            std::size_t i) {
+  const std::size_t k = runs.size();
+  const DirectedRun& prev = runs[(i + k - 1) % k];
+  if (prev.source == runs[i].source) return prev;
+  const DirectedRun& next = runs[(i + 1) % k];
+  SDAF_ASSERT(next.source == runs[i].source);
+  return next;
 }
 
 }  // namespace
 
+void propagation_fold(const std::vector<DirectedRun>& runs,
+                      IntervalMap& ivals) {
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    // Only the first edge of a run leaves the cycle's branch point
+    // alongside a second out-edge, so only it is constrained.
+    ivals.update_min(runs[i].edges.front(),
+                     Rational(opposite(runs, i).buffer_length));
+  }
+}
+
+void nonprop_fold(const std::vector<DirectedRun>& runs, IntervalMap& ivals) {
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const Rational constraint = Rational(opposite(runs, i).buffer_length) /
+                                Rational(runs[i].hops());
+    for (const EdgeId e : runs[i].edges) ivals.update_min(e, constraint);
+  }
+}
+
 IntervalMap propagation_intervals_exact(const StreamGraph& g,
                                         std::size_t cycle_limit) {
-  const auto enumeration = enumerate_undirected_cycles(g, cycle_limit);
-  SDAF_EXPECTS(!enumeration.truncated);
   IntervalMap ivals(g.edge_count());
-  for (const auto& cycle : enumeration.cycles) {
-    const PairedRuns pr = paired_runs(g, cycle);
-    for (std::size_t i = 0; i < pr.runs.size(); ++i) {
-      // Only the first edge of a run leaves the cycle's branch point
-      // alongside a second out-edge, so only it is constrained.
-      const EdgeId first = pr.runs[i].edges.front();
-      ivals.update_min(first,
-                       Rational(pr.runs[pr.opposite[i]].buffer_length));
-    }
-  }
+  const bool complete = for_each_undirected_cycle(
+      g, cycle_limit,
+      [&](const UCycle& cycle) {
+        propagation_fold(directed_runs(g, cycle), ivals);
+      });
+  SDAF_EXPECTS(complete);
   return ivals;
 }
 
 IntervalMap nonprop_intervals_exact(const StreamGraph& g,
                                     std::size_t cycle_limit) {
-  const auto enumeration = enumerate_undirected_cycles(g, cycle_limit);
-  SDAF_EXPECTS(!enumeration.truncated);
   IntervalMap ivals(g.edge_count());
-  for (const auto& cycle : enumeration.cycles) {
-    const PairedRuns pr = paired_runs(g, cycle);
-    for (std::size_t i = 0; i < pr.runs.size(); ++i) {
-      const Rational constraint =
-          Rational(pr.runs[pr.opposite[i]].buffer_length) /
-          Rational(pr.runs[i].hops());
-      for (const EdgeId e : pr.runs[i].edges) ivals.update_min(e, constraint);
-    }
-  }
+  const bool complete = for_each_undirected_cycle(
+      g, cycle_limit,
+      [&](const UCycle& cycle) {
+        nonprop_fold(directed_runs(g, cycle), ivals);
+      });
+  SDAF_EXPECTS(complete);
   return ivals;
 }
 

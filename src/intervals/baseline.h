@@ -14,6 +14,7 @@
 
 #include <cstddef>
 
+#include "src/graph/cycles.h"
 #include "src/graph/stream_graph.h"
 #include "src/intervals/interval_map.h"
 
@@ -22,7 +23,8 @@ namespace sdaf {
 inline constexpr std::size_t kDefaultCycleLimit = 1u << 22;
 
 // Propagation Algorithm: [e] = min over cycles pairing e with a second
-// out-edge of e's tail of the opposite run's buffer length.
+// out-edge of e's tail of the opposite run's buffer length. Requires g to
+// have at most `cycle_limit` undirected cycles.
 [[nodiscard]] IntervalMap propagation_intervals_exact(
     const StreamGraph& g, std::size_t cycle_limit = kDefaultCycleLimit);
 
@@ -30,5 +32,12 @@ inline constexpr std::size_t kDefaultCycleLimit = 1u << 22;
 // L(opposite run) / h(run containing e).
 [[nodiscard]] IntervalMap nonprop_intervals_exact(
     const StreamGraph& g, std::size_t cycle_limit = kDefaultCycleLimit);
+
+// One cycle's term of the minimizations above, given its directed_runs(),
+// folded into `ivals`: the *_exact functions fold every cycle of g into an
+// all-infinite map.
+void propagation_fold(const std::vector<DirectedRun>& runs,
+                      IntervalMap& ivals);
+void nonprop_fold(const std::vector<DirectedRun>& runs, IntervalMap& ivals);
 
 }  // namespace sdaf

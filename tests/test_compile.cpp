@@ -4,7 +4,10 @@
 
 #include "src/core/report.h"
 #include "src/graph/cycles.h"
+#include "src/graph/io.h"
 #include "src/intervals/baseline.h"
+#include "src/support/prng.h"
+#include "src/workloads/random_ladder.h"
 #include "src/workloads/topologies.h"
 
 namespace sdaf {
@@ -101,15 +104,6 @@ TEST(Compile, InfiniteIntervalsMarked) {
   for (const auto v : ints) EXPECT_EQ(v, kNoDummyInterval);
 }
 
-TEST(Compile, LadderMethodsAgreeThroughApi) {
-  CompileOptions enum_opt, rec_opt;
-  rec_opt.ladder_method = LadderMethod::PaperRecurrence;
-  const StreamGraph g = workloads::fig5_ladder(3);
-  const auto a = core::compile(g, enum_opt);
-  const auto b = core::compile(g, rec_opt);
-  EXPECT_EQ(a.intervals, b.intervals);
-}
-
 TEST(Compile, OnCycleFlags) {
   const auto r = core::compile(workloads::fig2_triangle());
   EXPECT_EQ(r.on_cycle, (std::vector<std::uint8_t>{1, 1, 1}));
@@ -156,27 +150,63 @@ TEST(Compile, ForwardSetChainedRungs) {
 }
 
 TEST(Compile, ForwardSetAgreesWithGeneralFallbackOnCs4Graphs) {
-  // The CS4 structural computation and the general cycle-enumeration one
-  // must produce the same forwarding set wherever both apply.
-  for (const StreamGraph& g :
-       {workloads::fig2_triangle(), workloads::fig3_cycle(),
-        workloads::fig4_left(), workloads::butterfly_rewrite(),
-        workloads::fig5_ladder()}) {
-    const auto cs4 = core::compile(g);
-    ASSERT_TRUE(cs4.ok);
-    ASSERT_NE(cs4.classification, Classification::GeneralDag);
-    // Recompute via the exponential path by pretending the graph is
-    // general: reuse the internal logic through a butterfly-style call is
-    // not exposed, so compare against first-edge analysis of enumerated
-    // cycles directly.
+  // The CS4 layout rule must mark exactly the edges that continue some
+  // directed run of some enumerated cycle, under either algorithm, on the
+  // paper's figures, random shared-endpoint ladders and random CS4 chains.
+  std::vector<StreamGraph> graphs{
+      workloads::fig2_triangle(), workloads::fig3_cycle(),
+      workloads::fig4_left(), workloads::butterfly_rewrite(),
+      workloads::fig5_ladder()};
+  Prng rng(2027);
+  for (std::size_t i = 0; i < 40; ++i) {
+    workloads::RandomLadderOptions lopt;
+    lopt.rungs = 1 + i % 5;
+    lopt.left_interior = 1 + i % 3;
+    lopt.right_interior = 1 + (i / 3) % 3;
+    lopt.component_edges = 1 + i % 3;
+    lopt.allow_shared_endpoints = true;
+    graphs.push_back(workloads::random_ladder(rng, lopt));
+    workloads::RandomCs4Options copt;
+    copt.components = 1 + i % 3;
+    copt.ladder.rungs = 1 + i % 3;
+    copt.sp.target_edges = 5;
+    graphs.push_back(workloads::random_cs4_chain(rng, copt));
+  }
+  for (const StreamGraph& g : graphs) {
     const auto enumeration = enumerate_undirected_cycles(g);
+    ASSERT_FALSE(enumeration.truncated);
     std::vector<std::uint8_t> expect(g.edge_count(), 0);
     for (const auto& cycle : enumeration.cycles)
       for (const auto& run : directed_runs(g, cycle))
         for (std::size_t k = 1; k < run.edges.size(); ++k)
           expect[run.edges[k]] = 1;
-    EXPECT_EQ(cs4.forward_on_filter(), expect);
+    for (const Algorithm algorithm :
+         {Algorithm::Propagation, Algorithm::NonPropagation}) {
+      CompileOptions opt;
+      opt.algorithm = algorithm;
+      const auto cs4 = core::compile(g, opt);
+      ASSERT_TRUE(cs4.ok);
+      ASSERT_NE(cs4.classification, Classification::GeneralDag);
+      EXPECT_EQ(cs4.forward_on_filter(), expect) << to_text(g);
+    }
   }
+}
+
+TEST(Compile, TooManyCyclesRejectedNotAborted) {
+  // The complete DAG on 11 nodes is not CS4 and has millions of undirected
+  // cycles; past the cycle limit the exponential fallback reports failure
+  // instead of tripping a contract.
+  StreamGraph g;
+  for (int i = 0; i < 11; ++i) g.add_node();
+  for (NodeId a = 0; a < 11; ++a)
+    for (NodeId b = a + 1; b < 11; ++b) g.add_edge(a, b, 1);
+  CompileOptions opt;
+  opt.cycle_limit = 1000;
+  const auto r = core::compile(g, opt);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.classification, Classification::GeneralDag);
+  EXPECT_NE(r.diagnostics.find("1000 undirected cycles"), std::string::npos)
+      << r.diagnostics;
 }
 
 TEST(Report, DescribesCompile) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "src/cs4/decompose.h"
+#include "src/cs4/propagation_ladder.h"
+#include "src/graph/cycles.h"
 #include "src/intervals/baseline.h"
 #include "src/support/prng.h"
 #include "src/workloads/random_ladder.h"
@@ -19,16 +21,6 @@ TEST(Cs4Propagation, Fig4LeftHandComputed) {
   EXPECT_EQ(iv[2], Rational(2));  // a->b (rung)
   EXPECT_EQ(iv[3], Rational(4));  // a->Y
   EXPECT_TRUE(iv[4].is_infinite());
-}
-
-TEST(Cs4Propagation, RecurrenceMatchesOnFig4Left) {
-  const StreamGraph g = workloads::fig4_left(2);
-  const auto a = analyze_cs4(g);
-  const auto enum_iv =
-      cs4_propagation_intervals(g, a, LadderMethod::Enumeration);
-  const auto rec_iv =
-      cs4_propagation_intervals(g, a, LadderMethod::PaperRecurrence);
-  EXPECT_EQ(enum_iv, rec_iv);
 }
 
 TEST(Cs4Propagation, SpFallbackMatchesSetivals) {
@@ -100,9 +92,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ChainIntervalProperty,
 
 class RecurrenceProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
-// Paper recurrence vs enumeration. Without shared rung endpoints they are
-// identical; with shared endpoints the (fixed-up) recurrence must never be
-// looser (larger) than exact -- looser would be unsafe.
+// The Section VI.A recurrence is exact: equal to the exponential baseline
+// with and without shared rung endpoints.
 TEST_P(RecurrenceProperty, NoSharedEndpointsExactMatch) {
   Prng rng(GetParam() * 101 + 1);
   workloads::RandomLadderOptions opt;
@@ -112,11 +103,10 @@ TEST_P(RecurrenceProperty, NoSharedEndpointsExactMatch) {
   const auto g = workloads::random_ladder(rng, opt);
   const auto a = analyze_cs4(g);
   ASSERT_TRUE(a.is_cs4) << a.reason;
-  EXPECT_EQ(cs4_propagation_intervals(g, a, LadderMethod::Enumeration),
-            cs4_propagation_intervals(g, a, LadderMethod::PaperRecurrence));
+  EXPECT_EQ(cs4_propagation_intervals(g, a), propagation_intervals_exact(g));
 }
 
-TEST_P(RecurrenceProperty, SharedEndpointsNeverLooser) {
+TEST_P(RecurrenceProperty, SharedEndpointsExactMatch) {
   Prng rng(GetParam() * 103 + 29);
   workloads::RandomLadderOptions opt;
   opt.rungs = 2 + GetParam() % 4;
@@ -126,16 +116,54 @@ TEST_P(RecurrenceProperty, SharedEndpointsNeverLooser) {
   const auto g = workloads::random_ladder(rng, opt);
   const auto a = analyze_cs4(g);
   ASSERT_TRUE(a.is_cs4) << a.reason;
-  const auto exact =
-      cs4_propagation_intervals(g, a, LadderMethod::Enumeration);
-  const auto rec =
-      cs4_propagation_intervals(g, a, LadderMethod::PaperRecurrence);
-  for (EdgeId e = 0; e < g.edge_count(); ++e)
-    EXPECT_LE(rec[e], exact[e]) << "recurrence looser than exact on " << e;
+  EXPECT_EQ(cs4_propagation_intervals(g, a), propagation_intervals_exact(g));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RecurrenceProperty,
                          ::testing::Range<std::uint64_t>(0, 40));
+
+// Component bounds by direct minimization over the ladder's cycles: for
+// each cycle, the component leaving its source on one run is bounded by
+// the buffer length of the other run.
+std::vector<Rational> bounds_over_cycles(const Skeleton& skel,
+                                         const Ladder& ladder) {
+  std::vector<Rational> bounds(skel.edges.size(), Rational::infinity());
+  for (const UCycle& cycle : ladder_cycles(ladder)) {
+    const auto runs = directed_runs(skel.graph, cycle);
+    EXPECT_EQ(runs.size(), 2u);
+    for (std::size_t i = 0; i < 2; ++i) {
+      const EdgeId first = runs[i].edges.front();
+      bounds[first] = min(bounds[first], Rational(runs[1 - i].buffer_length));
+    }
+  }
+  return bounds;
+}
+
+// Ladders shaped like the wide_ladder benchmark workload (250 rungs, 500
+// interior vertices per side, 1,002 nodes), too large for the exponential
+// baseline: many rungs share a side vertex, the case where a descent that
+// stops at a sibling rung's landing would be tighter than exact.
+class WideLadderRecurrence : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(WideLadderRecurrence, MatchesCycleMinimization) {
+  Prng rng(GetParam());
+  workloads::RandomLadderOptions opt;
+  opt.rungs = 250;
+  opt.left_interior = 500;
+  opt.right_interior = 500;
+  opt.max_buffer = 4;
+  const auto g = workloads::random_ladder(rng, opt);
+  ASSERT_EQ(g.node_count(), 1002u);
+  const auto a = analyze_cs4(g);
+  ASSERT_TRUE(a.is_cs4) << a.reason;
+  ASSERT_EQ(a.ladders.size(), 1u);
+  const Ladder& ladder = a.ladders.front();
+  EXPECT_EQ(ladder_component_bounds_recurrence(a.skeleton, ladder),
+            bounds_over_cycles(a.skeleton, ladder));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, WideLadderRecurrence,
+                         ::testing::Values<std::uint64_t>(1, 2, 3));
 
 }  // namespace
 }  // namespace sdaf

@@ -78,8 +78,8 @@ TEST(Executor, DummiesArePropagatedDownstream) {
 }
 
 // The minimal counterexample behind the continuation-edge rule (see
-// EXPERIMENTS.md finding 2): u feeds a (buffer 5) and b directly
-// (buffer 1); a feeds b (buffer 5). The only branch node is u and the
+// core::CompileResult::forward_on_filter()): u feeds a (buffer 5) and b
+// directly (buffer 1); a feeds b (buffer 5). The only branch node is u and the
 // paper's intervals are [u->a] = 1, [u->b] = 10, [a->b] = infinite. When
 // `a` filters everything toward b, u's data traffic on u->a satisfies
 // [u->a] without ever producing knowledge for b, u->b fills (capacity 1),

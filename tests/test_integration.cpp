@@ -82,9 +82,8 @@ TEST_P(SafetySweep, NonPropagationNeverDeadlocksOnCs4) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SafetySweep,
                          ::testing::Range<std::uint64_t>(0, 30));
 
-// The paper's roundup (ceil) materialization, exercised on the same sweep.
-// EXPERIMENTS.md records whether ceil ever admits a deadlock that floor
-// avoids.
+// The paper's roundup (ceil) materialization, exercised on the same sweep:
+// ceil must not admit a deadlock on any seed, just as floor does not.
 class RoundingSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RoundingSweep, PaperCeilAlsoSafeOnSweep) {

@@ -29,7 +29,7 @@ TEST(Ladder, RecognizesFig4Left) {
   EXPECT_TRUE(l.rungs[0].left_to_right ||
               !l.rungs[0].left_to_right);  // direction is side-naming relative
   EXPECT_EQ(l.left.size() + l.right.size(), 6u);  // 3 + 3 (X,interior,Y)
-  EXPECT_EQ(l.cycles.size(), 3u);
+  EXPECT_EQ(ladder_cycles(l).size(), 3u);
 }
 
 TEST(Ladder, RecognizesFig5) {
@@ -113,7 +113,7 @@ TEST(Ladder, SegmentsTraceSides) {
   EXPECT_EQ(l.right.back(), l.exit);
 }
 
-// The recognizer *constructs* the ladder's cycles from the rung layout
+// ladder_cycles() *constructs* the ladder's cycles from the rung layout
 // instead of enumerating; on small skeletons the construction must agree
 // exactly (as canonical edge sets) with generic enumeration over the
 // skeleton block.
@@ -143,7 +143,8 @@ TEST(Ladder, ConstructedCyclesMatchEnumeration) {
       }
       return out;
     };
-    EXPECT_EQ(canonical(rec.ladder->cycles), canonical(enumerated.cycles))
+    EXPECT_EQ(canonical(ladder_cycles(*rec.ladder)),
+              canonical(enumerated.cycles))
         << "trial " << trial << " rungs=" << opt.rungs;
   }
 }

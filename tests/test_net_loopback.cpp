@@ -437,6 +437,37 @@ TEST_F(LoopbackTest, RetiredBackendByteEarnsBadFrame) {
   EXPECT_GE(stats.errors_total, 1u);
 }
 
+// A topology whose exact compile would enumerate past the cycle limit --
+// the complete DAG on 11 nodes, compiled with the daemon's default options
+// -- earns Error(BadTopology), which ends that connection, and the daemon
+// keeps serving: a new connection opens and runs a small stream.
+TEST_F(LoopbackTest, CycleLimitTopologyEarnsBadTopology) {
+  Client client = connect();
+  OpenFrame dense;
+  dense.mode = 1;  // Propagation: the Open must compile
+  for (int a = 0; a < 11; ++a)
+    dense.topology += "node n" + std::to_string(a) + "\n";
+  for (int a = 0; a < 11; ++a)
+    for (int b = a + 1; b < 11; ++b)
+      dense.topology += "edge n" + std::to_string(a) + " n" +
+                        std::to_string(b) + " 1\n";
+  try {
+    (void)client.open(1, dense);
+    ADD_FAILURE() << "an Open past the cycle limit was accepted";
+  } catch (const ProtocolError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::BadTopology) << e.what();
+  }
+
+  Client next = connect();
+  OpenFrame small;
+  small.mode = 1;
+  small.topology = "node a\nnode b\nedge a b 4\n";
+  ClientStream s = next.open(1, small);
+  EXPECT_EQ(s.push(0, {Value(std::int64_t{3})}), 1u);
+  s.close(0);
+  EXPECT_TRUE(s.finish().completed);
+}
+
 // Opening the same topology twice hits the shared compile cache, and the
 // OpenOk says so.
 TEST_F(LoopbackTest, ReopeningTopologyHitsCompileCache) {

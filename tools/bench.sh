@@ -22,6 +22,11 @@
 # bandwidth-share pair; the interference ratio (shared-DRR p99 / solo p99,
 # budget <= 5x) is printed and, like the scaling ladder, flagged as
 # non-evidence on a host with < 4 hardware threads.
+# It also times the whole compile pass: bench_ladder_scaling's
+# BM_Compile_Ladder rows (core::compile of wide_ladder-shaped ladders at
+# 1k/2k/8k/32k nodes, with the process's peak RSS) go, 5 repetitions each,
+# to BENCH_compile.json; read the *_median rows. Smoke mode runs the same
+# rows, so the file means the same either way.
 #
 #   tools/bench.sh            # full run (all registered benchmarks)
 #   tools/bench.sh --smoke    # CI mode: the fixed smoke subset, ~seconds,
@@ -50,6 +55,7 @@ if [[ ! -x "$build_dir/bench_throughput" ||
       ! -x "$build_dir/bench_streaming_latency" ||
       ! -x "$build_dir/bench_snapshot" ||
       ! -x "$build_dir/bench_qos_isolation" ||
+      ! -x "$build_dir/bench_ladder_scaling" ||
       ! -x "$build_dir/sdafd" || ! -x "$build_dir/sdaf_loadgen" ]]; then
   if [[ "$build_dir" != build/release ]]; then
     echo "error: bench binaries missing from $build_dir; build them first" >&2
@@ -58,7 +64,8 @@ if [[ ! -x "$build_dir/bench_throughput" ||
   cmake --preset release
   cmake --build --preset release -j "$jobs" \
       --target bench_throughput bench_pool_scaling bench_streaming_latency \
-      bench_snapshot bench_qos_isolation sdafd sdaf_loadgen
+      bench_snapshot bench_qos_isolation bench_ladder_scaling sdafd \
+      sdaf_loadgen
 fi
 
 # Every google-benchmark JSON records what produced it: the commit (with
@@ -189,6 +196,13 @@ if solo and shared and solo.get("p99_ns", 0) > 0:
         print(f"    WARNING: {hw} hardware thread(s) < 4 -- this ratio "
               "cannot demonstrate isolation; run on a multi-core host")
 PY
+
+echo "==> bench_ladder_scaling -> BENCH_compile.json"
+"$build_dir/bench_ladder_scaling" "$context" \
+    --benchmark_filter='BM_Compile_Ladder' \
+    --benchmark_repetitions=5 \
+    --benchmark_out=BENCH_compile.json \
+    --benchmark_out_format=json
 
 # The service bench goes over a real socket: every sample pays the framing,
 # the poll loop and the session table, so it bounds what an in-process port
