@@ -45,8 +45,7 @@ IntervalMap propagation_intervals_exact(const StreamGraph& g,
                                         std::size_t cycle_limit) {
   IntervalMap ivals(g.edge_count());
   const bool complete = for_each_undirected_cycle(
-      g, cycle_limit,
-      [&](const UCycle& cycle) {
+      g, cycle_limit, [&](const UCycle& cycle) {
         propagation_fold(directed_runs(g, cycle), ivals);
       });
   SDAF_EXPECTS(complete);
@@ -57,8 +56,7 @@ IntervalMap nonprop_intervals_exact(const StreamGraph& g,
                                     std::size_t cycle_limit) {
   IntervalMap ivals(g.edge_count());
   const bool complete = for_each_undirected_cycle(
-      g, cycle_limit,
-      [&](const UCycle& cycle) {
+      g, cycle_limit, [&](const UCycle& cycle) {
         nonprop_fold(directed_runs(g, cycle), ivals);
       });
   SDAF_EXPECTS(complete);
