@@ -10,7 +10,8 @@
 //     produces exactly one egress item).
 //   - BM_StreamIngest_*: sustained ingest throughput with a concurrent
 //     drainer thread (items_per_second against wall time), the
-//     backpressured serving shape the ports exist for.
+//     backpressured serving shape the ports exist for. _PooledBatch drives
+//     the same ingest with 64-item push_batch calls instead of push().
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -31,6 +32,7 @@ using namespace sdaf;
 
 constexpr std::uint64_t kLatencyItems = 2000;
 constexpr std::uint64_t kIngestItems = 20000;
+constexpr std::size_t kIngestBatch = 64;
 
 exec::StreamSpec ladder_stream_spec(const core::CompileResult& compiled,
                                     exec::Backend backend,
@@ -113,8 +115,10 @@ BENCHMARK(BM_StreamLatency_Pooled)
 // a drainer thread consumes the tap; heavy filtering keeps the wire
 // dummy-dense. Sim has no concurrent drainer (single-threaded by design)
 // -- its ports interleave pump and drain on the caller's thread.
+// push_batch_items > 0 pushes (concurrent backends only) in push_batch
+// calls of that many firing tokens instead of item by item.
 void run_ingest(benchmark::State& state, exec::Backend backend,
-                double pass_rate) {
+                double pass_rate, std::size_t push_batch_items = 0) {
   const StreamGraph g = workloads::continuation_ladder(4, 64, 1);
   const auto compiled = core::compile(g);
   SDAF_ASSERT(compiled.ok);
@@ -148,9 +152,19 @@ void run_ingest(benchmark::State& state, exec::Backend backend,
         while (out.next().has_value()) {
         }
       });
-      for (std::uint64_t i = 0; i < kIngestItems; ++i) {
-        const bool pushed = in.push();
-        SDAF_ASSERT(pushed);
+      if (push_batch_items > 0) {
+        for (std::uint64_t i = 0; i < kIngestItems; i += push_batch_items) {
+          const auto n = static_cast<std::size_t>(std::min<std::uint64_t>(
+              push_batch_items, kIngestItems - i));
+          const std::size_t pushed =
+              in.push_batch(std::vector<runtime::Value>(n));
+          SDAF_ASSERT(pushed == n);
+        }
+      } else {
+        for (std::uint64_t i = 0; i < kIngestItems; ++i) {
+          const bool pushed = in.push();
+          SDAF_ASSERT(pushed);
+        }
       }
       in.close();
       drainer.join();
@@ -176,6 +190,12 @@ void BM_StreamIngest_Pooled(benchmark::State& state) {
   run_ingest(state, exec::Backend::Pooled, /*pass_rate=*/0.1);
 }
 BENCHMARK(BM_StreamIngest_Pooled)
+    ->Iterations(3)->Unit(benchmark::kMillisecond);
+
+void BM_StreamIngest_PooledBatch(benchmark::State& state) {
+  run_ingest(state, exec::Backend::Pooled, /*pass_rate=*/0.1, kIngestBatch);
+}
+BENCHMARK(BM_StreamIngest_PooledBatch)
     ->Iterations(3)->Unit(benchmark::kMillisecond);
 
 }  // namespace

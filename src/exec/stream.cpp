@@ -57,6 +57,9 @@ struct Core {
   PortBinding binding;
   std::vector<std::unique_ptr<BoundedChannel>> feed_channels;
   std::vector<std::unique_ptr<ProducerSignal>> feed_signals;
+  // Per input port: push_batch's staging buffer, reused across calls (the
+  // port's single caller owns it), so a steady batch allocates nothing.
+  std::vector<std::vector<Message>> feed_staging;
   std::vector<std::unique_ptr<BoundedChannel>> egress_channels;
   std::vector<std::unique_ptr<InputPort>> inputs;
   std::vector<std::unique_ptr<OutputPort>> outputs;
@@ -202,6 +205,7 @@ struct Core {
       }
     }
     plane.attach(graph.node_count());
+    feed_staging.resize(inputs.size());
     port_mus.reserve(inputs.size());
     for (std::size_t i = 0; i < inputs.size(); ++i)
       port_mus.push_back(std::make_unique<std::mutex>());
@@ -277,7 +281,10 @@ struct Core {
   // give up (aborted, deadline passed, or -- Sim -- no progress possible).
   // A null deadline waits forever (the classic push() path).
   using Deadline = std::optional<std::chrono::steady_clock::time_point>;
-  virtual bool wait_feed_space(std::size_t i, const Deadline& deadline);
+  // Parks until feed i has room for `need` data items (its low-water mark:
+  // occupancy <= feed_capacity - need). 1 <= need <= feed_capacity.
+  virtual bool wait_feed_space(std::size_t i, const Deadline& deadline,
+                               std::size_t need);
   virtual bool wait_egress_item(std::size_t i);
   // Blocks until the tenant gauge may have credit again (same wake-elision
   // protocol as wait_feed_space, parked on the gauge's event word). The
@@ -374,7 +381,7 @@ struct Core {
         case PushStatus::Ended:
           return PortPushOutcome::Ended;
         case PushStatus::NoSpace:
-          if (!wait_feed_space(port.index_, deadline))
+          if (!wait_feed_space(port.index_, deadline, 1))
             return feed_channels[port.index_]->aborted() ? PortPushOutcome::Ended
                                                          : PortPushOutcome::TimedOut;
           break;
@@ -393,19 +400,26 @@ struct Core {
   // reservation + one publish + one wake). Traffic is bit-identical to
   // item-at-a-time push() -- same seqs, same channel contents, one
   // empty->non-empty wake edge instead of many redundant ones.
+  //
+  // Backpressure has a low-water mark: once the feed is full, the pusher
+  // parks until the rest of the batch fits -- at most half the feed -- so
+  // it lands large rounds instead of waking for every slot the source
+  // frees. A deadline that passes first still lands whatever fits then.
   std::size_t port_push_batch(InputPort& port, std::vector<Value> values,
                               const Deadline& deadline) {
     if (port.closed_ || values.empty()) return 0;
-    std::vector<Message> msgs;
-    msgs.reserve(values.size());
+    const std::size_t i = port.index_;
+    std::vector<Message>& msgs = feed_staging[i];
+    msgs.clear();
     std::uint64_t seq = port.pushed();
     for (auto& v : values) msgs.push_back(Message::data(seq++, std::move(v)));
     std::size_t done = 0;
-    const std::size_t i = port.index_;
     BoundedChannel& feed = *feed_channels[i];
+    bool last_round = false;
     for (;;) {
       bool aborted = false;
       std::size_t n = 0;
+      std::size_t room = 0;
       // Credit gates the round like the single-item path: grab as many as
       // the gauge allows (charged up front so drains never outrun their
       // charges), push what also fits the feed, hand back the rest.
@@ -425,8 +439,7 @@ struct Core {
         // is reserved for EOS); size() only shrinks under the caller's
         // feet, so `room` is a safe underestimate.
         const std::size_t occ = feed.size();
-        const std::size_t room =
-            occ >= spec.feed_capacity ? 0 : spec.feed_capacity - occ;
+        room = occ >= spec.feed_capacity ? 0 : spec.feed_capacity - occ;
         std::size_t want = msgs.size() - done;
         if (credits != nullptr)
           want = std::min<std::size_t>(want, static_cast<std::size_t>(credit));
@@ -451,10 +464,18 @@ struct Core {
       }
       if (credits != nullptr && credit > n)
         credit_releaser.uncharge(credit - n);
-      if (aborted || done == msgs.size()) break;
-      if (n > 0) continue;
-      if (!wait_feed_space(i, deadline)) break;
+      if (aborted || done == msgs.size() || last_round) break;
+      // Room left over: credit or a barrier cut the round short, not the
+      // feed -- go again at once.
+      if (n < room) continue;
+      const std::size_t need = std::max<std::size_t>(
+          1, std::min(msgs.size() - done, spec.feed_capacity / 2));
+      if (!wait_feed_space(i, deadline, need)) {
+        if (feed.aborted()) break;
+        last_round = true;
+      }
     }
+    msgs.clear();  // drops unaccepted payloads, keeps the capacity
     return done;
   }
 
@@ -830,19 +851,23 @@ struct Core {
   }
 };
 
-bool Core::wait_feed_space(std::size_t i, const Deadline& deadline) {
-  // Wake-elision protocol: register as a waiter on the feed's
-  // ProducerSignal (every consumer pop bumps it), re-check, then park
-  // futex-style on the captured version -- bounded by the absolute deadline
-  // when the caller asked for timed parking. The caller loops, so a
-  // spurious wake-up (version moved but no space yet) just re-probes. See
-  // runtime::ProducerSignal::bump.
+bool Core::wait_feed_space(std::size_t i, const Deadline& deadline,
+                           std::size_t need) {
+  // Wake-elision protocol: publish the low-water mark, register as a
+  // waiter on the feed's ProducerSignal, re-check, then park futex-style on
+  // the captured version -- bounded by the absolute deadline when the
+  // caller asked for timed parking. Only a pop that leaves the feed at or
+  // below the mark wakes the pusher. The caller loops, so a spurious
+  // wake-up just re-probes. See runtime::ProducerSignal::note_pop.
+  SDAF_EXPECTS(need >= 1 && need <= spec.feed_capacity);
   BoundedChannel& feed = *feed_channels[i];
   ProducerSignal& sig = *feed_signals[i];
+  const std::size_t wake_at = spec.feed_capacity - need;
+  sig.wake_at.store(wake_at, std::memory_order_relaxed);
   const std::uint32_t version = sig.event.capture();
   sig.event.register_waiter();
   std::atomic_thread_fence(std::memory_order_seq_cst);
-  const bool space = feed.size() < spec.feed_capacity;
+  const bool space = feed.size() <= wake_at;
   bool timed_out = false;
   if (!space && !feed.aborted() &&
       !sig.aborted.load(std::memory_order_acquire)) {
@@ -910,11 +935,13 @@ struct SimCore final : Core {
   [[nodiscard]] std::uint64_t sweeps_now() const override {
     return engine->sweeps();
   }
-  bool wait_feed_space(std::size_t i, const Deadline& /*deadline*/) override {
+  bool wait_feed_space(std::size_t i, const Deadline& /*deadline*/,
+                       std::size_t /*need*/) override {
     // "Waiting" on the Sim backend means pumping on the caller's thread; a
     // pump with no progress already answers a deadline caller (the graph
     // cannot absorb the item no matter how long it waits), so the deadline
-    // itself is moot.
+    // itself is moot -- and so is the low-water mark: one pump is as far
+    // as the feed can drain before the caller pushes again.
     return engine->pump() && !feed_channels[i]->aborted();
   }
   bool wait_egress_item(std::size_t /*i*/) override { return engine->pump(); }

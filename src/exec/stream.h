@@ -112,12 +112,13 @@ class InputPort {
   // Never blocks or pumps; false = no buffer space right now (or closed /
   // ended, which closed() distinguishes).
   bool try_push(runtime::Value v = {});
-  // Deadline-bounded push: parks on the feed at most `timeout` (timed cv
-  // wait on the pooled backend; the Sim backend pumps instead and
-  // reports TimedOut as soon as a pump cannot absorb the item). A caller
-  // that must never hard-block on a wedge-capable stream -- a network
-  // server ingesting on behalf of remote clients -- uses this instead of
-  // push(). timeout <= 0 is exactly try_push with a three-way status.
+  // Deadline-bounded push: parks on the feed at most `timeout` (a futex
+  // park with a deadline on the pooled backend, woken by the first pop that
+  // frees a slot; the Sim backend pumps instead and reports TimedOut as
+  // soon as a pump cannot absorb the item). A caller that must never
+  // hard-block on a wedge-capable stream -- a network server ingesting on
+  // behalf of remote clients -- uses this instead of push(). timeout <= 0
+  // is exactly try_push with a three-way status.
   PortPushOutcome try_push_for(runtime::Value v, std::chrono::nanoseconds timeout);
   // Bulk ingest: pushes every value in order as ONE coalesced channel
   // operation per round -- a single ring reservation + a single counter
@@ -126,10 +127,15 @@ class InputPort {
   // blocking like push() until all are accepted or the stream ends.
   // Returns how many were accepted; sequence numbers and all downstream
   // traffic are bit-identical to item-at-a-time push() (the differential
-  // sweeps enforce it).
+  // sweeps enforce it). Low-water backpressure: when the feed is full, the
+  // caller parks until min(rest of the batch, feed_capacity / 2) items fit
+  // (at least 1), not until the first slot frees, so a saturated pusher
+  // wakes once per large round rather than once per item.
   std::size_t push_batch(std::vector<runtime::Value> values);
   // push_batch with a deadline across the whole batch: accepts what fits
-  // within `timeout` and returns the accepted count (may be short).
+  // within `timeout` and returns the accepted count (may be short). It
+  // parks on the same low-water mark as push_batch; when the deadline
+  // passes first, it still lands whatever fits at that instant.
   std::size_t push_batch_for(std::vector<runtime::Value> values,
                              std::chrono::nanoseconds timeout);
 

@@ -49,6 +49,14 @@ void BoundedChannel::notify_not_empty() {
   not_empty_.bump_if_waiters();
 }
 
+void BoundedChannel::notify_producer() {
+  // After the pop's seq_cst fence. size() is read only when a pusher is
+  // parked: the common pop pays one load of the waiter count, and a channel
+  // with no producer signal (every interior edge) pays nothing.
+  if (producer_signal_ != nullptr)
+    producer_signal_->note_pop([this] { return ring_.size(); });
+}
+
 PushResult BoundedChannel::try_push(Message&& m, bool* was_empty) {
   if (aborted_.load(std::memory_order_acquire)) return PushResult::Aborted;
   const MessageKind kind = m.kind;
@@ -167,7 +175,7 @@ Message BoundedChannel::pop_head(bool* was_full) {
   SpscRing::PopEffect effect;
   Message m = ring_.pop_head(&effect);
   if (metrics_ != nullptr) obs::bump(metrics_->pops);
-  if (producer_signal_ != nullptr) producer_signal_->bump();
+  notify_producer();
   if (drain_hook_ != nullptr && m.kind == MessageKind::Data)
     drain_hook_->on_data_drained(1);
   if (was_full != nullptr) *was_full = effect.was_full;
@@ -178,7 +186,7 @@ bool BoundedChannel::pop() {
   SpscRing::PopEffect effect;
   ring_.pop(&effect);
   if (metrics_ != nullptr) obs::bump(metrics_->pops);
-  if (producer_signal_ != nullptr) producer_signal_->bump();
+  notify_producer();
   return effect.was_full;
 }
 
@@ -189,7 +197,7 @@ BoundedChannel::PopRun BoundedChannel::pop_dummies(std::size_t count) {
   if (result.popped == 0) return result;
   result.was_full = effect.was_full;
   if (metrics_ != nullptr) obs::bump(metrics_->pops, result.popped);
-  if (producer_signal_ != nullptr) producer_signal_->bump();
+  notify_producer();
   return result;
 }
 
@@ -199,7 +207,7 @@ void BoundedChannel::abort() {
   // the wake, so a waiter between its re-check and its park falls through
   // instead of sleeping past the abort.
   not_empty_.bump();
-  if (producer_signal_ != nullptr) producer_signal_->bump(/*abort_flag=*/true);
+  if (producer_signal_ != nullptr) producer_signal_->abort();
 }
 
 bool BoundedChannel::aborted() const {

@@ -5,13 +5,14 @@
 // coalescing segment storage) and never takes a mutex.
 //
 // Pushes never block: a full channel answers Full and the caller (a pooled
-// node task, or an exec::Stream port parked on the feed's ProducerSignal)
-// retries after a transition. The one blocking operation, peek_head_wait
-// (an OutputPort waiting on its egress tap), parks futex-style directly on
-// the channel's not-empty event word (runtime::ParkingLot). Wake-ups are
-// elided with an atomic waiter count: a push never issues a wake syscall
-// unless the consumer has registered as parked, so the hot path of the
-// pooled backend pays nothing. The protocol is lost-wakeup-free: a waiter
+// node task, or an exec::Stream port parked on the feed's ProducerSignal
+// until the feed drains to its low-water mark) retries after a transition.
+// The one blocking operation, peek_head_wait (an OutputPort waiting on its
+// egress tap), parks futex-style directly on the channel's not-empty event
+// word (runtime::ParkingLot). Wake-ups are elided with an atomic waiter
+// count: a push never issues a wake syscall unless the consumer has
+// registered as parked, so the hot path of the pooled backend pays
+// nothing. The protocol is lost-wakeup-free: a waiter
 // captures the event word, registers its count with a seq_cst RMW *before*
 // re-checking the ring, and the producer's counter publish issues a
 // seq_cst fence *before* reading the waiter count, so one of the two
@@ -44,23 +45,44 @@ struct ChannelStats {
 };
 
 // Wakeup channel from a channel's consumer back to a producer waiting for
-// space: an exec::Stream InputPort pusher parked on its full feed. Every
-// pop bumps it. The event word's version counter closes the check-then-wait
-// race; the waiter count elides the wake syscall on pops when the producer
-// is not parked (the common case). Waiters park futex-style on
+// space: an exec::Stream InputPort pusher parked on its full feed. It has a
+// low-water mark: the parked pusher publishes `wake_at`, and a pop wakes it
+// only when it leaves the channel at or below that occupancy, so a batch
+// pusher sleeps until its next round fits instead of waking on every freed
+// slot. With no pusher registered a pop touches neither the version word
+// nor the kernel; abort() always bumps. Waiters park futex-style on
 // `event.version` -- no mutex, no condition variable.
 struct ProducerSignal {
   EventWord event;
   std::atomic<bool> aborted{false};
+  // Occupancy at or below which a pop wakes the registered waiter. Written
+  // by the waiter before it registers (one waiter at a time: the port's
+  // single caller).
+  std::atomic<std::size_t> wake_at{0};
 
-  // Wake-elision contract: a waiter must (1) capture `event`, (2) register
-  // with a seq_cst RMW, (3) re-check for progress, and only then park on
-  // the captured value. bump() publishes the version before reading the
-  // waiter count across a seq_cst fence, so either the bump sees the
-  // registered waiter (and wakes), or the waiter's re-check runs after the
-  // pop that bumped -- never both miss.
-  void bump(bool abort_flag = false) {
-    if (abort_flag) aborted.store(true, std::memory_order_release);
+  // Wake-elision contract: a waiter must (1) store `wake_at`, (2) capture
+  // `event`, (3) register with a seq_cst RMW, (4) re-check `occupancy <=
+  // wake_at`, and only then park on the captured value. The consumer calls
+  // note_pop after each pop, past the ring's seq_cst fence
+  // (SpscRing::finish_pop), so either it sees the registration -- and,
+  // through the acquire on the count, the `wake_at` stored before it -- or
+  // the waiter's re-check sees the pop. Never both miss. `occupancy()`
+  // (the post-pop logical occupancy) is read only when a waiter is
+  // registered; it must not over-report, which holds for the channel's
+  // size() on the consumer thread while the one producer is parked.
+  template <typename OccupancyFn>
+  void note_pop(OccupancyFn occupancy) {
+    if (event.waiters.load(std::memory_order_acquire) > 0 &&
+        occupancy() <= wake_at.load(std::memory_order_relaxed)) {
+      event.version.fetch_add(1, std::memory_order_release);
+      ParkingLot::wake_all(event.version);
+    }
+  }
+
+  // Unconditional: the version moves off every captured value, so a waiter
+  // between its re-check and its park falls through.
+  void abort() {
+    aborted.store(true, std::memory_order_release);
     event.bump();
   }
 };
@@ -139,8 +161,8 @@ class BoundedChannel {
   };
   PopRun pop_dummies(std::size_t count);
 
-  // Registers the producing node's wakeup signal; bumped on every pop and
-  // on abort.
+  // Registers the producer's wakeup signal: every pop notes itself to it
+  // (ProducerSignal::note_pop) and abort() bumps it.
   void set_producer_signal(ProducerSignal* signal);
 
   // Consumer-side drain notification (qos credit return): invoked by the
@@ -190,6 +212,7 @@ class BoundedChannel {
   void record_push(MessageKind kind, std::size_t count,
                    const SpscRing::PushEffect& effect);
   void notify_not_empty();
+  void notify_producer();
 
   ProducerSignal* producer_signal_ = nullptr;
   obs::ChannelCounters* metrics_ = nullptr;

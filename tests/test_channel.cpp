@@ -319,5 +319,79 @@ TEST(Channel, TryPushBatchEquivalentToSinglePushes) {
   EXPECT_TRUE(bulk.empty());
 }
 
+// --- the producer signal's low-water wake-up (exec::Stream feeds) ------
+// Single-threaded: the "waiter" only registers, so every version move is a
+// wake a parked pusher would have received.
+
+TEST(Channel, ProducerSignalWakesOnlyAtLowWaterMark) {
+  BoundedChannel ch(8);
+  ProducerSignal sig;
+  ch.set_producer_signal(&sig);
+  EXPECT_EQ(ch.try_push_dummies(0, 4), 4u);
+  for (std::uint64_t s = 4; s < 8; ++s)
+    ASSERT_EQ(ch.try_push(Message::data(s, Value(0))), PushResult::Ok);
+  sig.wake_at.store(3);
+  sig.event.register_waiter();
+  const std::uint32_t v0 = sig.event.capture();
+  // Occupancy 8 -> 7 -> 5 -> 4: still above the mark, no pop signals.
+  EXPECT_EQ(ch.pop_dummies(1).popped, 1u);
+  EXPECT_EQ(ch.pop_dummies(2).popped, 2u);
+  EXPECT_EQ(ch.pop_dummies(4).popped, 1u);
+  EXPECT_EQ(sig.event.capture(), v0);
+  // The pop that reaches the mark wakes; so does every pop below it while
+  // the waiter stays registered.
+  EXPECT_EQ(ch.pop_head().seq, 4u);  // occupancy 3
+  EXPECT_EQ(sig.event.capture(), v0 + 1);
+  EXPECT_FALSE(ch.pop());  // occupancy 2
+  EXPECT_EQ(sig.event.capture(), v0 + 2);
+  sig.event.unregister_waiter();
+  EXPECT_FALSE(sig.aborted.load());
+}
+
+TEST(Channel, ProducerSignalUntouchedWithoutWaiter) {
+  BoundedChannel ch(4);
+  ProducerSignal sig;
+  ch.set_producer_signal(&sig);
+  sig.wake_at.store(4);  // every pop would qualify, but no one is parked
+  EXPECT_EQ(ch.try_push_dummies(0, 2), 2u);
+  ASSERT_EQ(ch.try_push(Message::data(2, Value(0))), PushResult::Ok);
+  ASSERT_EQ(ch.try_push(Message::data(3, Value(0))), PushResult::Ok);
+  const std::uint32_t v0 = sig.event.capture();
+  EXPECT_EQ(ch.pop_dummies(2).popped, 2u);
+  (void)ch.pop_head();
+  (void)ch.pop();
+  EXPECT_TRUE(ch.empty());
+  EXPECT_EQ(sig.event.capture(), v0);
+}
+
+TEST(Channel, ProducerSignalMarkIgnoresMarkers) {
+  // A snapshot marker is occupancy-neutral, so it must not hold the
+  // occupancy a pop reports above the mark.
+  BoundedChannel ch(3);
+  ProducerSignal sig;
+  ch.set_producer_signal(&sig);
+  for (std::uint64_t s = 0; s < 3; ++s)
+    ASSERT_EQ(ch.try_push(Message::data(s, Value(0))), PushResult::Ok);
+  ASSERT_EQ(ch.try_push_marker(3), PushResult::Ok);
+  sig.wake_at.store(1);
+  sig.event.register_waiter();
+  const std::uint32_t v0 = sig.event.capture();
+  (void)ch.pop_head();  // 2 data + the marker left
+  EXPECT_EQ(sig.event.capture(), v0);
+  (void)ch.pop_head();  // 1 data + the marker: at the mark
+  EXPECT_EQ(sig.event.capture(), v0 + 1);
+  sig.event.unregister_waiter();
+}
+
+TEST(Channel, AbortAlwaysBumpsProducerSignal) {
+  BoundedChannel ch(2);
+  ProducerSignal sig;
+  ch.set_producer_signal(&sig);
+  const std::uint32_t v0 = sig.event.capture();
+  ch.abort();  // no waiter registered, no mark reached: bumps anyway
+  EXPECT_NE(sig.event.capture(), v0);
+  EXPECT_TRUE(sig.aborted.load());
+}
+
 }  // namespace
 }  // namespace sdaf::runtime

@@ -367,12 +367,17 @@ TEST(Stream, PushBatchBitIdenticalToItemPushes) {
   const auto compiled = core::compile(g);
   ASSERT_TRUE(compiled.ok);
   constexpr std::int64_t kItems = 150;
+  // Feed capacities 1 and 2 put the batch low-water mark (capacity / 2) at
+  // its floors, 0 and 1.
+  for (const std::size_t feed_capacity : {std::size_t{256}, std::size_t{1},
+                                          std::size_t{2}}) {
   for (const auto mode :
        {DummyMode::Propagation, DummyMode::NonPropagation}) {
     for (const Backend backend : kBackends) {
       const std::string label =
           std::string(to_string(backend)) + "+mode" +
-          std::to_string(static_cast<int>(mode));
+          std::to_string(static_cast<int>(mode)) + "+feed" +
+          std::to_string(feed_capacity);
       RunReport reports[2];
       std::vector<std::int64_t> payloads[2];
       for (const int use_batch : {0, 1}) {
@@ -382,6 +387,7 @@ TEST(Stream, PushBatchBitIdenticalToItemPushes) {
         ss.run.apply(compiled);
         ss.run.backend = backend;
         ss.run.pool_workers = 2;
+        ss.feed_capacity = feed_capacity;
         Stream stream = session.open(ss);
         const auto drain = [&] {
           while (auto item = stream.output(0).poll())
@@ -417,6 +423,125 @@ TEST(Stream, PushBatchBitIdenticalToItemPushes) {
       EXPECT_EQ(payloads[0], payloads[1]) << label;
     }
   }
+  }
+}
+
+// A source that fires only within a budget the test grants, so the number
+// of items it has taken off its feed is exact rather than timing-dependent:
+// with budget 0 it parks inside fire(), stalling the feed.
+class BudgetSourceKernel final : public Kernel {
+ public:
+  void fire(std::uint64_t seq, const std::vector<std::optional<Value>>&,
+            runtime::Emitter& out) override {
+    std::unique_lock lock(mu_);
+    ++started_;
+    cv_.notify_all();
+    if (cv_.wait_for(lock, std::chrono::seconds(10),
+                     [&] { return budget_ > 0; }))
+      --budget_;
+    out.emit(0, Value(static_cast<std::int64_t>(seq)));
+  }
+
+  void grant(int n) {
+    {
+      std::lock_guard lock(mu_);
+      budget_ += n;
+    }
+    cv_.notify_all();
+  }
+
+  // Waits until `n` firings have started; false after 10s.
+  bool wait_started(int n) {
+    std::unique_lock lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(10),
+                        [&] { return started_ >= n; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int budget_ = 0;
+  int started_ = 0;
+};
+
+// A pooled stream whose source is parked in its first firing and whose
+// feed (capacity 8) is full. Returns how many items the port accepted.
+struct StalledFeed {
+  static constexpr std::size_t kFeed = 8;
+  StreamGraph g = workloads::pipeline(2, 4);
+  std::shared_ptr<BudgetSourceKernel> source =
+      std::make_shared<BudgetSourceKernel>();
+  Session session{g, {source, runtime::pass_through_kernel()}};
+  Stream stream = session.open([] {
+    StreamSpec ss;
+    ss.run.backend = Backend::Pooled;
+    ss.run.pool_workers = 2;
+    ss.run.mode = DummyMode::None;
+    ss.feed_capacity = kFeed;
+    return ss;
+  }());
+
+  std::uint64_t fill() {
+    InputPort& in = stream.input(0);
+    EXPECT_TRUE(in.push());
+    EXPECT_TRUE(source->wait_started(1));
+    while (in.try_push()) {
+    }
+    return in.pushed();
+  }
+
+  // Releases the source, closes the port and checks every accepted item
+  // came out.
+  void finish() {
+    source->grant(1 << 20);
+    stream.input(0).close();
+    std::uint64_t received = 0;
+    while (stream.output(0).next().has_value()) ++received;
+    EXPECT_EQ(received, stream.input(0).pushed());
+    EXPECT_TRUE(stream.finish().completed);
+  }
+};
+
+// Timed batch pushes park on the low-water mark (here 4 of 8 slots), but a
+// deadline that passes first still lands what fits: the source frees
+// exactly 3 slots while the push waits, and all 3 are taken.
+TEST(Stream, PushBatchForLandsWhatFitsByItsDeadline) {
+  StalledFeed f;
+  const std::uint64_t full = f.fill();
+  ASSERT_EQ(f.stream.metrics().ports[0].occupancy, StalledFeed::kFeed);
+  std::thread releaser([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    f.source->grant(3);  // three firings complete, a fourth parks
+  });
+  const std::size_t accepted = f.stream.input(0).push_batch_for(
+      std::vector<Value>(10), std::chrono::milliseconds(1000));
+  releaser.join();
+  EXPECT_EQ(accepted, 3u);
+  EXPECT_EQ(f.stream.input(0).pushed(), full + 3);
+  f.finish();
+}
+
+// A single-item push needs one slot, so on a full feed one pop releases it.
+TEST(Stream, PushOnFullFeedReleasedByOnePop) {
+  StalledFeed f;
+  const std::uint64_t full = f.fill();
+  std::atomic<bool> done{false};
+  std::thread pusher([&] {
+    EXPECT_TRUE(f.stream.input(0).push());
+    done.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(done.load());  // the feed is full: the push is parked
+  f.source->grant(1);         // exactly one more pop
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done.load() && std::chrono::steady_clock::now() < until)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_TRUE(done.load());
+  if (!done.load()) f.source->grant(1 << 20);  // unblock before joining
+  pusher.join();
+  EXPECT_EQ(f.stream.input(0).pushed(), full + 1);
+  f.finish();
 }
 
 }  // namespace
