@@ -371,58 +371,58 @@ TEST(Stream, PushBatchBitIdenticalToItemPushes) {
   // its floors, 0 and 1.
   for (const std::size_t feed_capacity : {std::size_t{256}, std::size_t{1},
                                           std::size_t{2}}) {
-  for (const auto mode :
-       {DummyMode::Propagation, DummyMode::NonPropagation}) {
-    for (const Backend backend : kBackends) {
-      const std::string label =
-          std::string(to_string(backend)) + "+mode" +
-          std::to_string(static_cast<int>(mode)) + "+feed" +
-          std::to_string(feed_capacity);
-      RunReport reports[2];
-      std::vector<std::int64_t> payloads[2];
-      for (const int use_batch : {0, 1}) {
-        Session session(g, workloads::relay_kernels(g, 0.55, 0xAB));
-        StreamSpec ss;
-        ss.run.mode = mode;
-        ss.run.apply(compiled);
-        ss.run.backend = backend;
-        ss.run.pool_workers = 2;
-        ss.feed_capacity = feed_capacity;
-        Stream stream = session.open(ss);
-        const auto drain = [&] {
-          while (auto item = stream.output(0).poll())
-            payloads[use_batch].push_back(item->value.as<std::int64_t>());
-        };
-        std::int64_t next = 0;
-        while (next < kItems) {
-          // Varied chunk sizes cross the feed-capacity boundary, forcing
-          // the room-limited multi-round staging path.
-          const std::int64_t chunk =
-              std::min<std::int64_t>(1 + (next * 7) % 23, kItems - next);
-          if (use_batch == 1) {
-            std::vector<Value> vals;
-            for (std::int64_t i = 0; i < chunk; ++i)
-              vals.emplace_back(Value((next + i) * 10));
-            ASSERT_EQ(stream.input(0).push_batch(std::move(vals)),
-                      static_cast<std::size_t>(chunk))
-                << label;
-          } else {
-            for (std::int64_t i = 0; i < chunk; ++i)
-              ASSERT_TRUE(stream.input(0).push(Value((next + i) * 10)))
+    for (const auto mode :
+         {DummyMode::Propagation, DummyMode::NonPropagation}) {
+      for (const Backend backend : kBackends) {
+        const std::string label =
+            std::string(to_string(backend)) + "+mode" +
+            std::to_string(static_cast<int>(mode)) + "+feed" +
+            std::to_string(feed_capacity);
+        RunReport reports[2];
+        std::vector<std::int64_t> payloads[2];
+        for (const int use_batch : {0, 1}) {
+          Session session(g, workloads::relay_kernels(g, 0.55, 0xAB));
+          StreamSpec ss;
+          ss.run.mode = mode;
+          ss.run.apply(compiled);
+          ss.run.backend = backend;
+          ss.run.pool_workers = 2;
+          ss.feed_capacity = feed_capacity;
+          Stream stream = session.open(ss);
+          const auto drain = [&] {
+            while (auto item = stream.output(0).poll())
+              payloads[use_batch].push_back(item->value.as<std::int64_t>());
+          };
+          std::int64_t next = 0;
+          while (next < kItems) {
+            // Varied chunk sizes cross the feed-capacity boundary, forcing
+            // the room-limited multi-round staging path.
+            const std::int64_t chunk =
+                std::min<std::int64_t>(1 + (next * 7) % 23, kItems - next);
+            if (use_batch == 1) {
+              std::vector<Value> vals;
+              for (std::int64_t i = 0; i < chunk; ++i)
+                vals.emplace_back(Value((next + i) * 10));
+              ASSERT_EQ(stream.input(0).push_batch(std::move(vals)),
+                        static_cast<std::size_t>(chunk))
                   << label;
+            } else {
+              for (std::int64_t i = 0; i < chunk; ++i)
+                ASSERT_TRUE(stream.input(0).push(Value((next + i) * 10)))
+                    << label;
+            }
+            next += chunk;
+            drain();
           }
-          next += chunk;
-          drain();
+          stream.input(0).close();
+          while (auto item = stream.output(0).next())
+            payloads[use_batch].push_back(item->value.as<std::int64_t>());
+          reports[use_batch] = stream.finish();
         }
-        stream.input(0).close();
-        while (auto item = stream.output(0).next())
-          payloads[use_batch].push_back(item->value.as<std::int64_t>());
-        reports[use_batch] = stream.finish();
+        expect_same_report(reports[0], reports[1], label);
+        EXPECT_EQ(payloads[0], payloads[1]) << label;
       }
-      expect_same_report(reports[0], reports[1], label);
-      EXPECT_EQ(payloads[0], payloads[1]) << label;
     }
-  }
   }
 }
 
@@ -464,8 +464,8 @@ class BudgetSourceKernel final : public Kernel {
   int started_ = 0;
 };
 
-// A pooled stream whose source is parked in its first firing and whose
-// feed (capacity 8) is full. Returns how many items the port accepted.
+// A pooled stream whose source parks in its first firing (budget 0), so
+// fill() leaves its feed (capacity 8) exactly full.
 struct StalledFeed {
   static constexpr std::size_t kFeed = 8;
   StreamGraph g = workloads::pipeline(2, 4);
@@ -481,6 +481,7 @@ struct StalledFeed {
     return ss;
   }());
 
+  // Returns how many items the port accepted.
   std::uint64_t fill() {
     InputPort& in = stream.input(0);
     EXPECT_TRUE(in.push());
