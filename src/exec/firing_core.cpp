@@ -23,9 +23,14 @@ std::optional<runtime::HeadView> DeliverySink::peek_feed() {
   return std::nullopt;
 }
 
-runtime::Message DeliverySink::pop_feed() {
+void DeliverySink::pop_feed() {
   SDAF_ASSERT(false && "sink does not support port-fed sources");
-  return {};
+}
+
+std::size_t DeliverySink::pop_feed_data(runtime::Message* /*out*/,
+                                        std::size_t /*max*/) {
+  SDAF_ASSERT(false && "sink does not support port-fed sources");
+  return 0;
 }
 
 std::string describe_park_summary(std::uint64_t summary) {
@@ -96,7 +101,9 @@ FiringCore::FiringCore(NodeId node, runtime::Kernel& kernel,
       emitter_(out_slots),
       inputs_(in_slots),
       feed_input_(port_fed ? 1 : 0),
+      feed_batch_(port_fed ? batch_ : 0),
       heads_(in_slots),
+      dummy_runs_(out_slots),
       pending_tail_(out_slots, kNoTail),
       slot_blocked_(out_slots, 0) {
   SDAF_EXPECTS(!port_fed_ || in_slots_ == 0);
@@ -120,7 +127,24 @@ void FiringCore::trace(TraceKind kind, std::size_t slot, std::uint64_t seq) {
   }
 }
 
-void FiringCore::queue_dummy(std::size_t slot, std::uint64_t seq) {
+void FiringCore::trace_dummy_run(std::uint64_t min_seq, std::uint64_t r) {
+  // The per-message event order of r message-at-a-time pure-dummy
+  // firings: per seq, the consumed inputs, then the slots that sent.
+  for (std::uint64_t seq = min_seq; seq < min_seq + r; ++seq) {
+    for (std::size_t j = 0; j < in_slots_; ++j)
+      if (heads_[j].seq == min_seq) trace(TraceKind::DummyConsumed, j, seq);
+    for (std::size_t slot = 0; slot < out_slots_; ++slot) {
+      const runtime::NodeWrapper::DummyRun& run = dummy_runs_[slot];
+      if (run.count > 0 && seq >= run.first &&
+          (seq - run.first) % run.stride == 0 &&
+          (seq - run.first) / run.stride < run.count)
+        trace(TraceKind::DummySent, slot, seq);
+    }
+  }
+}
+
+void FiringCore::queue_dummies(std::size_t slot, std::uint64_t seq,
+                               std::uint64_t count) {
   const std::size_t idx = pending_tail_[slot];
   if (idx != kNoTail) {
     // The slot's most recent pending entry is a dummy run; extend it when
@@ -128,12 +152,13 @@ void FiringCore::queue_dummy(std::size_t slot, std::uint64_t seq) {
     // because data/EOS emissions invalidate the tail index).
     PendingRun& pr = pending_[idx];
     if (pr.message.seq + pr.run == seq) {
-      ++pr.run;
+      pr.run += static_cast<std::uint32_t>(count);
       return;
     }
   }
   pending_tail_[slot] = pending_.size();
-  pending_.push_back({slot, Message::dummy(seq), 1});
+  pending_.push_back(
+      {slot, Message::dummy(seq), static_cast<std::uint32_t>(count)});
 }
 
 void FiringCore::queue_outputs(std::uint64_t seq, bool any_input_dummy) {
@@ -146,7 +171,7 @@ void FiringCore::queue_outputs(std::uint64_t seq, bool any_input_dummy) {
       trace(TraceKind::DataSent, slot, seq);
     } else if (wrapper_.should_send_dummy(slot, seq, /*sent_data=*/false,
                                           any_input_dummy)) {
-      queue_dummy(slot, seq);
+      queue_dummies(slot, seq, 1);
       if (metrics_ != nullptr) obs::bump(metrics_->dummy_out);
       trace(TraceKind::DummySent, slot, seq);
     }
@@ -267,14 +292,14 @@ bool FiringCore::drain_pending() {
 std::uint64_t FiringCore::fire_once(std::uint64_t budget) {
   static const std::vector<std::optional<runtime::Value>> no_inputs;
   if (in_slots_ == 0 && port_fed_) {
-    // Port-fed source: one feed message per firing.
+    // Port-fed source: one firing per feed data message.
     auto head = sink_.peek_feed();
     if (!head.has_value()) return 0;  // feed empty (or aborted)
     if (head->kind == MessageKind::Marker) {
       // Barrier reaches a port-fed source directly from its InputPort:
       // checkpoint between seq S-1 and seq S and forward the marker.
       const std::uint64_t barrier = head->seq;
-      (void)sink_.pop_feed();
+      sink_.pop_feed();
       checkpoint(barrier);
       return 1;
     }
@@ -283,26 +308,36 @@ std::uint64_t FiringCore::fire_once(std::uint64_t budget) {
       // teardown), the feed EOS is consumed: an empty feed afterwards is
       // what lets the pooled backend's extended quiescence rule read
       // "no port has pending items" exactly.
-      (void)sink_.pop_feed();
+      sink_.pop_feed();
       queue_eos();
       return 1;
     }
-    Message m = sink_.pop_feed();
-    emitter_.reset();
-    if (m.payload.has_value()) {
-      feed_input_[0] = std::move(m.payload);
-      kernel_.fire(m.seq, feed_input_, emitter_);
-      feed_input_[0].reset();
-    } else {
-      // Firing token: exactly the call shape of a self-generating source.
-      kernel_.fire(m.seq, no_inputs, emitter_);
+    // A run of feed data: up to `budget` messages leave the feed with one
+    // channel op, then fire one by one exactly as message-at-a-time (the
+    // pop stops short of any marker, so a barrier still cuts between S-1
+    // and S on the next call).
+    SDAF_ASSERT(budget <= feed_batch_.size());
+    const std::size_t n = sink_.pop_feed_data(
+        feed_batch_.data(), static_cast<std::size_t>(budget));
+    SDAF_ASSERT(n >= 1);
+    for (std::size_t i = 0; i < n; ++i) {
+      Message& m = feed_batch_[i];
+      emitter_.reset();
+      if (m.payload.has_value()) {
+        feed_input_[0] = std::move(m.payload);
+        kernel_.fire(m.seq, feed_input_, emitter_);
+        feed_input_[0].reset();
+      } else {
+        // Firing token: exactly the call shape of a self-generating source.
+        kernel_.fire(m.seq, no_inputs, emitter_);
+      }
+      ++fires;
+      if (metrics_ != nullptr) obs::bump(metrics_->fires);
+      trace(TraceKind::Fire, 0, m.seq);
+      queue_outputs(m.seq, /*any_input_dummy=*/false);
+      source_seq_ = m.seq + 1;
     }
-    ++fires;
-    if (metrics_ != nullptr) obs::bump(metrics_->fires);
-    trace(TraceKind::Fire, 0, m.seq);
-    queue_outputs(m.seq, /*any_input_dummy=*/false);
-    source_seq_ = m.seq + 1;
-    return 1;
+    return n;
   }
   if (in_slots_ == 0) {
     // Source: generates one sequence number per firing, then EOS.
@@ -363,11 +398,12 @@ std::uint64_t FiringCore::fire_once(std::uint64_t budget) {
   if (!any_data_at_min) {
     // Every aligned head is a dummy: the aligned set stays fixed for as
     // long as each aligned run continues *and* stays below every other
-    // head, so the whole stretch collapses into one firing loop with a
-    // single batched pop per slot. Semantically identical to r
-    // message-at-a-time pure-dummy firings (the wrapper is consulted once
-    // per slot per seq, exactly as before); `budget` caps r so batch=1
-    // keeps the exact message-at-a-time pacing of the paper's model.
+    // head, so the whole stretch [min_seq, min_seq + r) is r pure-dummy
+    // firings at once. The wrapper's run rule answers for the whole run
+    // per slot (exactly r should_send_dummy calls' worth), its dummies
+    // queue as coalesced runs, and each input pops its run with one
+    // channel op. `budget` caps r so batch=1 keeps the exact
+    // message-at-a-time pacing of the paper's model.
     std::uint64_t r = budget;
     for (std::size_t j = 0; j < in_slots_; ++j) {
       if (heads_[j].seq == min_seq)
@@ -376,12 +412,20 @@ std::uint64_t FiringCore::fire_once(std::uint64_t budget) {
         r = std::min<std::uint64_t>(r, heads_[j].seq - min_seq);
     }
     SDAF_ASSERT(r >= 1);
-    emitter_.reset();
-    for (std::uint64_t s = 0; s < r; ++s) {
-      const std::uint64_t seq = min_seq + s;
-      for (std::size_t j = 0; j < in_slots_; ++j)
-        if (heads_[j].seq == min_seq) trace(TraceKind::DummyConsumed, j, seq);
-      queue_outputs(seq, /*any_input_dummy=*/true);
+    for (std::size_t slot = 0; slot < out_slots_; ++slot)
+      dummy_runs_[slot] = wrapper_.dummy_run(slot, min_seq, r);
+    if (runtime::kTracingEnabled && tracer_ != nullptr)
+      trace_dummy_run(min_seq, r);
+    for (std::size_t slot = 0; slot < out_slots_; ++slot) {
+      const runtime::NodeWrapper::DummyRun& run = dummy_runs_[slot];
+      if (run.count == 0) continue;
+      if (run.stride == 1) {
+        queue_dummies(slot, run.first, run.count);
+      } else {
+        for (std::uint64_t i = 0; i < run.count; ++i)
+          queue_dummies(slot, run.first + i * run.stride, 1);
+      }
+      if (metrics_ != nullptr) obs::bump(metrics_->dummy_out, run.count);
     }
     for (std::size_t j = 0; j < in_slots_; ++j)
       if (heads_[j].seq == min_seq) {

@@ -10,14 +10,21 @@
 // The data plane is allocation-free, batched, and (on the concurrent
 // backend) lock-free: alignment peeks payload-free HeadViews (never
 // copying a payload), data is moved out of a channel by its single
-// consumer without a mutex (the channels ride runtime::SpscRing), and
-// consecutive-sequence dummy runs travel as single coalesced segments in
-// both directions (pop_dummies / try_push_dummies). A `batch` quantum lets
-// step() run several firings before handing outputs to the sink, so one
-// channel op and one (usually elided) wake-up amortize over the whole
-// batch. All of this is below the firing semantics: per-edge traffic,
-// firing counts and verdicts are bit-identical at every batch setting,
-// which the differential tests enforce.
+// consumer without a mutex (the channels ride runtime::SpscRing), and the
+// firing cost is per run, not per message. When every aligned head is a
+// dummy, the stretch [min_seq, min_seq + r) fires at once: each input pops
+// its run with one channel op (pop_dummies), the wrapper's run rule
+// (NodeWrapper::dummy_run) decides each output slot's dummies for the whole
+// run in O(1) -- all of it under Propagation, every interval-th seq under
+// Non-Propagation -- and they queue and leave as coalesced runs
+// (try_push_dummies). A port-fed source pops a run of feed data the same
+// way (pop_feed_data: one publish, one producer wake-up, one credit
+// return) and fires it message by message. A `batch` quantum lets step()
+// run several firings before handing outputs to the sink, so one channel
+// op and one (usually elided) wake-up amortize over the whole batch. All
+// of this is below the firing semantics: per-edge traffic, firing counts,
+// obs counters, trace events and verdicts are bit-identical at every batch
+// setting, which the differential tests enforce.
 //
 // A FiringCore is single-owner: exactly one thread may call step() at a
 // time (the simulator sweep, or the pool worker that currently owns the
@@ -96,11 +103,16 @@ class DeliverySink {
                                                      PushOutcome* outcome) = 0;
 
   // Port-fed sources only (FiringCore constructed with port_fed = true):
-  // head view / removal of the injected ingress feed, with the same
-  // contract as peek_head. The defaults assert -- a backend that runs
-  // port-fed sources must override both.
+  // the injected ingress feed. peek_feed has the contract of peek_head;
+  // pop_feed discards the head (a marker or EOS); pop_feed_data moves out
+  // up to `max` consecutive data heads into `out` with one channel op and
+  // one producer wake-up, stopping at any other kind, and returns how many
+  // (>= 1 after peek_feed observed a data head). The defaults assert -- a
+  // backend that runs port-fed sources must override all three.
   [[nodiscard]] virtual std::optional<runtime::HeadView> peek_feed();
-  [[nodiscard]] virtual runtime::Message pop_feed();
+  virtual void pop_feed();
+  [[nodiscard]] virtual std::size_t pop_feed_data(runtime::Message* out,
+                                                  std::size_t max);
 };
 
 // Park summary encoding, shared by the pooled scheduler's park/probe
@@ -229,7 +241,13 @@ class FiringCore {
   // dummies. The wrapper is consulted exactly once per slot per seq;
   // consecutive dummies for a slot coalesce into one pending run.
   void queue_outputs(std::uint64_t seq, bool any_input_dummy);
-  void queue_dummy(std::size_t slot, std::uint64_t seq);
+  // Appends dummies seq .. seq + count - 1 to the slot's pending output,
+  // extending its trailing dummy run when the seqs continue it.
+  void queue_dummies(std::size_t slot, std::uint64_t seq, std::uint64_t count);
+  // Tracer only: the DummyConsumed/DummySent events of the pure-dummy run
+  // [min_seq, min_seq + r) just decided into dummy_runs_, in per-message
+  // order.
+  void trace_dummy_run(std::uint64_t min_seq, std::uint64_t r);
   void queue_eos();
   // Pushes whatever fits from pending_, per-channel asynchronously: a full
   // channel must not block messages destined for channels with space (but
@@ -259,7 +277,12 @@ class FiringCore {
   std::vector<std::optional<runtime::Value>> inputs_;
   // Scratch single-slot input vector for payload-carrying feed messages.
   std::vector<std::optional<runtime::Value>> feed_input_;
+  // Port-fed sources: staging for one quantum's run of feed data (batch
+  // messages, reused).
+  std::vector<runtime::Message> feed_batch_;
   std::vector<runtime::HeadView> heads_;
+  // Pure-dummy run scratch: the wrapper's decision per output slot.
+  std::vector<runtime::NodeWrapper::DummyRun> dummy_runs_;
   std::vector<PendingRun> pending_;
   // Index into pending_ of the slot's trailing dummy run (coalescing
   // target), or npos. Only valid between drains; drain_pending resets it.

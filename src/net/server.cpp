@@ -77,6 +77,7 @@ struct AtomicServiceStats {
   std::atomic<std::uint64_t> snapshots_total{0};
   std::atomic<std::uint64_t> restores_total{0};
   std::atomic<std::uint64_t> sessions_aborted_total{0};
+  std::atomic<std::uint64_t> accept_fd_exhausted_total{0};
 
   [[nodiscard]] ServiceStats snapshot() const {
     ServiceStats s;
@@ -96,6 +97,8 @@ struct AtomicServiceStats {
     s.restores_total = restores_total.load(std::memory_order_relaxed);
     s.sessions_aborted_total =
         sessions_aborted_total.load(std::memory_order_relaxed);
+    s.accept_fd_exhausted_total =
+        accept_fd_exhausted_total.load(std::memory_order_relaxed);
     return s;
   }
 };
@@ -114,6 +117,9 @@ struct Server::Impl {
   AtomicServiceStats stats;
   std::uint64_t next_conn_id = 1;
   std::uint64_t next_stream_id = 1;
+  // Set while accept() is out of file descriptors (see accept_from).
+  static constexpr std::chrono::milliseconds kAcceptBackoff{50};
+  std::optional<std::chrono::steady_clock::time_point> accept_paused_until;
   // QoS plane: admission ledger over ServerOptions::budgets, plus one
   // credit gauge per tenant (shared across all that tenant's streams, so
   // the in-flight window is per tenant, not per stream). Both outlive
@@ -654,6 +660,10 @@ struct Server::Impl {
     counter("sdafd_sessions_aborted_total",
             "Streams aborted because their connection dropped mid-stream.",
             stats.sessions_aborted_total);
+    counter("sdafd_accept_fd_exhausted_total",
+            "Accepts refused for want of a file descriptor (EMFILE/ENFILE); "
+            "each pauses the listeners briefly.",
+            stats.accept_fd_exhausted_total);
     return page;
   }
 
@@ -744,8 +754,19 @@ struct Server::Impl {
 
   void accept_from(const Fd& listener) {
     for (;;) {
-      Fd fd = accept_conn(listener);
-      if (!fd.valid()) return;  // EAGAIN or error: either way, done
+      int err = 0;
+      Fd fd = accept_conn(listener, &err);
+      if (!fd.valid()) {
+        // Out of descriptors: the pending connection keeps the listener
+        // readable, so polling it again would spin. Pause accepting until
+        // a connection closes or the back-off passes.
+        if (err == EMFILE || err == ENFILE) {
+          ++stats.accept_fd_exhausted_total;
+          accept_paused_until = std::chrono::steady_clock::now() +
+                                kAcceptBackoff;
+        }
+        return;  // EAGAIN or another error: done for this round
+      }
       if (!set_nonblocking(fd, true)) continue;
       set_nodelay(fd);
       auto conn = std::make_unique<Conn>();
@@ -772,6 +793,7 @@ struct Server::Impl {
     stats.streams_open -= conns[i]->streams.size();
     conns.erase(conns.begin() + static_cast<std::ptrdiff_t>(i));
     --stats.connections_open;
+    accept_paused_until.reset();  // a descriptor just came free
   }
 
   void run() {
@@ -789,11 +811,15 @@ struct Server::Impl {
         if (conns.empty() || Clock::now() >= *drain_deadline) break;
       }
 
+      if (accept_paused_until.has_value() &&
+          Clock::now() >= *accept_paused_until)
+        accept_paused_until.reset();
+      const bool accepting = listeners_open && !accept_paused_until;
       std::vector<pollfd> fds;
       fds.reserve(conns.size() + 2);
-      if (listeners_open && tcp_listener.valid())
+      if (accepting && tcp_listener.valid())
         fds.push_back({tcp_listener.get(), POLLIN, 0});
-      if (listeners_open && unix_listener.valid())
+      if (accepting && unix_listener.valid())
         fds.push_back({unix_listener.get(), POLLIN, 0});
       const std::size_t conn_base = fds.size();
       // accept_from below grows `conns`; only these first n_polled entries
@@ -807,16 +833,19 @@ struct Server::Impl {
         fds.push_back({c->fd.get(), events, 0});
       }
 
-      const int rc = ::poll(fds.data(), fds.size(), /*timeout_ms=*/100);
+      // While paused, wake for the back-off's end rather than a full tick.
+      const int timeout_ms =
+          accepting ? 100 : static_cast<int>(kAcceptBackoff.count());
+      const int rc = ::poll(fds.data(), fds.size(), timeout_ms);
       if (rc < 0 && errno != EINTR) break;
       if (rc <= 0) continue;
 
       std::size_t idx = 0;
-      if (listeners_open && tcp_listener.valid()) {
+      if (accepting && tcp_listener.valid()) {
         if ((fds[idx].revents & POLLIN) != 0) accept_from(tcp_listener);
         ++idx;
       }
-      if (listeners_open && unix_listener.valid()) {
+      if (accepting && unix_listener.valid()) {
         if ((fds[idx].revents & POLLIN) != 0) accept_from(unix_listener);
         ++idx;
       }

@@ -95,6 +95,10 @@ struct ServiceStats {
   // Streams torn down because their connection dropped mid-stream (peer
   // vanished without Finish): input ports aborted, session reaped.
   std::uint64_t sessions_aborted_total = 0;
+  // accept() failed for want of a file descriptor (EMFILE/ENFILE): the
+  // listeners are left out of poll until a connection closes or a short
+  // back-off passes, instead of spinning on the still-pending connection.
+  std::uint64_t accept_fd_exhausted_total = 0;
 };
 
 class Server {

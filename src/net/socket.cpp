@@ -104,11 +104,12 @@ Fd connect_unix(const std::string& path, int* err) {
                       sizeof(addr), err);
 }
 
-Fd accept_conn(const Fd& listener) {
+Fd accept_conn(const Fd& listener, int* err) {
   for (;;) {
     const int fd = ::accept(listener.get(), nullptr, nullptr);
     if (fd >= 0) return Fd(fd);
     if (errno == EINTR) continue;
+    if (err != nullptr) *err = errno;
     return {};
   }
 }

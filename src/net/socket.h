@@ -56,8 +56,9 @@ class Fd {
                              int* err = nullptr);
 [[nodiscard]] Fd connect_unix(const std::string& path, int* err = nullptr);
 
-// Accepts one pending connection; empty Fd when none / on error.
-[[nodiscard]] Fd accept_conn(const Fd& listener);
+// Accepts one pending connection; empty Fd when none / on error, with the
+// errno in `err` (EAGAIN when none is pending).
+[[nodiscard]] Fd accept_conn(const Fd& listener, int* err = nullptr);
 
 [[nodiscard]] bool set_nonblocking(const Fd& fd, bool nonblocking);
 void set_nodelay(const Fd& fd);  // TCP_NODELAY; no-op on Unix sockets

@@ -201,6 +201,18 @@ BoundedChannel::PopRun BoundedChannel::pop_dummies(std::size_t count) {
   return result;
 }
 
+std::size_t BoundedChannel::pop_data(Message* out, std::size_t max,
+                                     bool* was_full) {
+  SpscRing::PopEffect effect;
+  const std::size_t popped = ring_.pop_data(out, max, &effect);
+  if (popped == 0) return 0;
+  if (metrics_ != nullptr) obs::bump(metrics_->pops, popped);
+  notify_producer();
+  if (drain_hook_ != nullptr) drain_hook_->on_data_drained(popped);
+  if (was_full != nullptr) *was_full = effect.was_full;
+  return popped;
+}
+
 void BoundedChannel::abort() {
   aborted_.store(true, std::memory_order_seq_cst);
   // Unconditional bump: the version moves off every captured value before

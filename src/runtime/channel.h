@@ -161,15 +161,23 @@ class BoundedChannel {
   };
   PopRun pop_dummies(std::size_t count);
 
+  // Removes up to `max` consecutive data heads into `out` (payloads moved
+  // out), stopping at any dummy, EOS or marker head: one ring publish, one
+  // producer-signal note and one drain-hook call for the whole run.
+  // Returns how many were removed. `was_full` as for pop_head.
+  [[nodiscard]] std::size_t pop_data(Message* out, std::size_t max,
+                                     bool* was_full = nullptr);
+
   // Registers the producer's wakeup signal: every pop notes itself to it
   // (ProducerSignal::note_pop) and abort() bumps it.
   void set_producer_signal(ProducerSignal* signal);
 
   // Consumer-side drain notification (qos credit return): invoked by the
-  // consumer thread after each *data* message leaves the channel via
-  // pop_head (feeds are consumed exclusively through pop_head, so this
-  // covers every item a port pushed). Dummies, EOS and markers never carry
-  // a credit and never fire it. Not owned; must be set before the
+  // consumer thread after *data* leaves the channel via pop_head (once per
+  // message) or pop_data (once per run, with its length) -- feeds are
+  // consumed only through those two, so this covers every item a port
+  // pushed. Dummies, EOS and markers never carry a credit and never fire
+  // it. Not owned; must be set before the
   // endpoints start running, like set_metrics.
   struct DrainHook {
     virtual ~DrainHook() = default;

@@ -93,10 +93,13 @@ std::optional<HeadView> NodeState::peek_feed() {
   return feed_->try_peek_head();  // empty = parked until the caller pushes
 }
 
-Message NodeState::pop_feed() {
-  // The pop bumps the feed's ProducerSignal inside the channel, which is
-  // how a caller blocked in InputPort::push learns space freed up.
-  return feed_->pop_head();
+void NodeState::pop_feed() { (void)feed_->pop(); }
+
+std::size_t NodeState::pop_feed_data(Message* out, std::size_t max) {
+  // The pop notes the feed's ProducerSignal inside the channel (once per
+  // run), which is how a caller blocked in InputPort::push learns space
+  // freed up.
+  return feed_->pop_data(out, max);
 }
 
 bool NodeState::probe(std::uint64_t summary) const {

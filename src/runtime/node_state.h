@@ -102,7 +102,8 @@ class NodeState final : private exec::DeliverySink {
                                std::size_t count,
                                exec::PushOutcome* outcome) override;
   std::optional<HeadView> peek_feed() override;
-  Message pop_feed() override;
+  void pop_feed() override;
+  std::size_t pop_feed_data(Message* out, std::size_t max) override;
 
   std::vector<BoundedChannel*> ins_;
   std::vector<BoundedChannel*> outs_;

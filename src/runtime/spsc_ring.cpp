@@ -290,6 +290,33 @@ void SpscRing::finish_pop(Segment& s, std::size_t count, PopEffect* effect) {
   }
   const std::uint64_t before = c_.popped;
   c_.popped += count;
+  publish_pop(before, effect);
+}
+
+std::size_t SpscRing::pop_data(Message* out, std::size_t max,
+                               PopEffect* effect) {
+  const std::uint64_t before = c_.popped;
+  std::size_t n = 0;
+  while (n < max) {
+    // peek_head sees the locally advanced c_.popped, so the walk (and its
+    // clamp to the published count) is exactly that of n single pops.
+    const auto head = peek_head();
+    if (!head.has_value() || head->kind != MessageKind::Data) break;
+    Segment& s = slot(c_.segs);
+    out[n++] = std::move(s.msg);
+    // A data segment holds one message and is never extended (only a dummy
+    // tail coalesces), so it retires at once and its seal needs no CAS.
+    // Every retire precedes the one publish below, which is all the
+    // slot-reuse argument asks.
+    s.run.store(1 | kSealed, std::memory_order_relaxed);
+    ++c_.segs;
+    ++c_.popped;
+  }
+  if (n > 0) publish_pop(before, effect);
+  return n;
+}
+
+void SpscRing::publish_pop(std::uint64_t before, PopEffect* effect) {
   popped_.store(c_.popped, std::memory_order_release);
   // Dekker pairing with the producer's waiter registration / park probe
   // (mirror image of publish()).

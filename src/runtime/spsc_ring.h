@@ -127,6 +127,14 @@ class SpscRing {
   [[nodiscard]] std::size_t pop_dummies(std::size_t count,
                                         PopEffect* effect = nullptr);
 
+  // Consumer only. Batch data pop (a port-fed source draining its feed):
+  // moves out up to `max` consecutive Data heads into `out`, stopping at
+  // any Dummy, EOS or Marker head, and publishes them with ONE counter
+  // store + one seq_cst fence. Returns how many were moved (0 when empty
+  // or the head is not data).
+  [[nodiscard]] std::size_t pop_data(Message* out, std::size_t max,
+                                     PopEffect* effect = nullptr);
+
   // Producer only. Appends a snapshot barrier marker (ckpt). Markers are
   // occupancy-neutral: they do not count against the certified logical
   // capacity (size/full exclude them), riding in the one extra physical
@@ -174,6 +182,7 @@ class SpscRing {
   }
   void publish(std::size_t count, PushEffect* effect);
   void finish_pop(Segment& s, std::size_t count, PopEffect* effect);
+  void publish_pop(std::uint64_t before, PopEffect* effect);
   [[nodiscard]] std::uint64_t logical_space(std::uint64_t want);
 
   std::size_t capacity_;

@@ -1,5 +1,7 @@
 #include "src/runtime/wrapper.h"
 
+#include <algorithm>
+
 #include "src/support/contracts.h"
 
 namespace sdaf::runtime {
@@ -45,6 +47,29 @@ bool NodeWrapper::should_send_dummy(std::size_t slot, std::uint64_t seq,
     return true;
   }
   return false;
+}
+
+NodeWrapper::DummyRun NodeWrapper::dummy_run(std::size_t slot,
+                                             std::uint64_t first_seq,
+                                             std::uint64_t r) {
+  SDAF_EXPECTS(slot < last_sent_.size());
+  if (r == 0 || mode_ == DummyMode::None) return {};
+  const auto begin = static_cast<std::int64_t>(first_seq);
+  const auto end = begin + static_cast<std::int64_t>(r);  // exclusive
+  if (mode_ == DummyMode::Propagation) {
+    // Every seq of the run consumed a dummy: forced propagation throughout.
+    last_sent_[slot] = end - 1;
+    return {first_seq, r, 1};
+  }
+  const std::int64_t iv = intervals_[slot];
+  // Written as a comparison against end - iv so last_sent + iv cannot
+  // overflow: no seq of the run reaches the gap.
+  if (iv == kInfiniteInterval || last_sent_[slot] >= end - iv) return {};
+  const std::int64_t due = std::max(begin, last_sent_[slot] + iv);
+  const std::int64_t count = (end - 1 - due) / iv + 1;
+  last_sent_[slot] = due + (count - 1) * iv;
+  return {static_cast<std::uint64_t>(due), static_cast<std::uint64_t>(count),
+          static_cast<std::uint64_t>(iv)};
 }
 
 }  // namespace sdaf::runtime

@@ -50,6 +50,22 @@ class NodeWrapper {
   [[nodiscard]] bool should_send_dummy(std::size_t slot, std::uint64_t seq,
                                        bool sent_data, bool any_input_dummy);
 
+  // The dummies a pure-dummy firing run emits on one slot: seqs
+  // first, first + stride, ... (count of them; count 0 = none).
+  struct DummyRun {
+    std::uint64_t first = 0;
+    std::uint64_t count = 0;
+    std::uint64_t stride = 1;
+  };
+
+  // The run rule: exactly what `r` calls should_send_dummy(slot, seq,
+  // false, true) for seq = first_seq .. first_seq + r - 1 would return,
+  // leaving the same last_sent(), in O(1). Propagation forwards the whole
+  // run; Non-Propagation originates every `interval`-th seq once the gap
+  // since last_sent reaches it; None emits nothing.
+  [[nodiscard]] DummyRun dummy_run(std::size_t slot, std::uint64_t first_seq,
+                                   std::uint64_t r);
+
   [[nodiscard]] DummyMode mode() const { return mode_; }
 
   // Checkpoint hooks (ckpt): the wrapper's only mutable state is the last

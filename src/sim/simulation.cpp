@@ -183,7 +183,11 @@ class SimNode final : private exec::DeliverySink {
     return feed_->try_peek_head();
   }
 
-  Message pop_feed() override { return feed_->pop_head(); }
+  void pop_feed() override { (void)feed_->pop(); }
+
+  std::size_t pop_feed_data(Message* out, std::size_t max) override {
+    return feed_->pop_data(out, max);
+  }
 
   std::vector<SimChannel*> ins_;
   std::vector<SimChannel*> outs_;

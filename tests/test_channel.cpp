@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
+#include <vector>
 
 namespace sdaf::runtime {
 namespace {
@@ -381,6 +383,109 @@ TEST(Channel, ProducerSignalMarkIgnoresMarkers) {
   (void)ch.pop_head();  // 1 data + the marker: at the mark
   EXPECT_EQ(sig.event.capture(), v0 + 1);
   sig.event.unregister_waiter();
+}
+
+// --- the batched feed pop (pop_data) ------------------------------------
+
+struct CountingDrainHook final : BoundedChannel::DrainHook {
+  std::vector<std::size_t> calls;
+  void on_data_drained(std::size_t n) override { calls.push_back(n); }
+};
+
+TEST(Channel, PopDataDrainsOnceWithItsLength) {
+  BoundedChannel ch(8);
+  CountingDrainHook hook;
+  ch.set_drain_hook(&hook);
+  for (std::uint64_t s = 0; s < 5; ++s)
+    ASSERT_EQ(ch.try_push(Message::data(s, Value(static_cast<int>(s)))),
+              PushResult::Ok);
+  ASSERT_EQ(ch.try_push(Message::eos()), PushResult::Ok);
+  std::vector<Message> out(8);
+  EXPECT_EQ(ch.pop_data(out.data(), 3), 3u);
+  EXPECT_EQ(hook.calls, (std::vector<std::size_t>{3}));
+  EXPECT_EQ(ch.pop_data(out.data(), 8), 2u);  // stops at EOS
+  EXPECT_EQ(out[1].payload.as<int>(), 4);
+  EXPECT_EQ(hook.calls, (std::vector<std::size_t>{3, 2}));
+  EXPECT_EQ(ch.pop_data(out.data(), 8), 0u);  // EOS head: nothing, no call
+  EXPECT_EQ(hook.calls.size(), 2u);
+  EXPECT_EQ(ch.try_peek_head()->kind, MessageKind::Eos);
+}
+
+TEST(Channel, PopDataWakesOnlyAtLowWaterMark) {
+  // Single-threaded, as above: a batch that stays above the mark does not
+  // signal; the batch that crosses it signals exactly once.
+  BoundedChannel ch(8);
+  ProducerSignal sig;
+  ch.set_producer_signal(&sig);
+  for (std::uint64_t s = 0; s < 8; ++s)
+    ASSERT_EQ(ch.try_push(Message::data(s, Value(0))), PushResult::Ok);
+  sig.wake_at.store(3);
+  sig.event.register_waiter();
+  const std::uint32_t v0 = sig.event.capture();
+  std::vector<Message> out(8);
+  bool was_full = false;
+  EXPECT_EQ(ch.pop_data(out.data(), 4, &was_full), 4u);  // occupancy 4
+  EXPECT_TRUE(was_full);
+  EXPECT_EQ(sig.event.capture(), v0);
+  EXPECT_EQ(ch.pop_data(out.data(), 3, &was_full), 3u);  // occupancy 1
+  EXPECT_FALSE(was_full);
+  EXPECT_EQ(sig.event.capture(), v0 + 1);
+  sig.event.unregister_waiter();
+}
+
+TEST(Channel, ParkedPusherWakesWhenBatchedPopsReachLowWater) {
+  // Two threads: a pusher keeps the feed topped up, parking (with the
+  // stream's wake-elision protocol) until its whole next batch fits; the
+  // consumer drains through pop_data batches only. Every item must arrive
+  // once, in order -- a lost wake-up would hang the pusher.
+  constexpr std::size_t kCap = 16;
+  constexpr std::size_t kBatch = 6;
+  constexpr std::uint64_t kTotal = 20000;
+  BoundedChannel ch(kCap);
+  ProducerSignal sig;
+  ch.set_producer_signal(&sig);
+  std::thread pusher([&] {
+    std::vector<Message> msgs;
+    std::uint64_t seq = 0;
+    while (seq < kTotal) {
+      msgs.clear();
+      for (std::uint64_t s = seq; s < seq + kBatch && s < kTotal; ++s)
+        msgs.push_back(Message::data(s, Value(static_cast<std::int64_t>(s))));
+      std::size_t done = 0;
+      while (done < msgs.size()) {
+        const std::size_t need = msgs.size() - done;
+        if (kCap - ch.size() >= need) {
+          done += ch.try_push_batch(msgs.data() + done, need);
+          continue;
+        }
+        sig.wake_at.store(kCap - need, std::memory_order_relaxed);
+        const std::uint32_t version = sig.event.capture();
+        sig.event.register_waiter();
+        std::atomic_thread_fence(std::memory_order_seq_cst);
+        if (ch.size() > kCap - need)
+          ParkingLot::park(sig.event.version, version);
+        sig.event.unregister_waiter();
+      }
+      seq += msgs.size();
+    }
+  });
+  std::vector<Message> out(5);
+  std::uint64_t expect = 0;
+  while (expect < kTotal) {
+    if (!ch.try_peek_head().has_value()) {
+      std::this_thread::yield();
+      continue;
+    }
+    const std::size_t n = ch.pop_data(out.data(), out.size());
+    ASSERT_GE(n, 1u);
+    for (std::size_t i = 0; i < n; ++i, ++expect) {
+      ASSERT_EQ(out[i].seq, expect);
+      ASSERT_EQ(out[i].payload.as<std::int64_t>(),
+                static_cast<std::int64_t>(expect));
+    }
+  }
+  pusher.join();
+  EXPECT_TRUE(ch.empty());
 }
 
 TEST(Channel, AbortAlwaysBumpsProducerSignal) {

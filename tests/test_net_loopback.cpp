@@ -6,9 +6,17 @@
 // leaking streams, a wedged stream cannot stall the daemon past its push
 // deadline, one connection multiplexes streams, and reopening a topology
 // hits the compile cache.
+#include <dirent.h>
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <ctime>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -581,6 +589,76 @@ TEST_F(LoopbackTest, DrainRefusesNewStreamsButFinishesLiveOnes) {
   s.close(0);
   const exec::RunReport report = s.finish();
   EXPECT_TRUE(report.completed);
+}
+
+// --- descriptor exhaustion ---------------------------------------------
+
+// Runs in a forked child: caps RLIMIT_NOFILE a few descriptors above what
+// is open, leaves the daemon's accept() one short, and checks that the
+// daemon idles (a pending connection keeps the listener readable, so
+// re-polling it would spin a CPU), counts the refusal, and accepts once a
+// descriptor frees up. Exits 0 on success, a distinct code per failure.
+[[noreturn]] void emfile_child() {
+  using Clock = std::chrono::steady_clock;
+  ServerOptions opt;
+  opt.unix_path = "/tmp/sdaf_emfile_" + std::to_string(::getpid());
+  opt.pool_workers = 1;
+  Server server(opt);
+  if (!server.start()) std::_Exit(2);
+  std::thread loop([&server] { server.run(); });
+  const auto wait_for = [&](auto pred) {
+    const auto deadline = Clock::now() + std::chrono::seconds(5);
+    while (!pred()) {
+      if (Clock::now() >= deadline) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    return true;
+  };
+  int highest = 2;
+  if (DIR* dir = ::opendir("/proc/self/fd")) {
+    while (const dirent* e = ::readdir(dir))
+      highest = std::max(highest, std::atoi(e->d_name));
+    ::closedir(dir);
+  }
+  rlimit lim{};
+  if (::getrlimit(RLIMIT_NOFILE, &lim) != 0) std::_Exit(3);
+  lim.rlim_cur = static_cast<rlim_t>(highest) + 1 + 4;
+  if (::setrlimit(RLIMIT_NOFILE, &lim) != 0) std::_Exit(3);
+  // Take every free descriptor below the cap (a handful), then give one
+  // back for the client: the daemon's accept() is left with none.
+  std::vector<int> spare;
+  for (int fd; (fd = ::dup(0)) >= 0;) {
+    spare.push_back(fd);
+    if (spare.size() > 64) std::_Exit(4);
+  }
+  if (errno != EMFILE || spare.empty()) std::_Exit(4);
+  ::close(spare.back());
+  spare.pop_back();
+  const Fd client = connect_unix(opt.unix_path);
+  if (!client.valid()) std::_Exit(5);
+  if (!wait_for([&] { return server.stats().accept_fd_exhausted_total > 0; }))
+    std::_Exit(6);
+  timespec t0{}, t1{};
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &t0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &t1);
+  const double cpu_ms = (t1.tv_sec - t0.tv_sec) * 1e3 +
+                        (t1.tv_nsec - t0.tv_nsec) / 1e6;
+  if (cpu_ms > 100) {
+    std::fprintf(stderr, "daemon burned %.0f ms CPU in 300 ms\n", cpu_ms);
+    std::_Exit(7);
+  }
+  for (const int fd : spare) ::close(fd);
+  if (!wait_for([&] { return server.stats().connections_total == 1; }))
+    std::_Exit(8);
+  server.request_stop();
+  loop.join();
+  std::fprintf(stderr, "emfile ok\n");
+  std::_Exit(0);
+}
+
+TEST(NetServer, DescriptorExhaustionPausesAcceptInsteadOfSpinning) {
+  EXPECT_EXIT(emfile_child(), ::testing::ExitedWithCode(0), "emfile ok");
 }
 
 }  // namespace

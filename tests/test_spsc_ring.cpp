@@ -378,6 +378,250 @@ TEST(SpscRing, TryPushBatchConcurrentFifo) {
   }
 }
 
+// --- the batched feed pop (pop_data) ------------------------------------
+
+// The model of one pop_data call: single pops while the head is data.
+std::vector<Message> model_pop_data(MessageRing& model, std::size_t max) {
+  std::vector<Message> out;
+  while (out.size() < max && !model.empty() &&
+         model.head().kind == MessageKind::Data)
+    out.push_back(model.pop_head());
+  return out;
+}
+
+void expect_same_pop_data(MessageRing& model, SpscRing& ring,
+                          std::size_t max, const std::string& label) {
+  const std::vector<Message> expected = model_pop_data(model, max);
+  std::vector<Message> actual(max);
+  const std::size_t n = ring.pop_data(actual.data(), max);
+  ASSERT_EQ(expected.size(), n) << label;
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(expected[i].seq, actual[i].seq) << label;
+    ASSERT_EQ(MessageKind::Data, actual[i].kind) << label;
+    ASSERT_EQ(expected[i].payload.as<std::int64_t>(),
+              actual[i].payload.as<std::int64_t>())
+        << label;
+  }
+  ASSERT_EQ(model.size(), ring.size()) << label;
+  expect_same_head(model, ring, label);
+}
+
+// Randomized op-for-op agreement with the model: data, dummy runs, an
+// occasional marker and a final EOS on the producer side; single pops,
+// dummy-run pops and pop_data batches of random width on the consumer
+// side -- so batches stop at dummy runs (whole or partly consumed), at
+// markers, at EOS and at the empty ring, across wraparound.
+TEST(SpscRing, PopDataMatchesModel) {
+  for (const std::size_t capacity : {1u, 2u, 3u, 8u, 64u}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      MessageRing model(capacity);
+      SpscRing ring(capacity);
+      Prng rng(0xFEED0 ^ (capacity * 100 + seed));
+      std::uint64_t next_seq = 0;
+      bool marker_in_flight = false;
+      bool eos_pushed = false;
+      const std::string label = "cap=" + std::to_string(capacity) +
+                                " seed=" + std::to_string(seed);
+      for (int op = 0; op < 3000; ++op) {
+        const std::string step = label + " op=" + std::to_string(op);
+        switch (rng.next_below(7)) {
+          case 0:
+          case 1: {  // data (twice as likely: batches need runs of it)
+            if (model.full() || eos_pushed) break;
+            const auto payload = static_cast<std::int64_t>(next_seq * 5);
+            model.push(Message::data(next_seq, Value(payload)));
+            ASSERT_TRUE(
+                ring.try_push(Message::data(next_seq, Value(payload))))
+                << step;
+            ++next_seq;
+            break;
+          }
+          case 2: {  // a dummy run
+            if (eos_pushed) break;
+            const std::size_t want = 1 + rng.next_below(4);
+            const std::size_t got = model.push_dummies(next_seq, want);
+            ASSERT_EQ(got, ring.try_push_dummies(next_seq, want)) << step;
+            next_seq += got;
+            break;
+          }
+          case 3: {  // a marker (at most one in flight) or, rarely, EOS
+            if (eos_pushed) break;
+            if (rng.next_bool(0.005)) {
+              if (model.full()) break;
+              model.push(Message::eos());
+              ASSERT_TRUE(ring.try_push(Message::eos())) << step;
+              eos_pushed = true;
+            } else if (!marker_in_flight) {
+              ASSERT_TRUE(model.push_marker(next_seq));
+              ASSERT_TRUE(ring.try_push_marker(next_seq)) << step;
+              marker_in_flight = true;
+            }
+            break;
+          }
+          case 4: {  // single pop; a partial dummy pop leaves a run head
+            if (model.empty()) break;
+            if (model.head().kind == MessageKind::Marker)
+              marker_in_flight = false;
+            if (model.head().kind == MessageKind::Dummy &&
+                rng.next_bool(0.5)) {
+              const std::size_t want = 1 + rng.next_below(2);
+              ASSERT_EQ(model.pop_dummies(want), ring.pop_dummies(want))
+                  << step;
+            } else {
+              model.pop();
+              ring.pop();
+            }
+            break;
+          }
+          default: {  // pop_data of random width
+            const std::size_t max = 1 + rng.next_below(capacity + 2);
+            expect_same_pop_data(model, ring, max, step);
+            break;
+          }
+        }
+        ASSERT_EQ(model.size(), ring.size()) << step;
+        expect_same_head(model, ring, step);
+        if (eos_pushed && model.empty()) break;
+      }
+    }
+  }
+}
+
+TEST(SpscRing, PopDataStopsAtEveryNonDataHead) {
+  SpscRing ring(16);
+  MessageRing model(16);
+  auto both_data = [&](std::uint64_t seq) {
+    const Value v(static_cast<std::int64_t>(seq));
+    model.push(Message::data(seq, v));
+    ASSERT_TRUE(ring.try_push(Message::data(seq, v)));
+  };
+  both_data(0);
+  both_data(1);
+  ASSERT_EQ(model.push_dummies(2, 3), 3u);  // a dummy run
+  ASSERT_EQ(ring.try_push_dummies(2, 3), 3u);
+  both_data(5);
+  ASSERT_TRUE(model.push_marker(6));  // a marker
+  ASSERT_TRUE(ring.try_push_marker(6));
+  both_data(6);
+  model.push(Message::eos());  // EOS
+  ASSERT_TRUE(ring.try_push(Message::eos()));
+
+  expect_same_pop_data(model, ring, 16, "stops at the dummy run");  // 0, 1
+  // A partly consumed dummy head still stops a batch.
+  ASSERT_EQ(model.pop_dummies(1), 1u);
+  ASSERT_EQ(ring.pop_dummies(1), 1u);
+  expect_same_pop_data(model, ring, 16, "stops at a partial run");  // none
+  model.pop_dummies(2);
+  ASSERT_EQ(ring.pop_dummies(2), 2u);
+  expect_same_pop_data(model, ring, 16, "stops at the marker");  // 5
+  model.pop();
+  ring.pop();
+  expect_same_pop_data(model, ring, 16, "stops at EOS");  // 6
+  const auto head = ring.peek_head();
+  ASSERT_TRUE(head.has_value());
+  EXPECT_EQ(head->kind, MessageKind::Eos);
+  ring.pop();
+  Message out;
+  EXPECT_EQ(ring.pop_data(&out, 1), 0u);  // empty
+}
+
+TEST(SpscRing, PopDataTransitionEffect) {
+  // One batch that empties a full ring reports the full -> non-full edge
+  // once; a batch from a ring that was not full does not.
+  SpscRing ring(3);
+  for (std::uint64_t seq = 0; seq < 3; ++seq)
+    ASSERT_TRUE(ring.try_push(Message::data(seq, Value(std::int64_t{1}))));
+  std::vector<Message> out(3);
+  SpscRing::PopEffect fx;
+  EXPECT_EQ(ring.pop_data(out.data(), 2, &fx), 2u);
+  EXPECT_TRUE(fx.was_full);
+  EXPECT_EQ(ring.size(), 1u);
+  EXPECT_EQ(ring.pop_data(out.data(), 3, &fx), 1u);
+  EXPECT_FALSE(fx.was_full);
+  EXPECT_TRUE(ring.empty());
+  // The batch publishes: the producer sees all freed slots at once.
+  for (std::uint64_t seq = 3; seq < 6; ++seq)
+    ASSERT_TRUE(ring.try_push(Message::data(seq, Value(std::int64_t{2}))));
+  EXPECT_TRUE(ring.full());
+}
+
+// Concurrent: a producer on try_push_batch and try_push_dummies, a
+// consumer draining data exclusively through pop_data (dummies through
+// pop_dummies) -- every message exactly once, in order, payload intact.
+// Named as a hammer so tools/ci.sh --stress reruns it under TSan.
+TEST(SpscRingHammer, PopDataConcurrentFifo) {
+  constexpr std::uint64_t kTotal = 50000;
+  for (const std::size_t capacity : {1u, 2u, 8u, 64u}) {
+    SpscRing ring(capacity);
+    // Seq s is a dummy iff s % 7 >= 5: runs of two dummies between runs
+    // of five data messages.
+    auto is_dummy = [](std::uint64_t s) { return s % 7 >= 5; };
+    std::thread producer([&] {
+      Prng rng(0xDA7A + capacity);
+      std::uint64_t seq = 0;
+      std::vector<Message> msgs;
+      while (seq < kTotal) {
+        if (is_dummy(seq)) {
+          std::size_t run = 1;
+          while (seq + run < kTotal && is_dummy(seq + run)) ++run;
+          std::size_t done = 0;
+          while (done < run) {
+            const std::size_t got =
+                ring.try_push_dummies(seq + done, run - done);
+            done += got;
+            if (got == 0) std::this_thread::yield();
+          }
+          seq += run;
+          continue;
+        }
+        std::size_t want = 1 + rng.next_below(5);
+        msgs.clear();
+        for (std::size_t i = 0; i < want && seq + i < kTotal &&
+                                !is_dummy(seq + i);
+             ++i)
+          msgs.push_back(Message::data(
+              seq + i, Value(static_cast<std::int64_t>((seq + i) * 3))));
+        want = msgs.size();
+        std::size_t done = 0;
+        while (done < want) {
+          const std::size_t got =
+              ring.try_push_batch(msgs.data() + done, want - done);
+          done += got;
+          if (got == 0) std::this_thread::yield();  // full: 1-CPU friendly
+        }
+        seq += want;
+      }
+    });
+    Prng rng(0x7AD + capacity);
+    std::vector<Message> out(capacity + 1);
+    std::uint64_t expect_seq = 0;
+    while (expect_seq < kTotal) {
+      const auto head = ring.peek_head();
+      if (!head.has_value()) {
+        std::this_thread::yield();  // empty: 1-CPU friendly
+        continue;
+      }
+      ASSERT_EQ(head->seq, expect_seq);
+      if (head->kind == MessageKind::Dummy) {
+        ASSERT_TRUE(is_dummy(expect_seq));
+        expect_seq += ring.pop_dummies(head->run);
+        continue;
+      }
+      const std::size_t max = 1 + rng.next_below(out.size());
+      const std::size_t n = ring.pop_data(out.data(), max);
+      ASSERT_GE(n, 1u);
+      for (std::size_t i = 0; i < n; ++i, ++expect_seq) {
+        ASSERT_EQ(out[i].seq, expect_seq);
+        ASSERT_EQ(out[i].kind, MessageKind::Data);
+        ASSERT_EQ(out[i].payload.as<std::int64_t>(),
+                  static_cast<std::int64_t>(expect_seq * 3));
+      }
+    }
+    producer.join();
+    EXPECT_TRUE(ring.empty());
+  }
+}
+
 // A snapshot marker rides the ring's extra physical segment: it must be
 // admissible on a logically full ring, invisible to the certified
 // occupancy, ordered FIFO with the surrounding traffic, and still count as

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <thread>
+#include <tuple>
+#include <vector>
 
 #include "src/core/compile.h"
 #include "src/exec/session.h"
@@ -203,6 +206,76 @@ TEST(SimTracing, TicksAreMonotone) {
   const auto events = tracer.snapshot();
   for (std::size_t i = 1; i < events.size(); ++i)
     EXPECT_LE(events[i - 1].tick, events[i].tick);
+}
+
+// Dummy runs are decided a run at a time (NodeWrapper::dummy_run), but the
+// trace still records one DummyConsumed/DummySent event per message, in
+// the order r message-at-a-time firings record them. A traced Sim run of
+// the continuation ladder (the dense-dummy regime) at batch 64 must show,
+// per node, exactly the events of the batch-1 run; and its full dummy
+// event stream, sweep ticks included, is pinned to a digest recorded with
+// the per-message implementation.
+TEST(SimTracing, DummyRunEventsMatchPerMessageFirings) {
+  struct Case {
+    DummyMode mode;
+    core::Algorithm algorithm;
+    std::int64_t tight;     // the ladder's short edge
+    std::size_t events;     // pinned: DummyConsumed + DummySent at batch 64
+    std::uint64_t digest;   // pinned: FNV-1a over (kind,node,slot,seq,tick)
+  };
+  // Tight 1 is the benchmark's shape (every interval 1); tight 32 gives
+  // Non-Propagation intervals > 1, so runs emit strided dummies.
+  const Case cases[] = {
+      {DummyMode::Propagation, core::Algorithm::Propagation, 1, 35360,
+       0x8028d9f45f690dfeull},
+      {DummyMode::NonPropagation, core::Algorithm::NonPropagation, 32, 6068,
+       0x298742a1dabba005ull},
+  };
+  using Key = std::tuple<TraceKind, std::size_t, std::uint64_t>;
+  for (const Case& c : cases) {
+    const StreamGraph g = workloads::continuation_ladder(4, 64, c.tight);
+    core::CompileOptions copt;
+    copt.algorithm = c.algorithm;
+    const auto compiled = core::compile(g, copt);
+    ASSERT_TRUE(compiled.ok) << compiled.diagnostics;
+    std::map<NodeId, std::vector<Key>> per_node[2];
+    std::size_t count = 0;
+    std::uint64_t digest = 0xcbf29ce484222325ull;
+    for (const std::uint32_t batch : {1u, 64u}) {
+      exec::Session session(g, workloads::relay_kernels(g, 0.1, 0xD00D));
+      Tracer tracer(1u << 20);
+      exec::RunSpec spec;
+      spec.mode = c.mode;
+      spec.apply(compiled);
+      spec.num_inputs = 3000;
+      spec.batch = batch;
+      spec.tracer = &tracer;
+      ASSERT_TRUE(session.run(spec).completed);
+      ASSERT_EQ(tracer.dropped(), 0u);
+      for (const TraceEvent& e : tracer.snapshot()) {
+        if (e.kind != TraceKind::DummyConsumed &&
+            e.kind != TraceKind::DummySent)
+          continue;
+        per_node[batch == 1 ? 0 : 1][e.node].emplace_back(e.kind, e.slot,
+                                                           e.seq);
+        if (batch != 64) continue;
+        ++count;
+        for (const std::uint64_t v :
+             {static_cast<std::uint64_t>(e.kind),
+              static_cast<std::uint64_t>(e.node),
+              static_cast<std::uint64_t>(e.slot), e.seq, e.tick}) {
+          digest ^= v;
+          digest *= 0x100000001b3ull;
+        }
+      }
+    }
+    const std::string label = c.mode == DummyMode::Propagation ? "prop"
+                                                               : "nonprop";
+    EXPECT_FALSE(per_node[1].empty()) << label;
+    EXPECT_EQ(per_node[0], per_node[1]) << label;
+    EXPECT_EQ(count, c.events) << label;
+    EXPECT_EQ(digest, c.digest) << label << " digest 0x" << std::hex << digest;
+  }
 }
 
 }  // namespace

@@ -10,13 +10,15 @@
 # cross-checks). Since the socket front door it also boots sdafd on a Unix
 # socket and drives it with sdaf_loadgen at 1/8/64 concurrent connections,
 # writing push->deliver round-trip p50_ns/p99_ns and wire items_per_second
-# per connection count to BENCH_service.json (schema sdaf.service.bench.v1;
-# the connection ladder is fixed so the file stays diffable across PRs).
+# per connection count to BENCH_service.json (schema sdaf.service.bench.v1,
+# stamped with the same context block as the google-benchmark files; the
+# connection ladder is fixed so the file stays diffable across PRs).
 # Since checkpoint/restore it also runs bench_snapshot into
 # BENCH_snapshot.json: the periodic-asynchronous-barriers-vs-off ingest
 # pair (snapshot_overhead_pct, budget <= 5%) and barrier completion
 # latency under load (p50_ns/p99_ns + serialized snapshot_bytes).
-# Since sdaf::qos it also runs bench_qos_isolation into BENCH_qos.json:
+# Since sdaf::qos it also runs bench_qos_isolation into BENCH_qos.json
+# (5 repetitions; read the *_median rows):
 # interactive push->poll p50/p99 solo vs under batch-tenant saturation
 # (DRR + credit window vs the legacy unfair injector) plus the weighted
 # bandwidth-share pair; the interference ratio (shared-DRR p99 / solo p99,
@@ -174,6 +176,7 @@ echo "==> bench_snapshot -> BENCH_snapshot.json"
 echo "==> bench_qos_isolation -> BENCH_qos.json"
 "$build_dir/bench_qos_isolation" "$context" \
     --benchmark_filter="$qos_filter" \
+    --benchmark_repetitions=5 \
     --benchmark_out=BENCH_qos.json \
     --benchmark_out_format=json
 
@@ -186,7 +189,9 @@ python3 - <<'PY'
 import json
 with open("BENCH_qos.json") as f:
     doc = json.load(f)
-rows = {b["name"].split("/")[0]: b for b in doc.get("benchmarks", [])}
+# With repetitions, read each benchmark's median row.
+rows = {b["name"].split("/")[0]: b for b in doc.get("benchmarks", [])
+        if b.get("aggregate_name") == "median"}
 solo = rows.get("BM_QosInteractive_Solo")
 shared = rows.get("BM_QosInteractive_SharedDRR")
 if solo and shared and solo.get("p99_ns", 0) > 0:
@@ -231,5 +236,26 @@ kill -TERM "$service_pid"
 wait "$service_pid"
 trap - EXIT
 rm -f "$service_sock"
+# sdaf_loadgen writes its own schema; stamp it with the same context the
+# google-benchmark files carry, as the second key (the rest stays as
+# written, one run per line).
+SDAF_COMMIT="$commit" SDAF_COMPILER="$compiler_id $compiler_version" \
+SDAF_BUILD_TYPE="${build_type:-unknown}" SDAF_NPROC="$jobs" python3 - <<'PY'
+import json, os
+with open("BENCH_service.json") as f:
+    text = f.read()
+context = {"git_commit": os.environ["SDAF_COMMIT"],
+           "compiler": os.environ["SDAF_COMPILER"],
+           "cmake_build_type": os.environ["SDAF_BUILD_TYPE"],
+           "nproc": os.environ["SDAF_NPROC"]}
+head, sep, rest = text.partition("\n")
+assert head == "{" and rest.lstrip().startswith('"schema"'), "unexpected layout"
+schema_line, sep2, tail = rest.partition("\n")
+text = (head + sep + schema_line + sep2 + '  "context": ' +
+        json.dumps(context) + ",\n" + tail)
+json.loads(text)  # still valid JSON
+with open("BENCH_service.json", "w") as f:
+    f.write(text)
+PY
 
 echo "==> bench OK"
