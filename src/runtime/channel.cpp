@@ -176,8 +176,6 @@ Message BoundedChannel::pop_head(bool* was_full) {
   Message m = ring_.pop_head(&effect);
   if (metrics_ != nullptr) obs::bump(metrics_->pops);
   notify_producer();
-  if (drain_hook_ != nullptr && m.kind == MessageKind::Data)
-    drain_hook_->on_data_drained(1);
   if (was_full != nullptr) *was_full = effect.was_full;
   return m;
 }

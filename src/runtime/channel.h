@@ -173,11 +173,10 @@ class BoundedChannel {
   void set_producer_signal(ProducerSignal* signal);
 
   // Consumer-side drain notification (qos credit return): invoked by the
-  // consumer thread after *data* leaves the channel via pop_head (once per
-  // message) or pop_data (once per run, with its length) -- feeds are
-  // consumed only through those two, so this covers every item a port
-  // pushed. Dummies, EOS and markers never carry a credit and never fire
-  // it. Not owned; must be set before the
+  // consumer thread once per pop_data run, with its length. A feed's data
+  // leaves only through pop_data (its markers and EOS through pop), so
+  // this covers every item a port pushed; dummies, EOS and markers never
+  // carry a credit. Not owned; must be set before the
   // endpoints start running, like set_metrics.
   struct DrainHook {
     virtual ~DrainHook() = default;

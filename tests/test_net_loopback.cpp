@@ -658,6 +658,9 @@ TEST_F(LoopbackTest, DrainRefusesNewStreamsButFinishesLiveOnes) {
 }
 
 TEST(NetServer, DescriptorExhaustionPausesAcceptInsteadOfSpinning) {
+  // The child re-executes this binary, so it starts with one thread and
+  // the descriptors of a fresh process, not a fork of whatever ran before.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   EXPECT_EXIT(emfile_child(), ::testing::ExitedWithCode(0), "emfile ok");
 }
 
