@@ -176,8 +176,8 @@ class BoundedChannel {
   // consumer thread once per pop_data run, with its length. A feed's data
   // leaves only through pop_data (its markers and EOS through pop), so
   // this covers every item a port pushed; dummies, EOS and markers never
-  // carry a credit. Not owned; must be set before the
-  // endpoints start running, like set_metrics.
+  // carry a credit. Not owned; must be set before the endpoints start
+  // running, like set_metrics.
   struct DrainHook {
     virtual ~DrainHook() = default;
     virtual void on_data_drained(std::size_t n) = 0;
