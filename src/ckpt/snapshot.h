@@ -66,9 +66,8 @@ struct NodeCut {
 };
 
 // Per-edge cumulative traffic at the cut, latched producer-side at the
-// marker crossing (BoundedChannel::try_push_marker / SimChannel): the
-// totals a restored run resumes from so final RunReports match an
-// uninterrupted run's.
+// marker crossing (BoundedChannel::try_push_marker): the totals a restored
+// run resumes from so final RunReports match an uninterrupted run's.
 struct EdgeCut {
   std::uint64_t data_pushed = 0;
   std::uint64_t dummies_pushed = 0;

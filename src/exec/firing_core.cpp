@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
-#include <sstream>
 
+#include "src/runtime/node_state.h"
 #include "src/support/contracts.h"
 
 namespace sdaf::exec {
@@ -17,21 +17,6 @@ using runtime::TraceKind;
 namespace {
 constexpr std::size_t kNoTail = std::numeric_limits<std::size_t>::max();
 }  // namespace
-
-std::optional<runtime::HeadView> DeliverySink::peek_feed() {
-  SDAF_ASSERT(false && "sink does not support port-fed sources");
-  return std::nullopt;
-}
-
-void DeliverySink::pop_feed() {
-  SDAF_ASSERT(false && "sink does not support port-fed sources");
-}
-
-std::size_t DeliverySink::pop_feed_data(runtime::Message* /*out*/,
-                                        std::size_t /*max*/) {
-  SDAF_ASSERT(false && "sink does not support port-fed sources");
-  return 0;
-}
 
 std::string describe_park_summary(std::uint64_t summary) {
   switch (summary >> kParkTagShift) {
@@ -51,39 +36,10 @@ std::string describe_park_summary(std::uint64_t summary) {
   }
 }
 
-std::string dump_wedged_state(
-    const StreamGraph& g,
-    const std::function<EdgeDumpInfo(EdgeId)>& edge_info,
-    const std::function<NodeDumpInfo(NodeId)>& node_info,
-    const runtime::Tracer* tracer, std::size_t trace_tail) {
-  std::ostringstream dump;
-  for (EdgeId e = 0; e < g.edge_count(); ++e) {
-    const EdgeDumpInfo info = edge_info(e);
-    dump << "edge " << e << " " << g.node_name(g.edge(e).from) << "->"
-         << g.node_name(g.edge(e).to) << " " << info.occupancy << "/"
-         << info.capacity << " pushed=" << info.data_pushed << "+"
-         << info.dummies_pushed << "d";
-    if (info.head.has_value())
-      dump << " head=" << runtime::to_string(*info.head);
-    if (info.tail.has_value())
-      dump << " tail=" << runtime::to_string(*info.tail);
-    dump << "\n";
-  }
-  for (NodeId n = 0; n < g.node_count(); ++n) {
-    const NodeDumpInfo info = node_info(n);
-    dump << "node " << g.node_name(n) << " " << info.describe
-         << " park=" << describe_park_summary(info.park_summary) << "\n";
-    if (tracer != nullptr)
-      for (const auto& e : tracer->tail_for_node(n, trace_tail))
-        dump << "  trace " << e.to_string() << "\n";
-  }
-  return dump.str();
-}
-
 FiringCore::FiringCore(NodeId node, runtime::Kernel& kernel,
                        std::size_t in_slots, std::size_t out_slots,
                        runtime::NodeWrapper wrapper, std::uint64_t num_inputs,
-                       DeliverySink& sink, std::uint32_t batch,
+                       runtime::NodeState& owner, std::uint32_t batch,
                        runtime::Tracer* tracer, const std::uint64_t* tick,
                        bool port_fed, obs::NodeCounters* metrics)
     : node_(node),
@@ -92,7 +48,7 @@ FiringCore::FiringCore(NodeId node, runtime::Kernel& kernel,
       out_slots_(out_slots),
       wrapper_(std::move(wrapper)),
       num_inputs_(num_inputs),
-      sink_(sink),
+      io_(owner),
       batch_(std::max<std::uint32_t>(1, batch)),
       tracer_(tracer),
       tick_(tick),
@@ -112,7 +68,7 @@ FiringCore::FiringCore(NodeId node, runtime::Kernel& kernel,
 void FiringCore::trace(TraceKind kind, std::size_t slot, std::uint64_t seq) {
   if constexpr (runtime::kTracingEnabled) {
     if (tracer_ != nullptr) {
-      // The sim stamps its sweep counter; the live backends stamp a
+      // The sim stamps its sweep counter; the pooled engine stamps a
       // steady-clock timestamp instead (cross-thread order by time, not
       // by a global tick).
       runtime::TraceEvent e{kind, node_, slot, seq,
@@ -249,7 +205,7 @@ bool FiringCore::drain_pending() {
     }
     bool keep = false;
     if (pr.run == 1) {
-      switch (sink_.try_push(pr.out_slot, std::move(pr.message))) {
+      switch (io_.try_push(pr.out_slot, std::move(pr.message))) {
         case PushOutcome::Delivered:
           progressed = true;
           break;
@@ -265,7 +221,7 @@ bool FiringCore::drain_pending() {
     } else {
       PushOutcome outcome = PushOutcome::Delivered;
       const std::size_t accepted =
-          sink_.try_push_dummies(pr.out_slot, pr.message.seq, pr.run,
+          io_.try_push_dummies(pr.out_slot, pr.message.seq, pr.run,
                                  &outcome);
       if (accepted > 0) progressed = true;
       pr.message.seq += accepted;
@@ -293,13 +249,13 @@ std::uint64_t FiringCore::fire_once(std::uint64_t budget) {
   static const std::vector<std::optional<runtime::Value>> no_inputs;
   if (in_slots_ == 0 && port_fed_) {
     // Port-fed source: one firing per feed data message.
-    auto head = sink_.peek_feed();
+    auto head = io_.peek_feed();
     if (!head.has_value()) return 0;  // feed empty (or aborted)
     if (head->kind == MessageKind::Marker) {
       // Barrier reaches a port-fed source directly from its InputPort:
       // checkpoint between seq S-1 and seq S and forward the marker.
       const std::uint64_t barrier = head->seq;
-      sink_.pop_feed();
+      io_.pop_feed();
       checkpoint(barrier);
       return 1;
     }
@@ -308,7 +264,7 @@ std::uint64_t FiringCore::fire_once(std::uint64_t budget) {
       // teardown), the feed EOS is consumed: an empty feed afterwards is
       // what lets the pooled backend's extended quiescence rule read
       // "no port has pending items" exactly.
-      sink_.pop_feed();
+      io_.pop_feed();
       queue_eos();
       return 1;
     }
@@ -317,7 +273,7 @@ std::uint64_t FiringCore::fire_once(std::uint64_t budget) {
     // pop stops short of any marker, so a barrier still cuts between S-1
     // and S on the next call).
     SDAF_ASSERT(budget <= feed_batch_.size());
-    const std::size_t n = sink_.pop_feed_data(
+    const std::size_t n = io_.pop_feed_data(
         feed_batch_.data(), static_cast<std::size_t>(budget));
     SDAF_ASSERT(n >= 1);
     for (std::size_t i = 0; i < n; ++i) {
@@ -360,7 +316,7 @@ std::uint64_t FiringCore::fire_once(std::uint64_t budget) {
   bool any_data_at_min = false;
   bool marker_at_min = false;
   for (std::size_t j = 0; j < in_slots_; ++j) {
-    auto head = sink_.peek_head(j);
+    auto head = io_.peek_head(j);
     if (!head.has_value()) return 0;  // input unavailable (or aborted)
     heads_[j] = *head;
     if (head->seq < min_seq) {
@@ -382,7 +338,7 @@ std::uint64_t FiringCore::fire_once(std::uint64_t budget) {
     for (std::size_t j = 0; j < in_slots_; ++j) {
       if (heads_[j].kind == MessageKind::Marker) {
         SDAF_ASSERT(heads_[j].seq == min_seq);
-        sink_.pop(j);
+        io_.pop(j);
       } else {
         SDAF_ASSERT(heads_[j].kind == MessageKind::Eos);
       }
@@ -429,7 +385,7 @@ std::uint64_t FiringCore::fire_once(std::uint64_t budget) {
     }
     for (std::size_t j = 0; j < in_slots_; ++j)
       if (heads_[j].seq == min_seq) {
-        sink_.pop_dummies(j, static_cast<std::size_t>(r));
+        io_.pop_dummies(j, static_cast<std::size_t>(r));
         if (metrics_ != nullptr) obs::bump(metrics_->dummy_in, r);
       }
     return r;
@@ -442,7 +398,7 @@ std::uint64_t FiringCore::fire_once(std::uint64_t budget) {
     if (heads_[j].seq != min_seq) continue;  // upstream filtered min_seq
     if (heads_[j].kind == MessageKind::Data) {
       // One critical section: the head (payload included) moves out.
-      Message m = sink_.pop_head(j);
+      Message m = io_.pop_head(j);
       inputs_[j] = std::move(m.payload);
       any_data = true;
       ++sink_data;
@@ -452,7 +408,7 @@ std::uint64_t FiringCore::fire_once(std::uint64_t budget) {
       any_dummy = true;
       if (metrics_ != nullptr) obs::bump(metrics_->dummy_in);
       trace(TraceKind::DummyConsumed, j, min_seq);
-      sink_.pop(j);
+      io_.pop(j);
     }
   }
   emitter_.reset();

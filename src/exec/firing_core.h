@@ -1,39 +1,39 @@
-// The one true firing rule. Both execution backends -- the deterministic
+// The one true firing rule. Both execution engines -- the deterministic
 // simulator and the pooled scheduler -- run each node through this state
 // machine: sequence-number alignment at the minimum input head, kernel
 // invocation only when data arrived, wrapper-driven dummy
 // origination/forwarding, per-channel-asynchronous output delivery, and
-// the EOS flood. Backends differ only in *delivery* -- how a
-// message moves through a channel and what happens when it cannot -- which
-// is exactly the DeliverySink contract below.
+// the EOS flood. Delivery -- how a message moves through a channel and
+// what happens when it cannot -- is runtime::NodeState's: the core's
+// owner, which holds the node's runtime::BoundedChannels and reports
+// full->non-full / empty->non-empty transitions to its scheduler's Waker
+// (a no-op in the simulator, whose round-robin sweep steps every node).
 //
-// The data plane is allocation-free, batched, and (on the concurrent
-// backend) lock-free: alignment peeks payload-free HeadViews (never
-// copying a payload), data is moved out of a channel by its single
-// consumer without a mutex (the channels ride runtime::SpscRing), and the
-// firing cost is per run, not per message. When every aligned head is a
-// dummy, the stretch [min_seq, min_seq + r) fires at once: each input pops
-// its run with one channel op (pop_dummies), the wrapper's run rule
-// (NodeWrapper::dummy_run) decides each output slot's dummies for the whole
-// run in O(1) -- all of it under Propagation, every interval-th seq under
-// Non-Propagation -- and they queue and leave as coalesced runs
-// (try_push_dummies). A port-fed source pops a run of feed data the same
-// way (pop_feed_data: one publish, one producer wake-up, one credit
-// return) and fires it message by message. A `batch` quantum lets step()
-// run several firings before handing outputs to the sink, so one channel
-// op and one (usually elided) wake-up amortize over the whole batch. All
-// of this is below the firing semantics: per-edge traffic, firing counts,
-// obs counters, trace events and verdicts are bit-identical at every batch
-// setting, which the differential tests enforce.
+// The data plane is allocation-free, batched and lock-free: alignment
+// peeks payload-free HeadViews (never copying a payload), data is moved
+// out of a channel by its single consumer without a mutex (the channels
+// ride runtime::SpscRing), and the firing cost is per run, not per
+// message. When every aligned head is a dummy, the stretch
+// [min_seq, min_seq + r) fires at once: each input pops its run with one
+// channel op (pop_dummies), the wrapper's run rule (NodeWrapper::dummy_run)
+// decides each output slot's dummies for the whole run in O(1) -- all of
+// it under Propagation, every interval-th seq under Non-Propagation -- and
+// they queue and leave as coalesced runs (try_push_dummies). A port-fed
+// source pops a run of feed data the same way (pop_feed_data: one publish,
+// one producer wake-up, one credit return) and fires it message by
+// message. A `batch` quantum lets step() run several firings before
+// handing outputs to the channels, so one channel op and one (usually
+// elided) wake-up amortize over the whole batch. All of this is below the
+// firing semantics: per-edge traffic, firing counts, obs counters, trace
+// events and verdicts are bit-identical at every batch setting, which the
+// differential tests enforce.
 //
 // A FiringCore is single-owner: exactly one thread may call step() at a
 // time (the simulator sweep, or the pool worker that currently owns the
-// task). The sink callbacks are invoked from inside step() on that same
-// thread.
+// task). The channel operations run inside step() on that same thread.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -46,6 +46,10 @@
 #include "src/runtime/trace.h"
 #include "src/runtime/wrapper.h"
 
+namespace sdaf::runtime {
+class NodeState;
+}  // namespace sdaf::runtime
+
 namespace sdaf::exec {
 
 // Outcome of a non-blocking delivery attempt.
@@ -53,66 +57,6 @@ enum class PushOutcome : std::uint8_t {
   Delivered,  // message accepted by the channel
   Blocked,    // channel full; retry after a transition
   Aborted,    // run is tearing down; stop delivering
-};
-
-// Backend delivery contract. Peeks/pops act on in-slots, pushes on
-// out-slots (slot indices follow StreamGraph::in_edges/out_edges order).
-//
-//   simulator  peek_head = ring head view, try_push = capacity check
-//   pooled     peeks/pushes are non-blocking and additionally wake the
-//              peer node on empty->non-empty / full->non-full edges
-//
-// No sink operation blocks: an unavailable head or a full channel is
-// reported, and the backend decides when to step the node again.
-class DeliverySink {
- public:
-  virtual ~DeliverySink() = default;
-
-  // Payload-free view of the head of in-slot `slot` (seq, kind, and the
-  // length of the consecutive dummy run starting there), or empty when no
-  // message is available (backend-specific: empty channel, or aborted run).
-  [[nodiscard]] virtual std::optional<runtime::HeadView> peek_head(
-      std::size_t slot) = 0;
-
-  // Removes the head of in-slot `slot` and returns it (payload moved out,
-  // one critical section). Precondition: the immediately preceding
-  // peek_head(slot) observed a head.
-  [[nodiscard]] virtual runtime::Message pop_head(std::size_t slot) = 0;
-
-  // Removes the head of in-slot `slot`, discarding it (dummy/EOS paths
-  // never need the payload). Precondition: as for pop_head.
-  virtual void pop(std::size_t slot) = 0;
-
-  // Removes `count` dummies from the head run of in-slot `slot` with one
-  // channel operation and one producer wake-up. Precondition: the
-  // preceding peek_head(slot) observed a dummy head with run >= count.
-  virtual void pop_dummies(std::size_t slot, std::size_t count) = 0;
-
-  // Attempts to deliver `m` on out-slot `slot` without blocking. Consumes
-  // `m` only when returning Delivered.
-  [[nodiscard]] virtual PushOutcome try_push(std::size_t slot,
-                                             runtime::Message&& m) = 0;
-
-  // Attempts to deliver up to `count` dummies first_seq, first_seq+1, ...
-  // on out-slot `slot` as one coalesced run. Returns how many were
-  // accepted; `*outcome` is Delivered when all fit, Blocked/Aborted
-  // otherwise.
-  [[nodiscard]] virtual std::size_t try_push_dummies(std::size_t slot,
-                                                     std::uint64_t first_seq,
-                                                     std::size_t count,
-                                                     PushOutcome* outcome) = 0;
-
-  // Port-fed sources only (FiringCore constructed with port_fed = true):
-  // the injected ingress feed. peek_feed has the contract of peek_head;
-  // pop_feed discards the head (a marker or EOS); pop_feed_data moves out
-  // up to `max` consecutive data heads into `out` with one channel op and
-  // one producer wake-up, stopping at any other kind, and returns how many
-  // (>= 1 after peek_feed observed a data head). The defaults assert -- a
-  // backend that runs port-fed sources must override all three.
-  [[nodiscard]] virtual std::optional<runtime::HeadView> peek_feed();
-  virtual void pop_feed();
-  [[nodiscard]] virtual std::size_t pop_feed_data(runtime::Message* out,
-                                                  std::size_t max);
 };
 
 // Park summary encoding, shared by the pooled scheduler's park/probe
@@ -130,56 +74,26 @@ inline constexpr std::uint64_t kParkSlotMask = (std::uint64_t{1} << 62) - 1;
 
 [[nodiscard]] std::string describe_park_summary(std::uint64_t summary);
 
-// One formatter for the deadlock state dumps every backend emits -- the
-// unified shape is
-//
-//   edge <i> <from>-><to> <occ>/<cap> pushed=<D>+<K>d [head=...] [tail=...]
-//   node <name> <describe> park=<park-summary text>
-//     trace <event>            (last few tracer events, when armed)
-//
-// Backends supply accessors for their channel and node representations;
-// `tail` is empty when a backend cannot observe it cheaply, and the trace
-// lines appear only when the run carried a Tracer.
-struct EdgeDumpInfo {
-  std::size_t occupancy = 0;
-  std::size_t capacity = 0;
-  std::uint64_t data_pushed = 0;
-  std::uint64_t dummies_pushed = 0;
-  std::optional<runtime::Message> head;
-  std::optional<runtime::Message> tail;
-};
-
-struct NodeDumpInfo {
-  std::string describe;            // FiringCore::describe() or equivalent
-  std::uint64_t park_summary = 0;  // encoding below
-};
-
-[[nodiscard]] std::string dump_wedged_state(
-    const StreamGraph& g,
-    const std::function<EdgeDumpInfo(EdgeId)>& edge_info,
-    const std::function<NodeDumpInfo(NodeId)>& node_info,
-    const runtime::Tracer* tracer = nullptr, std::size_t trace_tail = 4);
-
 class FiringCore {
  public:
   // `in_slots`/`out_slots` are the node's degree; the channels themselves
-  // live behind `sink`. `batch` is the firing quantum (see RunSpec::batch;
+  // live in `owner`, the NodeState this core is a member of. `batch` is the firing quantum (see RunSpec::batch;
   // clamped to >= 1). `tracer` (optional, not owned) records per-message
   // events; `tick` (optional, not owned) supplies the tracer timestamp --
   // the simulator points it at its sweep counter, the pooled backend leaves
   // it null (tick 0; event *order* across threads is not meaningful there).
-  // `port_fed` (sources only, in_slots == 0): consume the sink's injected
+  // `port_fed` (sources only, in_slots == 0): consume the owner's injected
   // feed instead of self-generating num_inputs sequence numbers -- a
   // payload-free data message is a pure firing token (the kernel sees the
   // same empty input vector as a self-generating source, so a token-fed run
   // is bit-identical to the classic one), a payload rides to the kernel as
   // a single-slot input, and EOS triggers the ordinary flood.
   // `metrics` (optional, not owned): the node's obs counter shard;
-  // increments happen at the same sites on every backend, so the counters
+  // increments happen at the same sites on every engine, so the counters
   // are differentially exact against the sim reference.
   FiringCore(NodeId node, runtime::Kernel& kernel, std::size_t in_slots,
              std::size_t out_slots, runtime::NodeWrapper wrapper,
-             std::uint64_t num_inputs, DeliverySink& sink,
+             std::uint64_t num_inputs, runtime::NodeState& owner,
              std::uint32_t batch = 1, runtime::Tracer* tracer = nullptr,
              const std::uint64_t* tick = nullptr, bool port_fed = false,
              obs::NodeCounters* metrics = nullptr);
@@ -190,7 +104,7 @@ class FiringCore {
   bool step();
 
   [[nodiscard]] bool done() const { return done_; }
-  // True once the sink reported PushOutcome::Aborted; the core stops
+  // True once a channel reported PushOutcome::Aborted; the core stops
   // delivering and step() returns false forever.
   [[nodiscard]] bool aborted() const { return aborted_; }
   [[nodiscard]] bool has_pending() const { return !pending_.empty(); }
@@ -267,7 +181,7 @@ class FiringCore {
   std::size_t out_slots_;
   runtime::NodeWrapper wrapper_;
   std::uint64_t num_inputs_;
-  DeliverySink& sink_;
+  runtime::NodeState& io_;
   std::uint32_t batch_;
   runtime::Tracer* tracer_;
   const std::uint64_t* tick_;

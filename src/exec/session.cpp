@@ -36,8 +36,7 @@ namespace {
 // what buys that exactness (a source may never observe a starved feed
 // mid-run), at the price of O(num_inputs) feed memory per source -- fine
 // for every workload in this repo (<= ~1M items); truly huge batch runs
-// should stream through Session::open instead (ROADMAP tracks a chunked
-// adapter).
+// should stream through Session::open instead.
 struct BatchFeeds {
   std::vector<std::unique_ptr<runtime::BoundedChannel>> channels;
   PortBinding binding;

@@ -1,8 +1,9 @@
 // Bounded FIFO channel: the finite buffer of the paper's model. Exactly one
 // producer and one consumer thread per channel (the edge's endpoints), which
 // is what makes the data path lock-free: every push and pop rides on a
-// runtime::SpscRing (atomic head/tail counters over MessageRing-style
-// coalescing segment storage) and never takes a mutex.
+// runtime::SpscRing (atomic head/tail counters over coalescing segment
+// storage) and never takes a mutex. The simulator runs on these channels
+// too, from one thread, where the atomics are uncontended.
 //
 // Pushes never block: a full channel answers Full and the caller (a pooled
 // node task, or an exec::Stream port parked on the feed's ProducerSignal

@@ -161,7 +161,7 @@ struct Message {
   // Snapshot barrier marker (ckpt): carries the barrier sequence S with the
   // invariant that it precedes every message of seq >= S on its channel.
   // Markers are occupancy-neutral -- they never count against a channel's
-  // certified logical capacity (see SpscRing/MessageRing).
+  // certified logical capacity (see SpscRing).
   static Message marker(std::uint64_t seq) {
     return Message{seq, MessageKind::Marker, {}};
   }

@@ -1,22 +1,32 @@
-// Per-node task for pooled execution: an exec::FiringCore whose delivery
-// sink *parks* instead of blocking. A worker calls step() until it returns
-// false; any later channel transition that could unblock the node (an input
-// becoming non-empty, a full output draining) is reported through the Waker
-// so a scheduler can re-enqueue it.
+// Per-node task and per-run wiring shared by both execution engines.
 //
-// The task never holds a lock across a kernel firing and never waits inside
-// a channel, which is what lets a fixed worker pool run graphs with orders
-// of magnitude more nodes than threads. The firing semantics themselves
-// (alignment, dummy wrappers, EOS flood) live in src/exec/firing_core.cpp,
-// shared with the simulator.
+// NodeState is an exec::FiringCore plus the node's channels: its delivery
+// operations never block -- an unavailable head or a full channel is
+// reported, and the engine decides when to step the node again. Any
+// channel transition that could unblock a peer (an input becoming
+// non-empty, a full output draining) is reported through the Waker: the
+// pooled scheduler re-enqueues the peer, the simulator's no-op waker lets
+// its round-robin sweep find it. The task never holds a lock across a
+// kernel firing and never waits inside a channel, which is what lets a
+// fixed worker pool run graphs with orders of magnitude more nodes than
+// threads. The firing semantics themselves (alignment, dummy wrappers, EOS
+// flood) live in src/exec/firing_core.cpp.
+//
+// Wiring builds one run's runtime::BoundedChannels and NodeStates from a
+// graph and an exec::RunSpec -- intervals, continuation flags, injected
+// ports, snapshot plane, restore -- and reads back the report, the edge
+// cuts and the wedge dump. sim::SweepEngine and runtime::PoolExecutor each
+// hold one, so both engines run the same channels and the same nodes.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "src/exec/firing_core.h"
+#include "src/exec/run_types.h"
 #include "src/graph/stream_graph.h"
 #include "src/runtime/channel.h"
 #include "src/runtime/kernel.h"
@@ -34,7 +44,7 @@ class Waker {
   virtual void wake(NodeId node) = 0;
 };
 
-class NodeState final : private exec::DeliverySink {
+class NodeState final {
  public:
   // `in_producers[j]` / `out_consumers[slot]` name the node at the far end
   // of the corresponding channel; they are the wake targets for the
@@ -42,14 +52,15 @@ class NodeState final : private exec::DeliverySink {
   // `feed` (optional) makes the node a port-fed source consuming the
   // injected channel; an egress tap rides in `outs` as one extra slot whose
   // out_consumers entry is kNoNode (its consumer is the external caller,
-  // woken through the channel itself, never through the Waker).
+  // woken through the channel itself, never through the Waker). `tick`
+  // (optional) stamps trace events, see exec::FiringCore.
   NodeState(NodeId node, Kernel& kernel, std::vector<BoundedChannel*> ins,
             std::vector<BoundedChannel*> outs, BoundedChannel* feed,
             NodeWrapper wrapper, std::uint64_t num_inputs,
             std::vector<NodeId> in_producers,
-            std::vector<NodeId> out_consumers, Waker* waker,
-            std::uint32_t batch = 1, Tracer* tracer = nullptr,
-            obs::NodeCounters* metrics = nullptr);
+            std::vector<NodeId> out_consumers, Waker& waker,
+            std::uint32_t batch, Tracer* tracer, const std::uint64_t* tick,
+            obs::NodeCounters* metrics);
 
   // One scheduling quantum; returns true iff any progress was made
   // (a message delivered, consumed, or produced). After false the node is
@@ -90,28 +101,105 @@ class NodeState final : private exec::DeliverySink {
   void mark_done() { core_.mark_done(); }
 
  private:
-  // DeliverySink: non-blocking channel ops plus peer wake-ups on the
-  // empty->non-empty and full->non-full transitions. The batched ops issue
-  // one wake-up per run, not per message.
-  std::optional<HeadView> peek_head(std::size_t slot) override;
-  Message pop_head(std::size_t slot) override;
-  void pop(std::size_t slot) override;
-  void pop_dummies(std::size_t slot, std::size_t count) override;
-  exec::PushOutcome try_push(std::size_t slot, Message&& m) override;
-  std::size_t try_push_dummies(std::size_t slot, std::uint64_t first_seq,
-                               std::size_t count,
-                               exec::PushOutcome* outcome) override;
-  std::optional<HeadView> peek_feed() override;
-  void pop_feed() override;
-  std::size_t pop_feed_data(Message* out, std::size_t max) override;
+  // The core's channel operations. Peeks/pops act on in-slots, pushes on
+  // out-slots (slot indices follow StreamGraph::in_edges/out_edges order,
+  // plus the egress tap). None blocks; each wakes the peer on the
+  // empty->non-empty and full->non-full transitions, and the batched ops
+  // issue one wake-up per run, not per message.
+  friend class exec::FiringCore;
+
+  // Payload-free view of the head of in-slot `slot` (seq, kind, and the
+  // length of the consecutive dummy run starting there), or empty when no
+  // message is available.
+  [[nodiscard]] std::optional<HeadView> peek_head(std::size_t slot) {
+    return ins_[slot]->try_peek_head();
+  }
+  // Removes the head and returns it (payload moved out). Precondition: the
+  // immediately preceding peek_head(slot) observed a head.
+  [[nodiscard]] Message pop_head(std::size_t slot);
+  // Removes the head, discarding it. Precondition: as for pop_head.
+  void pop(std::size_t slot);
+  // Removes `count` dummies from the head run with one channel operation.
+  // Precondition: the preceding peek observed a dummy run >= count.
+  void pop_dummies(std::size_t slot, std::size_t count);
+  // Delivers `m` without blocking; consumes it only when Delivered.
+  [[nodiscard]] exec::PushOutcome try_push(std::size_t slot, Message&& m);
+  // Delivers up to `count` dummies first_seq, first_seq+1, ... as one
+  // coalesced run; returns how many were accepted. `*outcome` is
+  // Delivered when all fit, Blocked/Aborted otherwise.
+  [[nodiscard]] std::size_t try_push_dummies(std::size_t slot,
+                                             std::uint64_t first_seq,
+                                             std::size_t count,
+                                             exec::PushOutcome* outcome);
+  // Port-fed sources only: the injected feed. peek_feed has the contract
+  // of peek_head; pop_feed discards the head (a marker or EOS);
+  // pop_feed_data moves out up to `max` consecutive data heads with one
+  // channel op, stopping at any other kind, and returns how many.
+  [[nodiscard]] std::optional<HeadView> peek_feed() {
+    return feed_->try_peek_head();  // empty = parked until the caller pushes
+  }
+  void pop_feed() { (void)feed_->pop(); }
+  [[nodiscard]] std::size_t pop_feed_data(Message* out, std::size_t max) {
+    // The pop notes the feed's ProducerSignal inside the channel (once per
+    // run), which is how a caller blocked in InputPort::push learns space
+    // freed up.
+    return feed_->pop_data(out, max);
+  }
 
   std::vector<BoundedChannel*> ins_;
   std::vector<BoundedChannel*> outs_;
   BoundedChannel* feed_;
   std::vector<NodeId> in_producers_;
   std::vector<NodeId> out_consumers_;
-  Waker* waker_;
-  exec::FiringCore core_;  // last: its sink is *this
+  Waker& waker_;
+  exec::FiringCore core_;  // last: its channel operations are ours
+};
+
+// One run's channels (one per graph edge, capacity = the edge's buffer)
+// and node tasks. The graph, the kernels and the spec's borrowed pointers
+// must outlive it.
+class Wiring {
+ public:
+  // Applies the spec's intervals and continuation flags (empty = none),
+  // attaches its ports (feed -> port-fed source; egress -> one extra
+  // out-slot with an infinite interval), metrics and snapshot plane, and
+  // rebuilds the cut of spec.restore: node counters and kernel state,
+  // finished nodes, cumulative edge traffic, and the EOS a finished
+  // producer had left for a live consumer.
+  Wiring(const StreamGraph& g,
+         const std::vector<std::shared_ptr<Kernel>>& kernels,
+         const exec::RunSpec& spec, Waker& waker,
+         const std::uint64_t* tick = nullptr);
+
+  Wiring(const Wiring&) = delete;
+  Wiring& operator=(const Wiring&) = delete;
+
+  [[nodiscard]] NodeState& node(NodeId n) { return *nodes_[n]; }
+  [[nodiscard]] const NodeState& node(NodeId n) const { return *nodes_[n]; }
+  [[nodiscard]] bool all_done() const;
+
+  // Fills the report's per-edge traffic, fires and sink deliveries.
+  void report(exec::RunReport& r) const;
+
+  // Snapshot assembly (ckpt): edge e's cumulative traffic at the barrier
+  // cut -- the marker latch when the producer forwarded Marker(S), the
+  // frozen totals when it finished before the barrier. Only valid once the
+  // barrier's downstream consumers have checkpointed.
+  [[nodiscard]] ckpt::EdgeCut edge_cut(EdgeId e,
+                                       bool producer_checkpointed) const;
+
+  // The deadlock state dump, read at quiescence:
+  //
+  //   edge <i> <from>-><to> <occ>/<cap> pushed=<D>+<K>d [head=...]
+  //   node <name> <describe> park=<park-summary text>
+  //     trace <event>            (last few tracer events, when armed)
+  [[nodiscard]] std::string dump_wedged_state(
+      const Tracer* tracer, std::size_t trace_tail = 4) const;
+
+ private:
+  const StreamGraph& graph_;
+  std::vector<std::unique_ptr<BoundedChannel>> channels_;
+  std::vector<std::unique_ptr<NodeState>> nodes_;
 };
 
 }  // namespace sdaf::runtime

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <optional>
 #include <thread>
 
 #include "src/support/contracts.h"
@@ -91,10 +92,8 @@ struct PoolExecutor::Worker {
 // the exact-quiescence bookkeeping. Lives until wait() collects the result.
 struct PoolExecutor::Instance final : Waker {
   PoolExecutor* executor = nullptr;
-  const StreamGraph* graph = nullptr;
   std::vector<std::shared_ptr<Kernel>> kernels;
-  std::vector<std::unique_ptr<BoundedChannel>> channels;
-  std::vector<std::unique_ptr<NodeState>> nodes;
+  std::optional<Wiring> wiring;  // wakes route through this Instance
   std::vector<NodeTask> tasks;
   Tracer* tracer = nullptr;
   Stopwatch clock;
@@ -221,21 +220,8 @@ PoolExecutor::~PoolExecutor() {
 PoolExecutor::TicketId PoolExecutor::submit(
     const StreamGraph& g, std::vector<std::shared_ptr<Kernel>> kernels,
     const exec::RunSpec& options) {
-  const std::size_t edges = g.edge_count();
-  const std::size_t node_count = g.node_count();
-  SDAF_EXPECTS(kernels.size() == node_count);
-  for (const auto& k : kernels) SDAF_EXPECTS(k != nullptr);
-
-  std::vector<std::int64_t> intervals = options.intervals;
-  if (intervals.empty()) intervals.assign(edges, kInfiniteInterval);
-  SDAF_EXPECTS(intervals.size() == edges);
-  std::vector<std::uint8_t> forward = options.forward_on_filter;
-  if (forward.empty()) forward.assign(edges, 0);
-  SDAF_EXPECTS(forward.size() == edges);
-
   auto instance = std::make_shared<Instance>();
   instance->executor = this;
-  instance->graph = &g;
   instance->kernels = std::move(kernels);
   instance->ports = options.ports;
   instance->streaming = options.ports != nullptr && options.ports->live;
@@ -246,79 +232,11 @@ PoolExecutor::TicketId PoolExecutor::submit(
   instance->lane = options_.fair_injector
                        ? intern_lane(options.tenant, options.tenant_weight)
                        : 0;
-  instance->channels.reserve(edges);
-  for (EdgeId e = 0; e < edges; ++e) {
-    instance->channels.push_back(std::make_unique<BoundedChannel>(
-        static_cast<std::size_t>(g.edge(e).buffer)));
-    if (options.metrics != nullptr)
-      instance->channels.back()->set_metrics(&options.metrics->channel(e));
-  }
-
-  instance->tasks = std::vector<NodeTask>(node_count);
-  instance->nodes.reserve(node_count);
-  for (NodeId n = 0; n < node_count; ++n) {
-    std::vector<BoundedChannel*> ins;
-    std::vector<NodeId> in_producers;
-    for (const EdgeId e : g.in_edges(n)) {
-      ins.push_back(instance->channels[e].get());
-      in_producers.push_back(g.edge(e).from);
-    }
-    std::vector<BoundedChannel*> outs;
-    std::vector<NodeId> out_consumers;
-    std::vector<std::int64_t> out_intervals;
-    std::vector<std::uint8_t> out_forward;
-    for (const EdgeId e : g.out_edges(n)) {
-      outs.push_back(instance->channels[e].get());
-      out_consumers.push_back(g.edge(e).to);
-      out_intervals.push_back(intervals[e]);
-      out_forward.push_back(forward[e]);
-    }
-    BoundedChannel* feed = nullptr;
-    if (options.ports != nullptr) {
-      feed = options.ports->feed_for(n);
-      if (BoundedChannel* egress = options.ports->egress_for(n)) {
-        // The egress tap is one extra out-slot: infinite dummy interval,
-        // never continuation-forwarding, no consumer task to wake.
-        outs.push_back(egress);
-        out_consumers.push_back(kNoNode);
-        out_intervals.push_back(kInfiniteInterval);
-        out_forward.push_back(0);
-      }
-    }
-    instance->nodes.push_back(std::make_unique<NodeState>(
-        n, *instance->kernels[n], std::move(ins), std::move(outs), feed,
-        NodeWrapper(options.mode, std::move(out_intervals),
-                    std::move(out_forward)),
-        options.num_inputs, std::move(in_producers), std::move(out_consumers),
-        instance.get(), options.batch, options.tracer,
-        options.metrics != nullptr ? &options.metrics->node(n) : nullptr));
+  instance->wiring.emplace(g, instance->kernels, options, *instance);
+  instance->tasks = std::vector<NodeTask>(g.node_count());
+  for (NodeId n = 0; n < g.node_count(); ++n) {
     instance->tasks[n].instance = instance.get();
-    instance->tasks[n].node = instance->nodes.back().get();
-  }
-
-  if (options.ckpt_plane != nullptr)
-    for (auto& ns : instance->nodes)
-      ns->set_snapshot_plane(options.ckpt_plane);
-  if (options.restore != nullptr) {
-    const ckpt::StreamSnapshot& snap = *options.restore;
-    SDAF_EXPECTS(snap.nodes.size() == node_count && snap.edges.size() == edges);
-    for (NodeId n = 0; n < node_count; ++n) {
-      instance->nodes[n]->restore_cut(snap.nodes[n]);
-      if (snap.nodes[n].done != 0) instance->nodes[n]->mark_done();
-    }
-    for (EdgeId e = 0; e < edges; ++e) {
-      instance->channels[e]->restore_stats(snap.edges[e].data_pushed,
-                                           snap.edges[e].dummies_pushed);
-      // The cut's interior channels are logically empty except for the EOS
-      // a pre-barrier-finished producer had flooded; re-create that head so
-      // a live consumer still terminates.
-      if (snap.nodes[g.edge(e).from].done != 0 &&
-          snap.nodes[g.edge(e).to].done == 0) {
-        const PushResult pushed = instance->channels[e]->try_push(
-            Message::eos());
-        SDAF_ASSERT(pushed == PushResult::Ok);
-      }
-    }
+    instance->tasks[n].node = &instance->wiring->node(n);
   }
 
   TicketId ticket;
@@ -651,9 +569,7 @@ void PoolExecutor::maybe_finalize(Instance& instance) {
   std::lock_guard plock(instance.port_mu);
   if (instance.dead.load(std::memory_order_relaxed)) return;
   if (instance.active.load(std::memory_order_acquire) != 0) return;
-  bool all_done = true;
-  for (const auto& node : instance.nodes) all_done &= node->done();
-  if (!all_done) {
+  if (!instance.wiring->all_done()) {
     if (instance.open_ports.load(std::memory_order_acquire) > 0) return;
     for (std::size_t i = 0; i < instance.ports->feeds.size(); ++i) {
       // A pending feed item (the closing EOS included) only defers the
@@ -664,7 +580,7 @@ void PoolExecutor::maybe_finalize(Instance& instance) {
       // of the wedge, exactly like a batch source's ungenerated remainder.
       if (instance.ports->feeds[i]->empty()) continue;
       const NodeId n = instance.ports->source_nodes[i];
-      if (instance.nodes[n]->done()) continue;
+      if (instance.wiring->node(n).done()) continue;
       const std::uint64_t summary = instance.tasks[n].park_summary.load(
           std::memory_order_acquire);
       if ((summary >> exec::kParkTagShift) == exec::kParkInputs) return;
@@ -672,7 +588,7 @@ void PoolExecutor::maybe_finalize(Instance& instance) {
     for (std::size_t i = 0; i < instance.ports->sink_nodes.size(); ++i) {
       if (instance.ports->egress[i] == nullptr) continue;
       const NodeId n = instance.ports->sink_nodes[i];
-      if (instance.nodes[n]->done()) continue;
+      if (instance.wiring->node(n).done()) continue;
       const std::uint64_t summary = instance.tasks[n].park_summary.load(
           std::memory_order_acquire);
       if ((summary >> exec::kParkTagShift) != exec::kParkOutputs) continue;
@@ -686,47 +602,17 @@ void PoolExecutor::maybe_finalize(Instance& instance) {
 }
 
 void PoolExecutor::finalize(Instance& instance) {
-  const StreamGraph& g = *instance.graph;
   exec::RunReport result;
   result.backend = exec::Backend::Pooled;
-  bool all_done = true;
-  for (const auto& node : instance.nodes) all_done &= node->done();
-  result.completed = all_done;
-  result.deadlocked = !all_done;
+  result.completed = instance.wiring->all_done();
+  result.deadlocked = !result.completed;
   result.wall_seconds = instance.clock.elapsed_seconds();
-  result.edges.resize(g.edge_count());
-  for (EdgeId e = 0; e < g.edge_count(); ++e) {
-    const auto s = instance.channels[e]->stats();
-    result.edges[e] =
-        exec::EdgeTraffic{s.data_pushed, s.dummies_pushed, s.max_occupancy};
-  }
-  result.fires.resize(g.node_count());
-  result.sink_data.resize(g.node_count());
-  for (NodeId n = 0; n < g.node_count(); ++n) {
-    result.fires[n] = instance.nodes[n]->fires();
-    result.sink_data[n] = instance.nodes[n]->sink_data();
-  }
-  if (result.deadlocked) {
-    // Quiescence means no task of this instance is queued or running, so
-    // node and channel state is stable: dump channel occupancies and each
-    // unfinished node's park summary for diagnosis.
-    result.state_dump = exec::dump_wedged_state(
-        g,
-        [&](EdgeId e) {
-          const auto s = instance.channels[e]->stats();
-          return exec::EdgeDumpInfo{instance.channels[e]->size(),
-                                    instance.channels[e]->capacity(),
-                                    s.data_pushed, s.dummies_pushed,
-                                    instance.channels[e]->try_peek(),
-                                    std::nullopt};
-        },
-        [&](NodeId n) {
-          return exec::NodeDumpInfo{
-              instance.nodes[n]->describe(),
-              instance.tasks[n].park_summary.load(std::memory_order_acquire)};
-        },
-        instance.tracer);
-  }
+  instance.wiring->report(result);
+  // Quiescence means no task of this instance is queued or running, so
+  // node and channel state is stable: dump channel occupancies and each
+  // unfinished node's park summary for diagnosis.
+  if (result.deadlocked)
+    result.state_dump = instance.wiring->dump_wedged_state(instance.tracer);
   if (instance.streaming && result.deadlocked) {
     // Release callers parked on the ports: a pusher blocked on a full feed
     // and a poller blocked on an empty tap both unwind on abort (remaining
@@ -884,11 +770,8 @@ void PoolExecutor::stream_port_closed(const StreamHandle& handle) {
 ckpt::EdgeCut PoolExecutor::stream_edge_cut(const StreamHandle& handle,
                                             EdgeId e,
                                             bool producer_checkpointed) {
-  auto* instance = static_cast<Instance*>(handle.get());
-  const auto st = producer_checkpointed
-                      ? instance->channels[e]->marker_cut_stats()
-                      : instance->channels[e]->stats();
-  return ckpt::EdgeCut{st.data_pushed, st.dummies_pushed};
+  return static_cast<Instance*>(handle.get())
+      ->wiring->edge_cut(e, producer_checkpointed);
 }
 
 }  // namespace sdaf::runtime

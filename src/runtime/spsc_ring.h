@@ -5,14 +5,15 @@
 // classic cached-index optimization: each side re-reads the other's counter
 // only when its cached copy says full/empty) carries all ordering.
 //
-// Storage follows runtime::MessageRing: `capacity` segments, allocated once,
-// where a run of k consecutive-sequence dummies occupies one {base_seq, run}
-// segment. *Logical* occupancy still counts k messages, so the paper's
-// buffer-size semantics (and exact deadlock certification) are unchanged.
-// MessageRing itself deliberately survives as the executable specification
-// of the coalescing semantics: it still backs the (single-threaded)
-// simulator, and tests/test_spsc_ring.cpp model-checks this class against
-// it op for op -- keep the two in lockstep when touching either.
+// Storage is `capacity` segments, allocated once, where a run of k
+// consecutive-sequence dummies occupies one {base_seq, run} segment.
+// *Logical* occupancy still counts k messages, so the paper's buffer-size
+// semantics (and exact deadlock certification) are unchanged. This is the
+// one ring: both engines' channels ride it (the simulator single-threaded).
+// The coalescing semantics are specified by the single-threaded
+// MessageRing in tests/harness, and tests/test_spsc_ring.cpp model-checks
+// this class against it op for op -- keep the two in lockstep when touching
+// either.
 //
 // The one place both sides touch the same memory is the tail segment of a
 // dummy run: the producer extends `run` while the consumer may be draining

@@ -5,10 +5,10 @@
 // stall mid-emission on a full channel, holding already-consumed inputs).
 // Deadlock is detected exactly -- a full round-robin sweep with no progress
 // while work remains -- with no timers, making the traffic and deadlock
-// benchmarks reproducible on any machine. Channels are the coalescing
-// runtime::MessageRing whose segment layout the pooled backend's SpscRing
-// follows, so the batched data plane is differential-tested against the
-// sweep semantics.
+// benchmarks reproducible on any machine. Channels and nodes are the pooled
+// backend's own (runtime::Wiring: BoundedChannel over SpscRing, NodeState
+// with a no-op Waker), driven from one thread, so their atomics are
+// uncontended; the sweep order alone makes a run deterministic.
 //
 // Prefer the exec::Session facade (src/exec/session.h) for new code; this
 // header stays as the backend implementation. Options and results are the

@@ -1,10 +1,12 @@
-#include "src/runtime/message_ring.h"
+#include "tests/harness/message_ring.h"
 
 #include <algorithm>
 
 #include "src/support/contracts.h"
 
-namespace sdaf::runtime {
+namespace sdaf::harness {
+
+using runtime::MessageKind;
 
 MessageRing::MessageRing(std::size_t capacity)
     : capacity_(capacity), segs_(capacity + 1) {
@@ -133,4 +135,4 @@ std::size_t MessageRing::pop_dummies(std::size_t count) {
   return popped;
 }
 
-}  // namespace sdaf::runtime
+}  // namespace sdaf::harness

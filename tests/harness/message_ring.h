@@ -1,15 +1,16 @@
-// Fixed-capacity message buffer with dummy run-length coalescing: the one
-// queue representation behind every backend's channels (BoundedChannel for
-// the pooled backend, SimChannel for the deterministic sweep), so the
-// coalescing semantics cannot drift between them.
+// Fixed-capacity message buffer with dummy run-length coalescing: the
+// single-threaded executable specification of the coalescing semantics.
+// runtime::SpscRing (the ring under every runtime::BoundedChannel) is
+// model-checked against it op for op in tests/test_spsc_ring.cpp -- keep
+// the two in lockstep when touching either.
 //
 // A run of k dummies with consecutive sequence numbers is stored as a
 // single {first_seq, count} segment: pushing the (i+1)-th dummy of a run is
 // O(1) and allocation-free, and the whole run occupies one physical slot.
 // *Logical* occupancy still counts k items -- capacity, full() and
 // max-occupancy accounting see exactly the message sequence the paper's
-// buffer-size semantics require, so deadlock certification is unchanged;
-// only the physical footprint and the op count shrink.
+// buffer-size semantics require; only the physical footprint and the op
+// count shrink.
 //
 // Storage is a ring of `capacity` segments allocated once at construction
 // (logical occupancy >= segment count, so it can never overflow); no
@@ -21,7 +22,10 @@
 
 #include "src/runtime/message.h"
 
-namespace sdaf::runtime {
+namespace sdaf::harness {
+
+using runtime::HeadView;
+using runtime::Message;
 
 class MessageRing {
  public:
@@ -99,4 +103,4 @@ class MessageRing {
   std::size_t markers_ = 0;  // in-flight snapshot markers (0 or 1)
 };
 
-}  // namespace sdaf::runtime
+}  // namespace sdaf::harness

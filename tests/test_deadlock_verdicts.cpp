@@ -1,5 +1,5 @@
 // Deadlock-verdict property test: for randomized topologies with avoidance
-// disabled (DummyMode::None), all three backends must agree on the
+// disabled (DummyMode::None), both backends must agree on the
 // deadlock-vs-complete verdict, the wedged state must be unique (traffic,
 // fires and sink deliveries bit-identical -- bounded deterministic dataflow
 // has a single terminal marking), and the state_dump must be emitted at
@@ -73,13 +73,13 @@ TEST(DeadlockVerdicts, ProtectedRunsNeverDeadlock) {
 }
 
 TEST(DeadlockVerdicts, StateDumpShapeIsUnifiedAcrossBackends) {
-  // All three backends produce their wedge dumps through
-  // exec::dump_wedged_state, so the shape must be identical: first one
-  // `edge <id> <from>-><to> <occ>/<cap> pushed=<data>+<dummies>d ...` line
-  // per edge in id order, then one `node <name> <state> park=<why>` line
-  // per node in id order (each optionally followed by indented trace
-  // lines). Find a wedging triangle case, then assert the shape per
-  // backend.
+  // Both backends produce their wedge dumps through
+  // runtime::Wiring::dump_wedged_state, so the shape must be identical:
+  // first one `edge <id> <from>-><to> <occ>/<cap> pushed=<data>+<dummies>d
+  // ...` line per edge in id order, then one `node <name> <state>
+  // park=<why>` line per node in id order (each optionally followed by
+  // indented trace lines). Find a wedging triangle case, then assert the
+  // shape per backend.
   const std::regex edge_re(
       R"(^edge (\d+) \S+->\S+ \d+/\d+ pushed=\d+\+\d+d( head=.*)?( tail=.*)?$)");
   const std::regex node_re(R"(^node (\S+) .* park=.+$)");

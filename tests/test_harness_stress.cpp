@@ -98,7 +98,7 @@ TEST(HarnessStress, TimeBoxedRandomSweep) {
 }
 
 // Every case port-fed: randomized push chunking/pacing through the live
-// Stream API on all three backends, each required bit-identical to the
+// Stream API on both backends, each required bit-identical to the
 // batch-fed simulator reference (tools/ci.sh --stress runs this under
 // ASan and TSan).
 TEST(HarnessStress, PortModeSweep) {

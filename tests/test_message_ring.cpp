@@ -1,6 +1,7 @@
-// Unit tests for the coalescing ring (shared by every backend's channels)
-// and for Value's inline small-object storage.
-#include "src/runtime/message_ring.h"
+// Unit tests for the coalescing ring (the executable specification
+// runtime::SpscRing is model-checked against) and for Value's inline
+// small-object storage.
+#include "tests/harness/message_ring.h"
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,8 @@
 
 namespace sdaf::runtime {
 namespace {
+
+using harness::MessageRing;
 
 TEST(Value, InlineSmallValuesRoundTrip) {
   const Value a(std::int64_t{-7});

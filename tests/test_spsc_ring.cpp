@@ -7,16 +7,18 @@
 #include <thread>
 #include <vector>
 
-#include "src/runtime/message_ring.h"
 #include "src/support/prng.h"
+#include "tests/harness/message_ring.h"
 
 namespace sdaf::runtime {
 namespace {
 
+using harness::MessageRing;
+
 // ---------------------------------------------------------------------
 // Model-based property tests: SpscRing driven single-threaded against the
-// mutex-era MessageRing, which defines the coalescing semantics (it still
-// backs the simulator's channels). Every observable -- sizes, head views,
+// single-threaded MessageRing (tests/harness), which defines the
+// coalescing semantics. Every observable -- sizes, head views,
 // popped messages, acceptance counts -- must agree op for op, including
 // the dummy-run coalescing boundaries, wraparound, and capacity-1 rings.
 // ---------------------------------------------------------------------
