@@ -32,6 +32,13 @@ namespace {
 // that streams bytes without ever completing a frame is bounded by this.
 constexpr std::size_t kMaxReadBuffer = kMaxPayload + kHeaderSize;
 
+// Write-backlog bound: a connection stops dispatching frames (and drops
+// POLLIN) while this many response bytes are unflushed, so a peer that
+// pipelines requests without reading its replies is backpressured through
+// its own socket instead of growing the server's write buffer. The backlog
+// can overshoot by at most one response.
+constexpr std::size_t kMaxWriteBacklog = kMaxReadBuffer;
+
 // One server-side stream: the graph is owned here (exec::Session keeps a
 // reference), so the whole bundle lives and dies with the connection
 // entry. Heap-allocated and never moved -- Session's graph reference and
@@ -56,6 +63,10 @@ struct Conn {
   std::vector<std::uint8_t> wbuf;
   std::size_t wpos = 0;  // flushed prefix of wbuf
   std::map<std::uint16_t, std::unique_ptr<ServerStream>> streams;
+
+  [[nodiscard]] bool backlogged() const {
+    return wbuf.size() - wpos >= kMaxWriteBacklog;
+  }
 };
 
 // ServiceStats mirror with relaxed atomic fields: every counter is mutated
@@ -227,7 +238,17 @@ struct Server::Impl {
         c.wpos += static_cast<std::size_t>(rc);
         continue;
       }
-      if (rc < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
+      if (rc < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+        // Drop the flushed prefix once it is as large as the bound, so a
+        // peer that reads slowly but never fully catches up cannot grow
+        // the buffer either.
+        if (c.wpos >= kMaxWriteBacklog) {
+          c.wbuf.erase(c.wbuf.begin(),
+                       c.wbuf.begin() + static_cast<std::ptrdiff_t>(c.wpos));
+          c.wpos = 0;
+        }
+        return true;
+      }
       if (rc < 0 && errno == EINTR) continue;
       return false;
     }
@@ -717,12 +738,14 @@ struct Server::Impl {
     }
   }
 
-  // Drains the socket into rbuf and handles every complete frame.
-  // false = connection is done (peer closed, hard error, or protocol
-  // violation with the error already queued and `closing` set).
+  // Drains the socket into rbuf, handling complete frames chunk by chunk,
+  // until the socket is empty or the write backlog reaches its bound (the
+  // rest then waits in the socket). false = connection is done (peer
+  // closed, hard error, or protocol violation with the error already
+  // queued and `closing` set).
   bool read_and_dispatch(Conn& c) {
     std::uint8_t chunk[64 * 1024];
-    for (;;) {
+    while (!c.backlogged()) {
       const ssize_t rc = ::recv(c.fd.get(), chunk, sizeof(chunk), 0);
       if (rc > 0) {
         if (c.rbuf.size() + static_cast<std::size_t>(rc) > kMaxReadBuffer) {
@@ -730,6 +753,7 @@ struct Server::Impl {
           return true;  // flush the error, then close
         }
         c.rbuf.insert(c.rbuf.end(), chunk, chunk + rc);
+        (void)dispatch(c);
         continue;
       }
       if (rc == 0) return false;  // orderly close
@@ -737,8 +761,16 @@ struct Server::Impl {
       if (errno == EINTR) continue;
       return false;
     }
+    return true;
+  }
+
+  // Handles the complete frames in rbuf until it holds none, the
+  // connection is closing, or the write backlog reaches its bound. Returns
+  // whether it handled any.
+  bool dispatch(Conn& c) {
     std::size_t pos = 0;
-    while (!c.closing && c.rbuf.size() - pos >= kHeaderSize) {
+    while (!c.closing && !c.backlogged() &&
+           c.rbuf.size() - pos >= kHeaderSize) {
       const auto h = decode_header(c.rbuf.data() + pos);
       if (!h.has_value()) {
         queue_error(c, 0, ErrorCode::BadFrame, "malformed frame header");
@@ -749,7 +781,7 @@ struct Server::Impl {
       pos += kHeaderSize + h->length;
     }
     if (pos > 0) c.rbuf.erase(c.rbuf.begin(), c.rbuf.begin() + pos);
-    return true;
+    return pos > 0;
   }
 
   void accept_from(const Fd& listener) {
@@ -821,14 +853,13 @@ struct Server::Impl {
         fds.push_back({tcp_listener.get(), POLLIN, 0});
       if (accepting && unix_listener.valid())
         fds.push_back({unix_listener.get(), POLLIN, 0});
-      const std::size_t conn_base = fds.size();
       // accept_from below grows `conns`; only these first n_polled entries
       // have a pollfd this iteration (newcomers are picked up on the next
       // one), so the revents walk must be bounded by n_polled, not by the
       // live conns.size().
       const std::size_t n_polled = conns.size();
       for (const auto& c : conns) {
-        short events = POLLIN;
+        short events = c->backlogged() ? 0 : POLLIN;
         if (c->wpos < c->wbuf.size()) events |= POLLOUT;
         fds.push_back({c->fd.get(), events, 0});
       }
@@ -849,7 +880,6 @@ struct Server::Impl {
         if ((fds[idx].revents & POLLIN) != 0) accept_from(unix_listener);
         ++idx;
       }
-      (void)conn_base;
 
       // Walk backwards so drop_conn's erase cannot skip an entry.
       for (std::size_t k = n_polled; k-- > 0;) {
@@ -861,7 +891,12 @@ struct Server::Impl {
           alive = false;
         }
         if (alive && (revents & POLLIN) != 0) alive = read_and_dispatch(c);
-        if (alive && c.wpos < c.wbuf.size()) alive = flush(c);
+        // Frames a backlogged dispatch left in rbuf run as the backlog
+        // drains, before the connection is polled for input again.
+        while (alive && c.wpos < c.wbuf.size()) {
+          alive = flush(c);
+          if (!alive || c.backlogged() || !dispatch(c)) break;
+        }
         if (alive && c.closing && c.wpos >= c.wbuf.size()) alive = false;
         if (!alive) drop_conn(k);
       }

@@ -7,6 +7,8 @@
 // deadline, one connection multiplexes streams, and reopening a topology
 // hits the compile cache.
 #include <dirent.h>
+#include <poll.h>
+#include <sys/socket.h>
 #include <sys/resource.h>
 #include <unistd.h>
 
@@ -329,6 +331,87 @@ TEST_F(LoopbackTest, RandomBytesNeverKillTheDaemon) {
   EXPECT_EQ(s.push(0, {Value(std::int64_t{7})}), 1u);
   s.close(0);
   EXPECT_TRUE(s.finish().completed);
+}
+
+// A client that pipelines requests without reading the replies is
+// backpressured: the daemon stops taking its frames once a bounded write
+// backlog is queued, so the client's send stalls after a bounded number of
+// bytes; once it drains, every request is answered in order. Stats is the
+// request: 8 bytes in, a metrics page of a few KiB out. Without the bound
+// the daemon would keep reading and buffer every page; the send budget
+// keeps that near 110 MiB (about 2.8 KiB per 8-byte request). With it the
+// send stalls after about 20 KiB.
+TEST_F(LoopbackTest, PipeliningClientIsBackpressuredNotBuffered) {
+  constexpr std::size_t kChunkFrames = 512;
+  constexpr std::size_t kSendBudget = 320u << 10;
+  Fd raw = net::connect_unix(server_->unix_path());
+  ASSERT_TRUE(raw.valid());
+  const int sndbuf = 4096;  // keep the kernel's share of the stall small
+  ASSERT_EQ(::setsockopt(raw.get(), SOL_SOCKET, SO_SNDBUF, &sndbuf,
+                         sizeof(sndbuf)),
+            0);
+  Writer hw;
+  encode(HelloFrame{}, hw);
+  const auto hello = make_frame(FrameType::Hello, 0, std::move(hw));
+  ASSERT_TRUE(send_all(raw, hello.data(), hello.size()));
+  const auto read_frame = [&](FrameType* type) {
+    std::uint8_t header[kHeaderSize];
+    if (!recv_exact(raw, header, kHeaderSize)) return false;
+    const auto h = decode_header(header);
+    if (!h.has_value()) return false;
+    std::vector<std::uint8_t> payload(h->length);
+    if (!recv_exact(raw, payload.data(), payload.size())) return false;
+    *type = h->type;
+    return true;
+  };
+  FrameType type{};
+  ASSERT_TRUE(read_frame(&type));
+  ASSERT_EQ(type, FrameType::HelloOk);
+
+  std::vector<std::uint8_t> chunk;
+  for (std::size_t i = 0; i < kChunkFrames; ++i) {
+    const auto f = make_frame(FrameType::Stats, 0, Writer{});
+    chunk.insert(chunk.end(), f.begin(), f.end());
+  }
+  const std::size_t frame_size = chunk.size() / kChunkFrames;
+  ASSERT_TRUE(set_nonblocking(raw, true));
+  std::size_t sent = 0;
+  bool stalled = false;
+  while (sent < kSendBudget) {
+    const std::size_t off = sent % chunk.size();
+    const ssize_t rc = ::send(raw.get(), chunk.data() + off,
+                              chunk.size() - off, MSG_NOSIGNAL);
+    if (rc > 0) {
+      sent += static_cast<std::size_t>(rc);
+      continue;
+    }
+    ASSERT_TRUE(rc < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
+        << std::strerror(errno);
+    // A busy daemon frees socket space in bursts; a backpressured one
+    // never does while nobody reads.
+    pollfd p{raw.get(), POLLOUT, 0};
+    if (::poll(&p, 1, 1000) == 0) {
+      stalled = true;
+      break;
+    }
+  }
+  ASSERT_TRUE(stalled) << "sent " << sent << " bytes without a stall";
+
+  // Finish the partly sent frame, then read every answer.
+  ASSERT_TRUE(set_nonblocking(raw, false));
+  const std::size_t tail = (frame_size - sent % frame_size) % frame_size;
+  const std::size_t off = sent % chunk.size();
+  ASSERT_TRUE(send_all(raw, chunk.data() + off, tail));
+  sent += tail;
+  const std::size_t requests = sent / frame_size;
+  for (std::size_t i = 0; i < requests; ++i) {
+    ASSERT_TRUE(read_frame(&type)) << "reply " << i << " of " << requests;
+    ASSERT_EQ(type, FrameType::StatsOk) << "reply " << i;
+  }
+  // Nothing extra: the connection is idle and still serves.
+  ASSERT_TRUE(send_all(raw, chunk.data(), frame_size));
+  ASSERT_TRUE(read_frame(&type));
+  EXPECT_EQ(type, FrameType::StatsOk);
 }
 
 // The no-wedge-past-deadline acceptance criterion: a stream that has
