@@ -97,8 +97,9 @@ context+=",cmake_build_type=${build_type:-unknown},nproc=$jobs"
 # (since the SPSC channel fast path) two batch=1 pooled ladder configs whose
 # per-op channel cost is the figure the lock-free path exists to cut, and
 # (since the streaming ports) the pooled latency and ingest configs (item
-# push and 64-item push_batch, 5 repetitions each; read the *_median
-# rows), and
+# push and 64-item push_batch) plus the Sim ingest config (the sim's cost
+# on the shared channels), 5 repetitions each -- read the *_median rows --
+# and
 # (since checkpoint/restore) the pooled snapshot overhead pair + barrier
 # latency (budget: snapshot_overhead_pct <= 5%), and the whole batch=1
 # LadderScaling ladder (1/4/8/16 workers; the 1 -> 4 rows are the speedup).
@@ -110,7 +111,7 @@ qos_filter='.'
 if [[ $smoke -eq 1 ]]; then
   throughput_filter='BM_Throughput_Pass(100|50|10)/|BM_Throughput_Pass10_MetricsOverhead'
   pool_filter='BM_PoolExecutor_Filtering|BM_PoolExecutor_Ladder/(100|1000)/2|BM_PoolExecutor_LadderScaling'
-  streaming_filter='BM_Stream(Latency|Ingest)_Pooled|BM_StreamIngest_PooledBatch'
+  streaming_filter='BM_Stream(Latency|Ingest)_Pooled|BM_StreamIngest_(PooledBatch|Sim)'
   snapshot_filter='BM_Snapshot(Overhead|Latency)_Pooled'
   qos_filter='BM_QosInteractive_(Solo|SharedDRR)'
 fi
