@@ -113,7 +113,7 @@ Wiring::Wiring(const StreamGraph& g,
                const std::vector<std::shared_ptr<Kernel>>& kernels,
                const exec::RunSpec& spec, Waker& waker,
                const std::uint64_t* tick)
-    : graph_(g) {
+    : graph_(g), tracer_(spec.tracer) {
   const std::size_t edges = g.edge_count();
   SDAF_EXPECTS(kernels.size() == g.node_count());
   for (const auto& k : kernels) SDAF_EXPECTS(k != nullptr);
@@ -223,8 +223,7 @@ ckpt::EdgeCut Wiring::edge_cut(EdgeId e, bool producer_checkpointed) const {
   return ckpt::EdgeCut{s.data_pushed, s.dummies_pushed};
 }
 
-std::string Wiring::dump_wedged_state(const Tracer* tracer,
-                                      std::size_t trace_tail) const {
+std::string Wiring::dump_wedged_state() const {
   std::ostringstream dump;
   for (EdgeId e = 0; e < graph_.edge_count(); ++e) {
     const BoundedChannel& ch = *channels_[e];
@@ -242,8 +241,8 @@ std::string Wiring::dump_wedged_state(const Tracer* tracer,
     dump << "node " << graph_.node_name(n) << " " << node.describe()
          << " park=" << exec::describe_park_summary(node.park_summary())
          << "\n";
-    if (tracer != nullptr)
-      for (const auto& e : tracer->tail_for_node(n, trace_tail))
+    if (tracer_ != nullptr)
+      for (const auto& e : tracer_->tail_for_node(n, /*limit=*/4))
         dump << "  trace " << e.to_string() << "\n";
   }
   return dump.str();

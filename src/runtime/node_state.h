@@ -192,12 +192,12 @@ class Wiring {
   //
   //   edge <i> <from>-><to> <occ>/<cap> pushed=<D>+<K>d [head=...]
   //   node <name> <describe> park=<park-summary text>
-  //     trace <event>            (last few tracer events, when armed)
-  [[nodiscard]] std::string dump_wedged_state(
-      const Tracer* tracer, std::size_t trace_tail = 4) const;
+  //     trace <event>            (last few events of the spec's tracer)
+  [[nodiscard]] std::string dump_wedged_state() const;
 
  private:
   const StreamGraph& graph_;
+  const Tracer* tracer_;
   std::vector<std::unique_ptr<BoundedChannel>> channels_;
   std::vector<std::unique_ptr<NodeState>> nodes_;
 };

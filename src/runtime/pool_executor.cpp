@@ -95,7 +95,6 @@ struct PoolExecutor::Instance final : Waker {
   std::vector<std::shared_ptr<Kernel>> kernels;
   std::optional<Wiring> wiring;  // wakes route through this Instance
   std::vector<NodeTask> tasks;
-  Tracer* tracer = nullptr;
   Stopwatch clock;
   // Injector lane this instance's external wakes and quantum yields land
   // in (the submitting tenant's, or lane 0 with fair_injector off).
@@ -228,7 +227,6 @@ PoolExecutor::TicketId PoolExecutor::submit(
   if (instance->streaming)
     instance->open_ports.store(
         static_cast<std::int64_t>(options.ports->feeds.size()));
-  instance->tracer = options.tracer;
   instance->lane = options_.fair_injector
                        ? intern_lane(options.tenant, options.tenant_weight)
                        : 0;
@@ -612,7 +610,7 @@ void PoolExecutor::finalize(Instance& instance) {
   // node and channel state is stable: dump channel occupancies and each
   // unfinished node's park summary for diagnosis.
   if (result.deadlocked)
-    result.state_dump = instance.wiring->dump_wedged_state(instance.tracer);
+    result.state_dump = instance.wiring->dump_wedged_state();
   if (instance.streaming && result.deadlocked) {
     // Release callers parked on the ports: a pusher blocked on a full feed
     // and a poller blocked on an empty tap both unwind on abort (remaining

@@ -21,7 +21,6 @@ struct SweepEngine::Impl {
   std::uint64_t max_sweeps;
   std::uint64_t sweeps;  // also the tracer tick
   bool all_done = false;
-  runtime::Tracer* tracer;  // for the wedged-state dump tail
   NoWake no_wake;
   runtime::Wiring wiring;
 
@@ -32,7 +31,6 @@ struct SweepEngine::Impl {
         max_sweeps(options.max_sweeps),
         // A restore resumes the cumulative sweep count.
         sweeps(options.restore != nullptr ? options.restore->sweeps : 0),
-        tracer(options.tracer),
         wiring(g, kernels, options, no_wake, &sweeps) {}
 };
 
@@ -82,7 +80,7 @@ exec::RunReport SweepEngine::report(bool deadlocked) const {
   result.sweeps = s.sweeps;
   result.completed = s.all_done;
   result.deadlocked = deadlocked;
-  if (deadlocked) result.state_dump = s.wiring.dump_wedged_state(s.tracer);
+  if (deadlocked) result.state_dump = s.wiring.dump_wedged_state();
   s.wiring.report(result);
   return result;
 }
