@@ -28,8 +28,10 @@ namespace sdaf::net {
 
 namespace {
 
-// Read-buffer hard cap: one maximal frame plus the next header. A peer
-// that streams bytes without ever completing a frame is bounded by this.
+// Read-buffer hard cap: one maximal frame. Reads never take more than the
+// room left, and every complete frame is handled before the next read, so
+// a peer that streams bytes without ever completing a frame is bounded by
+// this -- and a maximal frame pipelined with more still fits.
 constexpr std::size_t kMaxReadBuffer = kMaxPayload + kHeaderSize;
 
 // Write-backlog bound: a connection stops dispatching frames (and drops
@@ -739,19 +741,18 @@ struct Server::Impl {
   }
 
   // Drains the socket into rbuf, handling complete frames chunk by chunk,
-  // until the socket is empty or the write backlog reaches its bound (the
-  // rest then waits in the socket). false = connection is done (peer
-  // closed, hard error, or protocol violation with the error already
-  // queued and `closing` set).
+  // until the socket is empty, the connection is closing, or the write
+  // backlog reaches its bound (the rest then waits in the socket). false =
+  // connection is done (peer closed or hard error).
   bool read_and_dispatch(Conn& c) {
     std::uint8_t chunk[64 * 1024];
-    while (!c.backlogged()) {
-      const ssize_t rc = ::recv(c.fd.get(), chunk, sizeof(chunk), 0);
+    while (!c.closing && !c.backlogged()) {
+      // rbuf holds only a partial frame here, shorter than kMaxReadBuffer,
+      // so the room is never zero.
+      const std::size_t room =
+          std::min(sizeof(chunk), kMaxReadBuffer - c.rbuf.size());
+      const ssize_t rc = ::recv(c.fd.get(), chunk, room, 0);
       if (rc > 0) {
-        if (c.rbuf.size() + static_cast<std::size_t>(rc) > kMaxReadBuffer) {
-          queue_error(c, 0, ErrorCode::TooLarge, "read buffer overflow");
-          return true;  // flush the error, then close
-        }
         c.rbuf.insert(c.rbuf.end(), chunk, chunk + rc);
         (void)dispatch(c);
         continue;
@@ -859,7 +860,7 @@ struct Server::Impl {
       // live conns.size().
       const std::size_t n_polled = conns.size();
       for (const auto& c : conns) {
-        short events = c->backlogged() ? 0 : POLLIN;
+        short events = c->closing || c->backlogged() ? 0 : POLLIN;
         if (c->wpos < c->wbuf.size()) events |= POLLOUT;
         fds.push_back({c->fd.get(), events, 0});
       }

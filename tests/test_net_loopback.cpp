@@ -333,6 +333,39 @@ TEST_F(LoopbackTest, RandomBytesNeverKillTheDaemon) {
   EXPECT_TRUE(s.finish().completed);
 }
 
+// A raw connection past the Hello handshake, for tests that need byte-level
+// control of what the client pipelines.
+class RawClient {
+ public:
+  explicit RawClient(const std::string& path) : fd_(connect_unix(path)) {
+    Writer w;
+    encode(HelloFrame{}, w);
+    const auto hello = make_frame(FrameType::Hello, 0, std::move(w));
+    FrameType type{};
+    ok_ = fd_.valid() && send_all(fd_, hello.data(), hello.size()) &&
+          read_frame(&type) && type == FrameType::HelloOk;
+  }
+
+  [[nodiscard]] bool ok() const { return ok_; }
+  [[nodiscard]] const Fd& fd() const { return fd_; }
+
+  // Reads one whole frame (blocking), keeping only its type.
+  bool read_frame(FrameType* type) {
+    std::uint8_t header[kHeaderSize];
+    if (!recv_exact(fd_, header, kHeaderSize)) return false;
+    const auto h = decode_header(header);
+    if (!h.has_value()) return false;
+    std::vector<std::uint8_t> payload(h->length);
+    if (!recv_exact(fd_, payload.data(), payload.size())) return false;
+    *type = h->type;
+    return true;
+  }
+
+ private:
+  Fd fd_;
+  bool ok_ = false;
+};
+
 // A client that pipelines requests without reading the replies is
 // backpressured: the daemon stops taking its frames once a bounded write
 // backlog is queued, so the client's send stalls after a bounded number of
@@ -344,29 +377,12 @@ TEST_F(LoopbackTest, RandomBytesNeverKillTheDaemon) {
 TEST_F(LoopbackTest, PipeliningClientIsBackpressuredNotBuffered) {
   constexpr std::size_t kChunkFrames = 512;
   constexpr std::size_t kSendBudget = 320u << 10;
-  Fd raw = net::connect_unix(server_->unix_path());
-  ASSERT_TRUE(raw.valid());
+  RawClient raw(server_->unix_path());
+  ASSERT_TRUE(raw.ok());
   const int sndbuf = 4096;  // keep the kernel's share of the stall small
-  ASSERT_EQ(::setsockopt(raw.get(), SOL_SOCKET, SO_SNDBUF, &sndbuf,
+  ASSERT_EQ(::setsockopt(raw.fd().get(), SOL_SOCKET, SO_SNDBUF, &sndbuf,
                          sizeof(sndbuf)),
             0);
-  Writer hw;
-  encode(HelloFrame{}, hw);
-  const auto hello = make_frame(FrameType::Hello, 0, std::move(hw));
-  ASSERT_TRUE(send_all(raw, hello.data(), hello.size()));
-  const auto read_frame = [&](FrameType* type) {
-    std::uint8_t header[kHeaderSize];
-    if (!recv_exact(raw, header, kHeaderSize)) return false;
-    const auto h = decode_header(header);
-    if (!h.has_value()) return false;
-    std::vector<std::uint8_t> payload(h->length);
-    if (!recv_exact(raw, payload.data(), payload.size())) return false;
-    *type = h->type;
-    return true;
-  };
-  FrameType type{};
-  ASSERT_TRUE(read_frame(&type));
-  ASSERT_EQ(type, FrameType::HelloOk);
 
   std::vector<std::uint8_t> chunk;
   for (std::size_t i = 0; i < kChunkFrames; ++i) {
@@ -374,12 +390,12 @@ TEST_F(LoopbackTest, PipeliningClientIsBackpressuredNotBuffered) {
     chunk.insert(chunk.end(), f.begin(), f.end());
   }
   const std::size_t frame_size = chunk.size() / kChunkFrames;
-  ASSERT_TRUE(set_nonblocking(raw, true));
+  ASSERT_TRUE(set_nonblocking(raw.fd(), true));
   std::size_t sent = 0;
   bool stalled = false;
   while (sent < kSendBudget) {
     const std::size_t off = sent % chunk.size();
-    const ssize_t rc = ::send(raw.get(), chunk.data() + off,
+    const ssize_t rc = ::send(raw.fd().get(), chunk.data() + off,
                               chunk.size() - off, MSG_NOSIGNAL);
     if (rc > 0) {
       sent += static_cast<std::size_t>(rc);
@@ -389,7 +405,7 @@ TEST_F(LoopbackTest, PipeliningClientIsBackpressuredNotBuffered) {
         << std::strerror(errno);
     // A busy daemon frees socket space in bursts; a backpressured one
     // never does while nobody reads.
-    pollfd p{raw.get(), POLLOUT, 0};
+    pollfd p{raw.fd().get(), POLLOUT, 0};
     if (::poll(&p, 1, 1000) == 0) {
       stalled = true;
       break;
@@ -398,19 +414,58 @@ TEST_F(LoopbackTest, PipeliningClientIsBackpressuredNotBuffered) {
   ASSERT_TRUE(stalled) << "sent " << sent << " bytes without a stall";
 
   // Finish the partly sent frame, then read every answer.
-  ASSERT_TRUE(set_nonblocking(raw, false));
+  ASSERT_TRUE(set_nonblocking(raw.fd(), false));
   const std::size_t tail = (frame_size - sent % frame_size) % frame_size;
   const std::size_t off = sent % chunk.size();
-  ASSERT_TRUE(send_all(raw, chunk.data() + off, tail));
+  ASSERT_TRUE(send_all(raw.fd(), chunk.data() + off, tail));
   sent += tail;
   const std::size_t requests = sent / frame_size;
+  FrameType type{};
   for (std::size_t i = 0; i < requests; ++i) {
-    ASSERT_TRUE(read_frame(&type)) << "reply " << i << " of " << requests;
+    ASSERT_TRUE(raw.read_frame(&type)) << "reply " << i << " of " << requests;
     ASSERT_EQ(type, FrameType::StatsOk) << "reply " << i;
   }
   // Nothing extra: the connection is idle and still serves.
-  ASSERT_TRUE(send_all(raw, chunk.data(), frame_size));
-  ASSERT_TRUE(read_frame(&type));
+  ASSERT_TRUE(send_all(raw.fd(), chunk.data(), frame_size));
+  ASSERT_TRUE(raw.read_frame(&type));
+  EXPECT_EQ(type, FrameType::StatsOk);
+}
+
+// A frame of exactly kMaxPayload bytes pipelined with the next request is
+// legal: both are answered, no "read buffer overflow".
+TEST_F(LoopbackTest, MaximalFramePipelinedWithAnotherIsServed) {
+  RawClient raw(server_->unix_path());
+  ASSERT_TRUE(raw.ok());
+  OpenFrame spec;
+  spec.topology = "node a\nnode b\nedge a b 4\n";
+  Writer ow;
+  encode(spec, ow);
+  const auto open = make_frame(FrameType::Open, 1, std::move(ow));
+  ASSERT_TRUE(send_all(raw.fd(), open.data(), open.size()));
+  FrameType type{};
+  ASSERT_TRUE(raw.read_frame(&type));
+  ASSERT_EQ(type, FrameType::OpenOk);
+
+  // One string value padded so the PushBatch payload is exactly maximal.
+  PushBatchFrame push;
+  push.values.emplace_back(std::string());
+  Writer probe;
+  encode(push, probe);
+  const std::size_t overhead = make_frame(FrameType::PushBatch, 1,
+                                          std::move(probe)).size() -
+                               kHeaderSize;
+  push.values[0] = Value(std::string(kMaxPayload - overhead, 'x'));
+  Writer pw;
+  encode(push, pw);
+  std::vector<std::uint8_t> bytes =
+      make_frame(FrameType::PushBatch, 1, std::move(pw));
+  ASSERT_EQ(bytes.size(), kHeaderSize + kMaxPayload);
+  const auto stats = make_frame(FrameType::Stats, 0, Writer{});
+  bytes.insert(bytes.end(), stats.begin(), stats.end());
+  ASSERT_TRUE(send_all(raw.fd(), bytes.data(), bytes.size()));
+  ASSERT_TRUE(raw.read_frame(&type));
+  EXPECT_EQ(type, FrameType::PushAck);
+  ASSERT_TRUE(raw.read_frame(&type));
   EXPECT_EQ(type, FrameType::StatsOk);
 }
 
