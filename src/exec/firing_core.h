@@ -9,24 +9,24 @@
 // full->non-full / empty->non-empty transitions to its scheduler's Waker
 // (a no-op in the simulator, whose round-robin sweep steps every node).
 //
-// The data plane is allocation-free, batched and lock-free: alignment
-// peeks payload-free HeadViews (never copying a payload), data is moved
-// out of a channel by its single consumer without a mutex (the channels
-// ride runtime::SpscRing), and the firing cost is per run, not per
-// message. When every aligned head is a dummy, the stretch
-// [min_seq, min_seq + r) fires at once: each input pops its run with one
-// channel op (pop_dummies), the wrapper's run rule (NodeWrapper::dummy_run)
-// decides each output slot's dummies for the whole run in O(1) -- all of
-// it under Propagation, every interval-th seq under Non-Propagation -- and
-// they queue and leave as coalesced runs (try_push_dummies). A port-fed
-// source pops a run of feed data the same way (pop_feed_data: one publish,
-// one producer wake-up, one credit return) and fires it message by
-// message. A `batch` quantum lets step() run several firings before
-// handing outputs to the channels, so one channel op and one (usually
-// elided) wake-up amortize over the whole batch. All of this is below the
-// firing semantics: per-edge traffic, firing counts, obs counters, trace
-// events and verdicts are bit-identical at every batch setting, which the
-// differential tests enforce.
+// The data plane is allocation-free, batched, and (on both engines)
+// lock-free: alignment peeks payload-free HeadViews (never
+// copying a payload), data is moved out of a channel by its single
+// consumer without a mutex (the channels ride runtime::SpscRing), and the
+// firing cost is per run, not per message. When every aligned head is a
+// dummy, the stretch [min_seq, min_seq + r) fires at once: each input pops
+// its run with one channel op (pop_dummies), the wrapper's run rule
+// (NodeWrapper::dummy_run) decides each output slot's dummies for the whole
+// run in O(1) -- all of it under Propagation, every interval-th seq under
+// Non-Propagation -- and they queue and leave as coalesced runs
+// (try_push_dummies). A port-fed source pops a run of feed data the same
+// way (pop_feed_data: one publish, one producer wake-up, one credit
+// return) and fires it message by message. A `batch` quantum lets step()
+// run several firings before handing outputs to the ring, so one channel
+// op and one (usually elided) wake-up amortize over the whole batch. All
+// of this is below the firing semantics: per-edge traffic, firing counts,
+// obs counters, trace events and verdicts are bit-identical at every batch
+// setting, which the differential tests enforce.
 //
 // A FiringCore is single-owner: exactly one thread may call step() at a
 // time (the simulator sweep, or the pool worker that currently owns the
