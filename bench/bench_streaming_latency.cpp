@@ -31,7 +31,9 @@ namespace {
 using namespace sdaf;
 
 constexpr std::uint64_t kLatencyItems = 2000;
-constexpr std::uint64_t kIngestItems = 20000;
+// Enough items that one ingest run lasts tens of milliseconds, so stream
+// open, pool start-up and teardown stay a small share of each repetition.
+constexpr std::uint64_t kIngestItems = 200000;
 constexpr std::size_t kIngestBatch = 64;
 
 exec::StreamSpec ladder_stream_spec(const core::CompileResult& compiled,

@@ -60,7 +60,7 @@ struct NodeCut {
   std::uint8_t done = 0;
   std::uint64_t fires = 0;
   std::uint64_t sink_data = 0;
-  std::uint64_t source_seq = 0;           // next self-generated/accepted seq
+  std::uint64_t source_seq = 0;           // next accepted feed seq
   std::vector<std::int64_t> last_sent;    // wrapper dummy schedule per slot
   std::string kernel_state;               // opaque Kernel::save_state blob
 };

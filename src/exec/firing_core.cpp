@@ -38,32 +38,27 @@ std::string describe_park_summary(std::uint64_t summary) {
 
 FiringCore::FiringCore(NodeId node, runtime::Kernel& kernel,
                        std::size_t in_slots, std::size_t out_slots,
-                       runtime::NodeWrapper wrapper, std::uint64_t num_inputs,
-                       runtime::NodeState& owner, std::uint32_t batch,
-                       runtime::Tracer* tracer, const std::uint64_t* tick,
-                       bool port_fed, obs::NodeCounters* metrics)
+                       runtime::NodeWrapper wrapper, runtime::NodeState& owner,
+                       std::uint32_t batch, runtime::Tracer* tracer,
+                       const std::uint64_t* tick, obs::NodeCounters* metrics)
     : node_(node),
       kernel_(kernel),
       in_slots_(in_slots),
       out_slots_(out_slots),
       wrapper_(std::move(wrapper)),
-      num_inputs_(num_inputs),
       io_(owner),
       batch_(std::max<std::uint32_t>(1, batch)),
       tracer_(tracer),
       tick_(tick),
-      port_fed_(port_fed),
       metrics_(metrics),
       emitter_(out_slots),
       inputs_(in_slots),
-      feed_input_(port_fed ? 1 : 0),
-      feed_batch_(port_fed ? batch_ : 0),
+      feed_input_(in_slots == 0 ? 1 : 0),
+      feed_batch_(in_slots == 0 ? batch_ : 0),
       heads_(in_slots),
       dummy_runs_(out_slots),
       pending_tail_(out_slots, kNoTail),
-      slot_blocked_(out_slots, 0) {
-  SDAF_EXPECTS(!port_fed_ || in_slots_ == 0);
-}
+      slot_blocked_(out_slots, 0) {}
 
 void FiringCore::trace(TraceKind kind, std::size_t slot, std::uint64_t seq) {
   if constexpr (runtime::kTracingEnabled) {
@@ -247,13 +242,13 @@ bool FiringCore::drain_pending() {
 
 std::uint64_t FiringCore::fire_once(std::uint64_t budget) {
   static const std::vector<std::optional<runtime::Value>> no_inputs;
-  if (in_slots_ == 0 && port_fed_) {
-    // Port-fed source: one firing per feed data message.
+  if (in_slots_ == 0) {
+    // Source: one firing per feed data message.
     auto head = io_.peek_feed();
     if (!head.has_value()) return 0;  // feed empty (or aborted)
     if (head->kind == MessageKind::Marker) {
-      // Barrier reaches a port-fed source directly from its InputPort:
-      // checkpoint between seq S-1 and seq S and forward the marker.
+      // Barrier reaches a source directly from its InputPort: checkpoint
+      // between seq S-1 and seq S and forward the marker.
       const std::uint64_t barrier = head->seq;
       io_.pop_feed();
       checkpoint(barrier);
@@ -284,7 +279,7 @@ std::uint64_t FiringCore::fire_once(std::uint64_t budget) {
         kernel_.fire(m.seq, feed_input_, emitter_);
         feed_input_[0].reset();
       } else {
-        // Firing token: exactly the call shape of a self-generating source.
+        // Firing token: the kernel sees an empty input vector.
         kernel_.fire(m.seq, no_inputs, emitter_);
       }
       ++fires;
@@ -294,21 +289,6 @@ std::uint64_t FiringCore::fire_once(std::uint64_t budget) {
       source_seq_ = m.seq + 1;
     }
     return n;
-  }
-  if (in_slots_ == 0) {
-    // Source: generates one sequence number per firing, then EOS.
-    if (source_seq_ >= num_inputs_) {
-      queue_eos();
-      return 1;
-    }
-    emitter_.reset();
-    kernel_.fire(source_seq_, no_inputs, emitter_);
-    ++fires;
-    if (metrics_ != nullptr) obs::bump(metrics_->fires);
-    trace(TraceKind::Fire, 0, source_seq_);
-    queue_outputs(source_seq_, /*any_input_dummy=*/false);
-    ++source_seq_;
-    return 1;
   }
   // Interior / sink: alignment needs every input head present; the next
   // accepted sequence number is the minimum head. Peeks are payload-free.
@@ -469,13 +449,20 @@ std::uint64_t FiringCore::park_summary() const {
 
 std::string FiringCore::describe() const {
   std::string s = done_ ? "done" : "running";
-  s += " src_seq=" + std::to_string(source_seq_);
-  s += " pending=" + std::to_string(pending_.size());
+  s += " src_seq=";
+  s += std::to_string(source_seq_);
+  s += " pending=";
+  s += std::to_string(pending_.size());
   for (const auto& pr : pending_) {
-    s += " [slot=" + std::to_string(pr.out_slot) + " " +
-         runtime::to_string(pr.message);
-    if (pr.run > 1) s += "x" + std::to_string(pr.run);
-    s += "]";
+    s += " [slot=";
+    s += std::to_string(pr.out_slot);
+    s += ' ';
+    s += runtime::to_string(pr.message);
+    if (pr.run > 1) {
+      s += 'x';
+      s += std::to_string(pr.run);
+    }
+    s += ']';
   }
   return s;
 }

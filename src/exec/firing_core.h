@@ -19,7 +19,7 @@
 // (NodeWrapper::dummy_run) decides each output slot's dummies for the whole
 // run in O(1) -- all of it under Propagation, every interval-th seq under
 // Non-Propagation -- and they queue and leave as coalesced runs
-// (try_push_dummies). A port-fed source pops a run of feed data the same
+// (try_push_dummies). A source pops a run of feed data the same
 // way (pop_feed_data: one publish, one producer wake-up, one credit
 // return) and fires it message by message. A `batch` quantum lets step()
 // run several firings before handing outputs to the ring, so one channel
@@ -77,25 +77,23 @@ inline constexpr std::uint64_t kParkSlotMask = (std::uint64_t{1} << 62) - 1;
 class FiringCore {
  public:
   // `in_slots`/`out_slots` are the node's degree; the channels themselves
-  // live in `owner`, the NodeState this core is a member of. `batch` is the firing quantum (see RunSpec::batch;
+  // live in `owner`, the NodeState this core is a member of. A source
+  // (in_slots == 0) consumes the owner's feed: a payload-free data message
+  // is a pure firing token (the kernel sees an empty input vector), a
+  // payload rides to the kernel as a single-slot input, and EOS triggers
+  // the ordinary flood. `batch` is the firing quantum (see RunSpec::batch;
   // clamped to >= 1). `tracer` (optional, not owned) records per-message
   // events; `tick` (optional, not owned) supplies the tracer timestamp --
   // the simulator points it at its sweep counter, the pooled backend leaves
   // it null (tick 0; event *order* across threads is not meaningful there).
-  // `port_fed` (sources only, in_slots == 0): consume the owner's injected
-  // feed instead of self-generating num_inputs sequence numbers -- a
-  // payload-free data message is a pure firing token (the kernel sees the
-  // same empty input vector as a self-generating source, so a token-fed run
-  // is bit-identical to the classic one), a payload rides to the kernel as
-  // a single-slot input, and EOS triggers the ordinary flood.
   // `metrics` (optional, not owned): the node's obs counter shard;
   // increments happen at the same sites on every engine, so the counters
   // are differentially exact against the sim reference.
   FiringCore(NodeId node, runtime::Kernel& kernel, std::size_t in_slots,
              std::size_t out_slots, runtime::NodeWrapper wrapper,
-             std::uint64_t num_inputs, runtime::NodeState& owner,
-             std::uint32_t batch = 1, runtime::Tracer* tracer = nullptr,
-             const std::uint64_t* tick = nullptr, bool port_fed = false,
+             runtime::NodeState& owner, std::uint32_t batch = 1,
+             runtime::Tracer* tracer = nullptr,
+             const std::uint64_t* tick = nullptr,
              obs::NodeCounters* metrics = nullptr);
 
   // One scheduling quantum; returns true iff any progress was made (a
@@ -180,19 +178,17 @@ class FiringCore {
   std::size_t in_slots_;
   std::size_t out_slots_;
   runtime::NodeWrapper wrapper_;
-  std::uint64_t num_inputs_;
   runtime::NodeState& io_;
   std::uint32_t batch_;
   runtime::Tracer* tracer_;
   const std::uint64_t* tick_;
-  bool port_fed_;
   obs::NodeCounters* metrics_;
   runtime::Emitter emitter_;
   std::vector<std::optional<runtime::Value>> inputs_;
   // Scratch single-slot input vector for payload-carrying feed messages.
   std::vector<std::optional<runtime::Value>> feed_input_;
-  // Port-fed sources: staging for one quantum's run of feed data (batch
-  // messages, reused).
+  // Sources: staging for one quantum's run of feed data (batch messages,
+  // reused).
   std::vector<runtime::Message> feed_batch_;
   std::vector<runtime::HeadView> heads_;
   // Pure-dummy run scratch: the wrapper's decision per output slot.

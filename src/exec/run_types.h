@@ -45,30 +45,24 @@ enum class Backend : std::uint8_t {
 [[nodiscard]] std::optional<Backend> backend_from_string(std::string_view s);
 
 // External ports injected into a run: one ingress feed per source node and
-// (optionally) one egress tap per sink node. A port-fed source consumes the
-// feed channel -- data messages fire the kernel (a payload-free message is a
-// pure firing token, so the kernel sees exactly the empty input vector a
-// self-generating source sees), EOS triggers the ordinary EOS flood --
-// instead of self-generating RunSpec::num_inputs sequence numbers. An
-// egress tap is an appended out-slot on the sink node (infinite dummy
-// interval, never continuation-forwarding): whatever the sink kernel emits
-// on it streams to the caller, and a full tap backpressures the sink
-// through the ordinary blocked-output machinery.
+// (optionally) one egress tap per sink node. Every source consumes a feed
+// channel -- data messages fire the kernel (a payload-free message is a
+// pure firing token: the kernel sees an empty input vector), EOS triggers
+// the ordinary EOS flood. An egress tap is an appended out-slot on the
+// sink node (infinite dummy interval, never continuation-forwarding):
+// whatever the sink kernel emits on it streams to the caller, and a full
+// tap backpressures the sink through the ordinary blocked-output machinery.
 //
-// The channels are borrowed, not owned, and must outlive the run. Callers
-// do not build this by hand: exec::Stream (live ports) and the
-// Session::run batch adapter (pre-closed ports) are the two producers.
+// The channels are borrowed, not owned, and must outlive the run.
+// exec::Stream is the only producer, so a bound PortBinding always means
+// live ports: a caller may still push or close, and backends treat
+// quiescence with an open port as idle, not as a verdict.
 struct PortBinding {
   std::vector<NodeId> source_nodes;                // in-degree-0, graph order
   std::vector<runtime::BoundedChannel*> feeds;     // feeds[i] -> source_nodes[i]
   std::vector<NodeId> sink_nodes;                  // out-degree-0, graph order
   std::vector<runtime::BoundedChannel*> egress;    // egress[j] -> sink_nodes[j];
                                                    // null = sink not tapped
-  // True while a caller may still push/close (exec::Stream): backends must
-  // treat quiescence-with-open-ports as idle, not as a verdict. False =
-  // every feed already ends in EOS (the batch adapter), so the classic
-  // completion/deadlock verdicts stay exact and unchanged.
-  bool live = false;
 
   [[nodiscard]] runtime::BoundedChannel* feed_for(NodeId n) const;
   [[nodiscard]] runtime::BoundedChannel* egress_for(NodeId n) const;
@@ -86,7 +80,8 @@ struct RunSpec {
   // Propagation mode: per-edge continuation-forwarding flags
   // (core::CompileResult::forward_on_filter). Empty = none.
   std::vector<std::uint8_t> forward_on_filter;
-  // Number of sequence numbers each source generates (0 .. num_inputs-1).
+  // Batch runs (ports null): each source's feed is pre-closed with this many
+  // firing tokens, seqs 0 .. num_inputs-1, then EOS. Ignored with ports.
   std::uint64_t num_inputs = 0;
   // Optional event recorder (not owned); works on every backend.
   runtime::Tracer* tracer = nullptr;
@@ -137,9 +132,8 @@ struct RunSpec {
   std::size_t pool_workers = 0;
 
   // --- Port plumbing (internal) ---
-  // Set by exec::Stream / the Session::run batch adapter; null = classic
-  // self-generating sources. Borrowed; must outlive the run. When a source
-  // node has a feed here, num_inputs is ignored for it.
+  // Set by exec::Stream: live ports, borrowed, must outlive the run. Null =
+  // a batch run, whose runtime::Wiring builds the num_inputs token feeds.
   const PortBinding* ports = nullptr;
 
   // --- Snapshot plumbing (internal, ckpt) ---

@@ -1,6 +1,5 @@
 #include "src/exec/session.h"
 
-#include "src/runtime/channel.h"
 #include "src/runtime/pool_executor.h"
 #include "src/sim/simulation.h"
 #include "src/support/contracts.h"
@@ -25,53 +24,8 @@ void Session::set_compile_cache(core::CompileCache* cache) {
   cache_ = cache;
 }
 
-namespace {
-
-// The batch adapter's half of the port contract: one pre-closed ingress
-// feed per source, preloaded with num_inputs payload-free firing tokens and
-// EOS. A token-fed source is bit-identical to a self-generating one (the
-// kernel sees the same empty input vector, the feed never runs dry, and the
-// EOS lands exactly after item N), so this is "open, feed N, close, drain"
-// with the historical semantics preserved to the sweep. The full preload is
-// what buys that exactness (a source may never observe a starved feed
-// mid-run), at the price of O(num_inputs) feed memory per source -- fine
-// for every workload in this repo (<= ~1M items); truly huge batch runs
-// should stream through Session::open instead.
-struct BatchFeeds {
-  std::vector<std::unique_ptr<runtime::BoundedChannel>> channels;
-  PortBinding binding;
-
-  BatchFeeds(const StreamGraph& g, std::uint64_t num_inputs) {
-    binding.live = false;
-    for (const NodeId n : g.sources()) {
-      auto feed = std::make_unique<runtime::BoundedChannel>(
-          static_cast<std::size_t>(num_inputs) + 1);
-      for (std::uint64_t seq = 0; seq < num_inputs; ++seq) {
-        const auto r = feed->try_push(runtime::Message::data(seq, {}));
-        SDAF_ASSERT(r == runtime::PushResult::Ok);
-      }
-      const auto r = feed->try_push(runtime::Message::eos());
-      SDAF_ASSERT(r == runtime::PushResult::Ok);
-      binding.source_nodes.push_back(n);
-      binding.feeds.push_back(feed.get());
-      channels.push_back(std::move(feed));
-    }
-    for (const NodeId n : g.sinks()) {
-      binding.sink_nodes.push_back(n);
-      binding.egress.push_back(nullptr);  // batch runs keep sinks untapped
-    }
-  }
-};
-
-}  // namespace
-
 RunReport Session::run(const RunSpec& spec) {
-  if (spec.ports == nullptr && !graph_.sources().empty()) {
-    BatchFeeds feeds(graph_, spec.num_inputs);
-    RunSpec bound = spec;
-    bound.ports = &feeds.binding;
-    return run(bound);
-  }
+  SDAF_EXPECTS(spec.ports == nullptr);
   // The backends consume RunSpec directly (ignoring the fields that do not
   // apply to them), so dispatch is just construction + run.
   RunReport report;
@@ -153,11 +107,6 @@ Session::CompiledRun Session::compile_and_run(RunSpec spec,
 
 RunReport Session::Pending::get() {
   // Each Pending may be get() exactly once, on every backend path.
-  if (ready_.has_value()) {
-    RunReport report = *std::move(ready_);
-    ready_.reset();
-    return report;
-  }
   if (future_.valid()) return future_.get();
   SDAF_ASSERT(pool_ != nullptr);
   runtime::PoolExecutor* pool = pool_;

@@ -5,9 +5,9 @@
 //     InputPorts/OutputPorts carry live, backpressured traffic with
 //     dynamic per-port EOS (src/exec/stream.h) -- the serving shape.
 //   - Batch: session.run(RunSpec) / compile_and_run() execute num_inputs
-//     items to completion or deadlock. This is a thin adapter over the
-//     same ports (open, feed N firing tokens, close, drain), bit-identical
-//     to the historical self-generating run.
+//     items to completion or deadlock: a stream whose input was closed
+//     before it started (each source reads a feed of N firing tokens and
+//     EOS, built by runtime::Wiring).
 //
 // The two backends -- the deterministic simulator (the reference model) and
 // the pooled scheduler (the concurrent engine) -- share one firing rule
@@ -60,13 +60,11 @@ class Session {
   Session(const StreamGraph& g,
           std::vector<std::shared_ptr<runtime::Kernel>> kernels);
 
-  // One execution to completion or deadlock on the chosen backend. This is
-  // the thin batch adapter over the port machinery: unless the caller bound
-  // ports already, the sources are fed from pre-closed ingress channels
-  // holding num_inputs firing tokens plus EOS -- open, feed N, close, drain
-  // -- which is bit-identical to the historical self-generating run (same
-  // traffic, fires, verdicts, and Sim sweep counts; the differential
-  // harness enforces it).
+  // One execution to completion or deadlock on the chosen backend. Each
+  // source reads a pre-closed feed of spec.num_inputs firing tokens plus
+  // EOS, so the verdict is the closed-world one: a Sim run that stops
+  // progressing is deadlocked, exactly as the paper's sweep rule says.
+  // spec.ports must be null (live ports go through open()).
   [[nodiscard]] RunReport run(const RunSpec& spec);
 
   // Long-lived streaming execution with external ports: push live traffic
@@ -129,7 +127,6 @@ class Session {
 
    private:
     friend class Session;
-    std::optional<RunReport> ready_;
     std::future<RunReport> future_;
     runtime::PoolExecutor* pool_ = nullptr;
     std::uint64_t ticket_ = 0;

@@ -170,7 +170,6 @@ struct Core {
       credits = spec.run.credits;
       credit_releaser.gauge = credits;
     }
-    binding.live = true;
     for (const NodeId n : graph.sources()) {
       binding.source_nodes.push_back(n);
       // capacity + 1: the extra slot is reserved for EOS, so close() can
@@ -297,11 +296,6 @@ struct Core {
   virtual RunReport collect() = 0;
 
   // --- shared port logic -----------------------------------------------
-  // NoCredit is distinct from NoSpace so the blocking paths park on the
-  // right event: the tenant gauge for the former, the feed's producer
-  // signal for the latter.
-  enum class PushStatus { Ok, NoSpace, NoCredit, Ended };
-
   // Pre: port_mus[i] held, a marker is due now (the barrier armed this port
   // and it just reached S, begin() found it already at S, or close() cuts
   // it short of S). The feed always has physical room: data occupancy is
@@ -319,116 +313,40 @@ struct Core {
     if (r == PushResult::Ok) feed_pushed(i, was_empty);
   }
 
-  PushStatus push_message(InputPort& port, Message& m) {
-    const std::size_t i = port.index_;
-    BoundedChannel& feed = *feed_channels[i];
-    // Tenant credit gates BEFORE channel space: a tenant at its window
-    // parks on its own gauge without ever probing (or filling) the feed.
-    // The abort check first keeps a credit-starved pusher from spinning
-    // forever on a stream whose credits died with another feed.
-    if (credits != nullptr) {
-      if (feed.aborted()) return PushStatus::Ended;
-      if (!credits->try_acquire(1)) return PushStatus::NoCredit;
-      // Charge before the publish: the consumer-side drain decrement can
-      // then never precede its increment (see CreditReleaser).
-      credit_releaser.charge(1);
-    }
-    const auto undo = [&](PushStatus s) {
-      if (credits != nullptr) credit_releaser.uncharge(1);
-      return s;
-    };
-    std::lock_guard plock(*port_mus[i]);
-    if (feed.size() >= spec.feed_capacity)
-      return undo(PushStatus::NoSpace);  // data exhausted; EOS slot reserved
-    bool was_empty = false;
-    switch (feed.try_push(std::move(m), &was_empty)) {
-      case PushResult::Ok:
-        // Single writer (the port's caller): plain load+store, no RMW.
-        port.next_seq_.store(port.pushed() + 1, std::memory_order_relaxed);
-        // An armed barrier injects its marker exactly between seq S-1 and
-        // seq S, preserving the barrier invariant at the injection point.
-        if (armed_marker[i] != kNoBarrier && port.pushed() == armed_marker[i])
-          inject_marker_locked(i, armed_marker[i]);
-        feed_pushed(i, was_empty);
-        return PushStatus::Ok;
-      case PushResult::Aborted:
-        return undo(PushStatus::Ended);
-      case PushResult::Full:
-      default:
-        return undo(PushStatus::NoSpace);
-    }
-  }
-
-  bool port_try_push(InputPort& port, Value&& v) {
-    if (port.closed_) return false;
-    Message m = Message::data(port.pushed(), std::move(v));
-    return push_message(port, m) == PushStatus::Ok;
-  }
-
-  bool port_push(InputPort& port, Value&& v) {
-    return port_push_deadline(port, std::move(v), std::nullopt) ==
-           PortPushOutcome::Ok;
-  }
-
-  PortPushOutcome port_push_deadline(InputPort& port, Value&& v,
-                                 const Deadline& deadline) {
-    if (port.closed_) return PortPushOutcome::Ended;
-    Message m = Message::data(port.pushed(), std::move(v));
-    for (;;) {
-      switch (push_message(port, m)) {
-        case PushStatus::Ok:
-          return PortPushOutcome::Ok;
-        case PushStatus::Ended:
-          return PortPushOutcome::Ended;
-        case PushStatus::NoSpace:
-          if (!wait_feed_space(port.index_, deadline, 1))
-            return feed_channels[port.index_]->aborted() ? PortPushOutcome::Ended
-                                                         : PortPushOutcome::TimedOut;
-          break;
-        case PushStatus::NoCredit:
-          if (!wait_credit(deadline))
-            return feed_channels[port.index_]->aborted() ? PortPushOutcome::Ended
-                                                         : PortPushOutcome::TimedOut;
-          break;
-      }
-    }
-  }
-
-  // The bulk-ingest fast path: all sequence numbers are assigned up front,
-  // then each round stages as many messages as the feed has data room for
-  // and lands them with one BoundedChannel::try_push_batch (one ring
-  // reservation + one publish + one wake). Traffic is bit-identical to
-  // item-at-a-time push() -- same seqs, same channel contents, one
-  // empty->non-empty wake edge instead of many redundant ones.
+  // The one push loop: lands msgs[0, n) in order, in rounds. Each round
+  // takes as much tenant credit as it can (charged before the publish, so
+  // drains never outrun their charges), stages as many messages as the
+  // feed has data room for and lands them with one
+  // BoundedChannel::try_push_batch (one ring reservation + one publish +
+  // one wake), then hands back the unused credit. Traffic is bit-identical
+  // however the messages are split into calls: same seqs, same channel
+  // contents, one empty->non-empty wake edge per round.
   //
-  // Backpressure has a low-water mark: once the feed is full, the pusher
-  // parks until the rest of the batch fits -- at most half the feed -- so
-  // it lands large rounds instead of waking for every slot the source
-  // frees. A deadline that passes first still lands whatever fits then.
-  std::size_t port_push_batch(InputPort& port, std::vector<Value> values,
-                              const Deadline& deadline) {
-    if (port.closed_ || values.empty()) return 0;
+  // Backpressure: a round short of credit parks on the tenant gauge; a
+  // full feed parks until the rest fits -- at most half the feed (the
+  // low-water mark) -- so a saturated pusher lands large rounds instead of
+  // waking for every slot the source frees. A deadline that passes first
+  // still lands whatever fits then. With `wait` false it runs one round and
+  // never parks (nor, on the Sim backend, pumps). Returns how many landed.
+  // Pre: the port is open.
+  std::size_t push_messages(InputPort& port, Message* msgs, std::size_t n,
+                            const Deadline& deadline, bool wait) {
     const std::size_t i = port.index_;
-    std::vector<Message>& msgs = feed_staging[i];
-    msgs.clear();
-    std::uint64_t seq = port.pushed();
-    for (auto& v : values) msgs.push_back(Message::data(seq++, std::move(v)));
-    std::size_t done = 0;
     BoundedChannel& feed = *feed_channels[i];
-    bool last_round = false;
+    std::size_t done = 0;
+    bool last_round = !wait;
     for (;;) {
       bool aborted = false;
-      std::size_t n = 0;
+      std::size_t landed = 0;
       std::size_t room = 0;
-      // Credit gates the round like the single-item path: grab as many as
-      // the gauge allows (charged up front so drains never outrun their
-      // charges), push what also fits the feed, hand back the rest.
       std::uint64_t credit = 0;
       if (credits != nullptr) {
+        // The abort check first keeps a credit-starved pusher from spinning
+        // forever on a stream whose credits died with another feed.
         if (feed.aborted()) break;
-        credit = credits->try_acquire_upto(msgs.size() - done);
+        credit = credits->try_acquire_upto(n - done);
         if (credit == 0) {
-          if (!wait_credit(deadline)) break;
+          if (last_round || !wait_credit(deadline)) break;
           continue;
         }
         credit_releaser.charge(credit);
@@ -440,21 +358,24 @@ struct Core {
         // feet, so `room` is a safe underestimate.
         const std::size_t occ = feed.size();
         room = occ >= spec.feed_capacity ? 0 : spec.feed_capacity - occ;
-        std::size_t want = msgs.size() - done;
+        std::size_t want = n - done;
         if (credits != nullptr)
           want = std::min<std::size_t>(want, static_cast<std::size_t>(credit));
-        // An armed barrier splits the batch at S: stage up to the marker's
-        // slot, inject it, then the next round continues past it.
+        // An armed barrier splits the round at S: land up to the marker's
+        // slot, inject it exactly between seq S-1 and seq S, and the next
+        // round continues past it.
         if (armed_marker[i] != kNoBarrier)
           want = std::min<std::size_t>(
               want, static_cast<std::size_t>(armed_marker[i] - port.pushed()));
         if (room > 0 && want > 0) {
           bool was_empty = false;
-          n = feed.try_push_batch(msgs.data() + done, std::min(room, want),
-                                  &was_empty, &aborted);
-          if (n > 0) {
-            done += n;
-            port.next_seq_.store(port.pushed() + n, std::memory_order_relaxed);
+          landed = feed.try_push_batch(msgs + done, std::min(room, want),
+                                       &was_empty, &aborted);
+          if (landed > 0) {
+            done += landed;
+            // Single writer (the port's caller): plain load+store, no RMW.
+            port.next_seq_.store(port.pushed() + landed,
+                                 std::memory_order_relaxed);
             if (armed_marker[i] != kNoBarrier &&
                 port.pushed() == armed_marker[i])
               inject_marker_locked(i, armed_marker[i]);
@@ -462,19 +383,44 @@ struct Core {
           }
         }
       }
-      if (credits != nullptr && credit > n)
-        credit_releaser.uncharge(credit - n);
-      if (aborted || done == msgs.size() || last_round) break;
+      if (credits != nullptr && credit > landed)
+        credit_releaser.uncharge(credit - landed);
+      if (aborted || done == n || last_round) break;
       // Room left over: credit or a barrier cut the round short, not the
       // feed -- go again at once.
-      if (n < room) continue;
+      if (landed < room) continue;
       const std::size_t need = std::max<std::size_t>(
-          1, std::min(msgs.size() - done, spec.feed_capacity / 2));
+          1, std::min(n - done, spec.feed_capacity / 2));
       if (!wait_feed_space(i, deadline, need)) {
         if (feed.aborted()) break;
         last_round = true;
       }
     }
+    return done;
+  }
+
+  // push / try_push / try_push_for: one stack message through the loop.
+  PortPushOutcome port_push(InputPort& port, Value&& v,
+                            const Deadline& deadline, bool wait) {
+    if (port.closed_) return PortPushOutcome::Ended;
+    Message m = Message::data(port.pushed(), std::move(v));
+    if (push_messages(port, &m, 1, deadline, wait) == 1)
+      return PortPushOutcome::Ok;
+    return feed_channels[port.index_]->aborted() ? PortPushOutcome::Ended
+                                                 : PortPushOutcome::TimedOut;
+  }
+
+  // push_batch / push_batch_for: seqs are assigned up front into the
+  // port's reused staging buffer.
+  std::size_t port_push_batch(InputPort& port, std::vector<Value> values,
+                              const Deadline& deadline) {
+    if (port.closed_ || values.empty()) return 0;
+    std::vector<Message>& msgs = feed_staging[port.index_];
+    msgs.clear();
+    std::uint64_t seq = port.pushed();
+    for (auto& v : values) msgs.push_back(Message::data(seq++, std::move(v)));
+    const std::size_t done =
+        push_messages(port, msgs.data(), msgs.size(), deadline, true);
     msgs.clear();  // drops unaccepted payloads, keeps the capacity
     return done;
   }
@@ -1072,11 +1018,13 @@ std::unique_ptr<Core> make_core(const StreamGraph& graph,
 using stream_detail::Core;
 
 bool InputPort::push(runtime::Value v) {
-  return core_->port_push(*this, std::move(v));
+  return core_->port_push(*this, std::move(v), std::nullopt, true) ==
+         PortPushOutcome::Ok;
 }
 
 bool InputPort::try_push(runtime::Value v) {
-  return core_->port_try_push(*this, std::move(v));
+  return core_->port_push(*this, std::move(v), std::nullopt, false) ==
+         PortPushOutcome::Ok;
 }
 
 PortPushOutcome InputPort::try_push_for(runtime::Value v,
@@ -1085,7 +1033,7 @@ PortPushOutcome InputPort::try_push_for(runtime::Value v,
   // park (try_push semantics with the three-way status).
   const auto deadline = std::chrono::steady_clock::now() +
                         std::max(timeout, std::chrono::nanoseconds::zero());
-  return core_->port_push_deadline(*this, std::move(v), deadline);
+  return core_->port_push(*this, std::move(v), deadline, true);
 }
 
 std::size_t InputPort::push_batch(std::vector<runtime::Value> values) {

@@ -92,8 +92,8 @@ class InputPort {
   InputPort& operator=(const InputPort&) = delete;
 
   // Pushes the next item (sequence numbers are assigned in push order). An
-  // empty Value is a pure firing token: the source kernel fires exactly as
-  // a self-generating source (empty input vector); a non-empty Value rides
+  // empty Value is a pure firing token: the source kernel fires with an
+  // empty input vector, exactly as in a batch run; a non-empty Value rides
   // to the kernel as its single input. push() blocks on backpressure (on
   // the Sim backend it pumps sweeps instead of blocking) and returns false
   // iff the port is closed or the stream ended (deadlock certified /

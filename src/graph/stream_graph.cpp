@@ -6,7 +6,7 @@ namespace sdaf {
 
 NodeId StreamGraph::add_node(std::string name) {
   const auto id = static_cast<NodeId>(node_names_.size());
-  if (name.empty()) name = "n" + std::to_string(id);
+  if (name.empty()) name.append("n").append(std::to_string(id));
   node_names_.push_back(std::move(name));
   out_.emplace_back();
   in_.emplace_back();

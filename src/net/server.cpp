@@ -600,7 +600,8 @@ struct Server::Impl {
     for (const auto& c : conns) {
       for (const auto& [sid, s] : c->streams) {
         obs::MetricsSnapshot snap = s->stream->metrics();
-        snap.tenant.tenant += "/" + std::to_string(s->id);
+        snap.tenant.tenant += '/';
+        snap.tenant.tenant += std::to_string(s->id);
         snaps.push_back(std::move(snap));
       }
     }
@@ -613,80 +614,45 @@ struct Server::Impl {
     page += obs::tenant_sched_to_prometheus(pool->tenant_metrics());
     page += obs::admission_to_prometheus(admission.admitted_total(),
                                          admission.rejected_total());
-    {
-      const auto escape = [](const std::string& s) {
-        std::string out;
-        for (const char ch : s) {
-          if (ch == '\\' || ch == '"') out += '\\';
-          if (ch == '\n') {
-            out += "\\n";
-            continue;
-          }
-          out += ch;
-        }
-        return out;
-      };
-      const auto entries = tenants.entries();
-      page +=
-          "# HELP sdaf_tenant_credit_limit Per-tenant in-flight credit "
-          "window (0 = unlimited).\n# TYPE sdaf_tenant_credit_limit gauge\n";
-      for (const auto& e : entries)
-        page += "sdaf_tenant_credit_limit{tenant=\"" + escape(e.tenant) +
-                "\"} " + std::to_string(e.limit) + "\n";
-      page +=
-          "# HELP sdaf_tenant_credits_in_flight Data items a tenant has "
-          "pushed but its sources have not yet consumed.\n"
-          "# TYPE sdaf_tenant_credits_in_flight gauge\n";
-      for (const auto& e : entries)
-        page += "sdaf_tenant_credits_in_flight{tenant=\"" + escape(e.tenant) +
-                "\"} " + std::to_string(e.in_flight) + "\n";
-    }
+    page += obs::credits_to_prometheus(tenants.entries());
 
     // Service-level families, appended after the per-stream ones (family
     // names are disjoint, so the one-TYPE-per-family rule holds).
-    const auto counter = [&page](const char* name, const char* help,
-                                 std::uint64_t v) {
-      page += "# HELP " + std::string(name) + " " + help + "\n";
-      page += "# TYPE " + std::string(name) + " counter\n";
-      page += std::string(name) + " " + std::to_string(v) + "\n";
-    };
-    const auto gauge = [&page](const char* name, const char* help,
-                               std::uint64_t v) {
-      page += "# HELP " + std::string(name) + " " + help + "\n";
-      page += "# TYPE " + std::string(name) + " gauge\n";
-      page += std::string(name) + " " + std::to_string(v) + "\n";
-    };
-    counter("sdafd_connections_total", "Connections accepted.",
-            stats.connections_total);
-    gauge("sdafd_connections_open", "Connections currently open.",
-          stats.connections_open);
-    counter("sdafd_streams_total", "Streams opened.", stats.streams_total);
-    gauge("sdafd_streams_open", "Streams currently open.",
-          stats.streams_open);
-    counter("sdafd_frames_total", "Frames processed.", stats.frames_total);
-    counter("sdafd_errors_total", "Error frames issued.",
-            stats.errors_total);
-    counter("sdafd_items_in_total", "Items ingested via PushBatch.",
-            stats.items_in_total);
-    counter("sdafd_items_out_total", "Items delivered via Deliver.",
-            stats.items_out_total);
-    counter("sdafd_push_timeouts_total",
-            "PushBatch calls that hit the server's push deadline.",
-            stats.push_timeouts_total);
-    counter("sdafd_compile_cache_hits_total",
-            "Opens whose topology hit the compile cache.",
-            stats.compile_cache_hits_total);
-    counter("sdafd_snapshots_total", "Completed barrier snapshots served.",
-            stats.snapshots_total);
-    counter("sdafd_restores_total", "Streams rehydrated via Restore.",
-            stats.restores_total);
-    counter("sdafd_sessions_aborted_total",
-            "Streams aborted because their connection dropped mid-stream.",
-            stats.sessions_aborted_total);
-    counter("sdafd_accept_fd_exhausted_total",
-            "Accepts refused for want of a file descriptor (EMFILE/ENFILE); "
-            "each pauses the listeners briefly.",
-            stats.accept_fd_exhausted_total);
+    page += obs::scalars_to_prometheus({
+        {"sdafd_connections_total", "counter", "Connections accepted.",
+         stats.connections_total},
+        {"sdafd_connections_open", "gauge", "Connections currently open.",
+         stats.connections_open},
+        {"sdafd_streams_total", "counter", "Streams opened.",
+         stats.streams_total},
+        {"sdafd_streams_open", "gauge", "Streams currently open.",
+         stats.streams_open},
+        {"sdafd_frames_total", "counter", "Frames processed.",
+         stats.frames_total},
+        {"sdafd_errors_total", "counter", "Error frames issued.",
+         stats.errors_total},
+        {"sdafd_items_in_total", "counter", "Items ingested via PushBatch.",
+         stats.items_in_total},
+        {"sdafd_items_out_total", "counter", "Items delivered via Deliver.",
+         stats.items_out_total},
+        {"sdafd_push_timeouts_total", "counter",
+         "PushBatch calls that hit the server's push deadline.",
+         stats.push_timeouts_total},
+        {"sdafd_compile_cache_hits_total", "counter",
+         "Opens whose topology hit the compile cache.",
+         stats.compile_cache_hits_total},
+        {"sdafd_snapshots_total", "counter",
+         "Completed barrier snapshots served.", stats.snapshots_total},
+        {"sdafd_restores_total", "counter", "Streams rehydrated via Restore.",
+         stats.restores_total},
+        {"sdafd_sessions_aborted_total", "counter",
+         "Streams aborted because their connection dropped mid-stream.",
+         stats.sessions_aborted_total},
+        {"sdafd_accept_fd_exhausted_total", "counter",
+         "Accepts refused for want of a file descriptor (EMFILE/ENFILE); "
+         "each pauses the listeners briefly.",
+         stats.accept_fd_exhausted_total},
+    });
     return page;
   }
 

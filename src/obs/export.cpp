@@ -83,6 +83,11 @@ class PromWriter {
          << value << "\n";
   }
 
+  // A process-level family's single unlabelled sample.
+  void sample(std::uint64_t value) {
+    out_ << family_ << " " << value << "\n";
+  }
+
   void sample_f(const std::string& tenant, const std::string& labels,
                 double value) {
     out_ << family_ << "{tenant=\"" << pesc(tenant) << "\"" << labels << "} "
@@ -388,17 +393,34 @@ std::string tenant_sched_to_prometheus(
 
 std::string admission_to_prometheus(std::uint64_t admitted,
                                     std::uint64_t rejected) {
-  std::string page;
-  page +=
-      "# HELP sdaf_admission_admitted_total Streams admitted by the qos "
-      "admission controller.\n# TYPE sdaf_admission_admitted_total counter\n";
-  page += "sdaf_admission_admitted_total " + std::to_string(admitted) + "\n";
-  page +=
-      "# HELP sdaf_admission_rejected_total Opens refused over budget by "
-      "the qos admission controller.\n"
-      "# TYPE sdaf_admission_rejected_total counter\n";
-  page += "sdaf_admission_rejected_total " + std::to_string(rejected) + "\n";
-  return page;
+  return scalars_to_prometheus(
+      {{"sdaf_admission_admitted_total", "counter",
+        "Streams admitted by the qos admission controller.", admitted},
+       {"sdaf_admission_rejected_total", "counter",
+        "Opens refused over budget by the qos admission controller.",
+        rejected}});
+}
+
+std::string credits_to_prometheus(
+    const std::vector<TenantCreditMetrics>& tenants) {
+  PromWriter w;
+  w.family("sdaf_tenant_credit_limit", "gauge",
+           "Per-tenant in-flight credit window (0 = unlimited).");
+  for (const auto& t : tenants) w.sample(t.tenant, "", t.limit);
+  w.family("sdaf_tenant_credits_in_flight", "gauge",
+           "Data items a tenant has pushed but its sources have not yet "
+           "consumed.");
+  for (const auto& t : tenants) w.sample(t.tenant, "", t.in_flight);
+  return w.str();
+}
+
+std::string scalars_to_prometheus(const std::vector<ScalarFamily>& families) {
+  PromWriter w;
+  for (const ScalarFamily& f : families) {
+    w.family(f.name, f.type, f.help);
+    w.sample(f.value);
+  }
+  return w.str();
 }
 
 }  // namespace sdaf::obs

@@ -44,4 +44,20 @@ namespace sdaf::obs {
 [[nodiscard]] std::string admission_to_prometheus(std::uint64_t admitted,
                                                   std::uint64_t rejected);
 
+// Per-tenant credit windows (qos::TenantTable::entries) as the
+// sdaf_tenant_credit_limit / sdaf_tenant_credits_in_flight gauges.
+[[nodiscard]] std::string credits_to_prometheus(
+    const std::vector<TenantCreditMetrics>& tenants);
+
+// Process-level families with one unlabelled sample each (sdafd's service
+// counters), in the order given. `type` is "counter" or "gauge".
+struct ScalarFamily {
+  const char* name;
+  const char* type;
+  const char* help;
+  std::uint64_t value;
+};
+[[nodiscard]] std::string scalars_to_prometheus(
+    const std::vector<ScalarFamily>& families);
+
 }  // namespace sdaf::obs

@@ -191,6 +191,14 @@ struct TenantMetrics {
 // (enqueued/dequeued tasks) and how deep its lane ran (queue residency).
 // Snapshotted under the injector lock, so enqueued - dequeued ==
 // queue_depth exactly.
+// One tenant's qos credit window (qos::TenantTable::entries): its limit
+// (0 = unlimited) and the items pushed but not yet consumed by a source.
+struct TenantCreditMetrics {
+  std::string tenant;
+  std::uint64_t limit = 0;
+  std::uint64_t in_flight = 0;
+};
+
 struct TenantSchedMetrics {
   std::string tenant;
   std::uint64_t weight = 1;

@@ -23,6 +23,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/obs/metrics.h"
 #include "src/runtime/parking_lot.h"
 
 namespace sdaf::qos {
@@ -103,11 +104,7 @@ class TenantTable {
     return slot.get();
   }
 
-  struct Entry {
-    std::string tenant;
-    std::uint64_t limit = 0;
-    std::uint64_t in_flight = 0;
-  };
+  using Entry = obs::TenantCreditMetrics;
   [[nodiscard]] std::vector<Entry> entries() const {
     std::lock_guard lock(mu_);
     std::vector<Entry> out;

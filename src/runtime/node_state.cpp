@@ -9,8 +9,7 @@ namespace sdaf::runtime {
 NodeState::NodeState(NodeId node, Kernel& kernel,
                      std::vector<BoundedChannel*> ins,
                      std::vector<BoundedChannel*> outs, BoundedChannel* feed,
-                     NodeWrapper wrapper, std::uint64_t num_inputs,
-                     std::vector<NodeId> in_producers,
+                     NodeWrapper wrapper, std::vector<NodeId> in_producers,
                      std::vector<NodeId> out_consumers, Waker& waker,
                      std::uint32_t batch, Tracer* tracer,
                      const std::uint64_t* tick, obs::NodeCounters* metrics)
@@ -21,8 +20,8 @@ NodeState::NodeState(NodeId node, Kernel& kernel,
       out_consumers_(std::move(out_consumers)),
       waker_(waker),
       core_(node, kernel, ins_.size(), outs_.size(), std::move(wrapper),
-            num_inputs, *this, batch, tracer, tick,
-            /*port_fed=*/feed != nullptr, metrics) {
+            *this, batch, tracer, tick, metrics) {
+  SDAF_EXPECTS((feed_ != nullptr) == ins_.empty());
   SDAF_EXPECTS(in_producers_.size() == ins_.size());
   SDAF_EXPECTS(out_consumers_.size() == outs_.size());
 }
@@ -151,7 +150,9 @@ Wiring::Wiring(const StreamGraph& g,
       out_forward.push_back(forward[e]);
     }
     BoundedChannel* feed = nullptr;
-    if (spec.ports != nullptr) {
+    if (spec.ports == nullptr) {
+      if (ins.empty()) feed = token_feed(spec.num_inputs);
+    } else {
       feed = spec.ports->feed_for(n);
       if (BoundedChannel* egress = spec.ports->egress_for(n)) {
         // The egress tap is one extra out-slot: infinite dummy interval,
@@ -166,8 +167,8 @@ Wiring::Wiring(const StreamGraph& g,
         n, *kernels[n], std::move(ins), std::move(outs), feed,
         NodeWrapper(spec.mode, std::move(out_intervals),
                     std::move(out_forward)),
-        spec.num_inputs, std::move(in_producers), std::move(out_consumers),
-        waker, spec.batch, spec.tracer, tick,
+        std::move(in_producers), std::move(out_consumers), waker, spec.batch,
+        spec.tracer, tick,
         spec.metrics != nullptr ? &spec.metrics->node(n) : nullptr));
     if (spec.ckpt_plane != nullptr)
       nodes_.back()->set_snapshot_plane(spec.ckpt_plane);
@@ -193,6 +194,21 @@ Wiring::Wiring(const StreamGraph& g,
       SDAF_ASSERT(pushed == PushResult::Ok);
     }
   }
+}
+
+BoundedChannel* Wiring::token_feed(std::uint64_t num_inputs) {
+  // Pre-closed: the source never observes a starved feed, so a batch run's
+  // verdict is the closed-world one, and its EOS lands right after item N.
+  auto feed = std::make_unique<BoundedChannel>(
+      static_cast<std::size_t>(num_inputs) + 1);
+  for (std::uint64_t seq = 0; seq < num_inputs; ++seq) {
+    const PushResult r = feed->try_push(Message::data(seq, {}));
+    SDAF_ASSERT(r == PushResult::Ok);
+  }
+  const PushResult r = feed->try_push(Message::eos());
+  SDAF_ASSERT(r == PushResult::Ok);
+  token_feeds_.push_back(std::move(feed));
+  return token_feeds_.back().get();
 }
 
 bool Wiring::all_done() const {

@@ -14,8 +14,8 @@
 //
 // Wiring builds one run's runtime::BoundedChannels and NodeStates from a
 // graph and an exec::RunSpec -- intervals, continuation flags, injected
-// ports, snapshot plane, restore -- and reads back the report, the edge
-// cuts and the wedge dump. sim::SweepEngine and runtime::PoolExecutor each
+// ports (or, for a batch run, its pre-closed token feeds), snapshot plane,
+// restore -- and reads back the report, the edge cuts and the wedge dump. sim::SweepEngine and runtime::PoolExecutor each
 // hold one, so both engines run the same channels and the same nodes.
 #pragma once
 
@@ -49,15 +49,14 @@ class NodeState final {
   // `in_producers[j]` / `out_consumers[slot]` name the node at the far end
   // of the corresponding channel; they are the wake targets for the
   // pop-freed-a-full-channel / push-filled-an-empty-channel transitions.
-  // `feed` (optional) makes the node a port-fed source consuming the
-  // injected channel; an egress tap rides in `outs` as one extra slot whose
+  // `feed` is the injected channel a source (no `ins`) consumes, null for
+  // every other node; an egress tap rides in `outs` as one extra slot whose
   // out_consumers entry is kNoNode (its consumer is the external caller,
   // woken through the channel itself, never through the Waker). `tick`
   // (optional) stamps trace events, see exec::FiringCore.
   NodeState(NodeId node, Kernel& kernel, std::vector<BoundedChannel*> ins,
             std::vector<BoundedChannel*> outs, BoundedChannel* feed,
-            NodeWrapper wrapper, std::uint64_t num_inputs,
-            std::vector<NodeId> in_producers,
+            NodeWrapper wrapper, std::vector<NodeId> in_producers,
             std::vector<NodeId> out_consumers, Waker& waker,
             std::uint32_t batch, Tracer* tracer, const std::uint64_t* tick,
             obs::NodeCounters* metrics);
@@ -131,7 +130,7 @@ class NodeState final {
                                              std::uint64_t first_seq,
                                              std::size_t count,
                                              exec::PushOutcome* outcome);
-  // Port-fed sources only: the injected feed. peek_feed has the contract
+  // Sources only: the injected feed. peek_feed has the contract
   // of peek_head; pop_feed discards the head (a marker or EOS);
   // pop_feed_data moves out up to `max` consecutive data heads with one
   // channel op, stopping at any other kind, and returns how many.
@@ -161,8 +160,10 @@ class NodeState final {
 class Wiring {
  public:
   // Applies the spec's intervals and continuation flags (empty = none),
-  // attaches its ports (feed -> port-fed source; egress -> one extra
-  // out-slot with an infinite interval), metrics and snapshot plane, and
+  // attaches its ports (feed -> source; egress -> one extra out-slot with
+  // an infinite interval) -- or, with spec.ports null, gives each source a
+  // feed of spec.num_inputs firing tokens and EOS -- metrics and snapshot
+  // plane, and
   // rebuilds the cut of spec.restore: node counters and kernel state,
   // finished nodes, cumulative edge traffic, and the EOS a finished
   // producer had left for a live consumer.
@@ -196,9 +197,14 @@ class Wiring {
   [[nodiscard]] std::string dump_wedged_state() const;
 
  private:
+  // A batch source's feed: num_inputs firing tokens, then EOS.
+  BoundedChannel* token_feed(std::uint64_t num_inputs);
+
   const StreamGraph& graph_;
   const Tracer* tracer_;
   std::vector<std::unique_ptr<BoundedChannel>> channels_;
+  // Batch runs only: the sources' pre-closed token feeds.
+  std::vector<std::unique_ptr<BoundedChannel>> token_feeds_;
   std::vector<std::unique_ptr<NodeState>> nodes_;
 };
 

@@ -124,15 +124,15 @@ struct PoolExecutor::Instance final : Waker {
   // (docs/SCHEDULER.md).
   std::atomic<std::int64_t> active{0};
 
-  // Live-port bookkeeping. `streaming` is set for ports->live submissions;
-  // `open_ports` counts input ports whose EOS has not been pushed yet.
+  // Live-port bookkeeping (exec::Stream submissions; null `ports` = a batch
+  // run on pre-closed token feeds). `open_ports` counts input ports whose
+  // EOS has not been pushed yet.
   // finalize() is gated on open_ports == 0 *and* every feed drained: the
   // close protocol is push-EOS, then decrement, then wake, so whenever a
   // quiescent observer reads open_ports == 0, the EOS that closed the last
   // port is already visible -- it either still sits in the feed (then the
   // close's wake re-activates the instance) or was consumed (then the feed
   // is empty and the nodes took the flood as far as it goes).
-  bool streaming = false;
   const exec::PortBinding* ports = nullptr;
   std::atomic<std::int64_t> open_ports{0};
   // Serializes caller-side port wakes against the final verdict: a stream
@@ -223,8 +223,7 @@ PoolExecutor::TicketId PoolExecutor::submit(
   instance->executor = this;
   instance->kernels = std::move(kernels);
   instance->ports = options.ports;
-  instance->streaming = options.ports != nullptr && options.ports->live;
-  if (instance->streaming)
+  if (instance->ports != nullptr)
     instance->open_ports.store(
         static_cast<std::int64_t>(options.ports->feeds.size()));
   instance->lane = options_.fair_injector
@@ -547,7 +546,7 @@ void PoolExecutor::run_task(Worker& w, NodeTask* task) {
 }
 
 void PoolExecutor::maybe_finalize(Instance& instance) {
-  if (!instance.streaming) {
+  if (instance.ports == nullptr) {
     finalize(instance);
     return;
   }
@@ -611,7 +610,7 @@ void PoolExecutor::finalize(Instance& instance) {
   // unfinished node's park summary for diagnosis.
   if (result.deadlocked)
     result.state_dump = instance.wiring->dump_wedged_state();
-  if (instance.streaming && result.deadlocked) {
+  if (instance.ports != nullptr && result.deadlocked) {
     // Release callers parked on the ports: a pusher blocked on a full feed
     // and a poller blocked on an empty tap both unwind on abort (remaining
     // tap contents stay drainable).
@@ -748,7 +747,7 @@ PoolExecutor::StreamHandle PoolExecutor::stream_handle(TicketId ticket) {
   std::lock_guard lock(instances_mu_);
   auto it = instances_.find(ticket);
   SDAF_EXPECTS(it != instances_.end());
-  SDAF_EXPECTS(it->second->streaming);
+  SDAF_EXPECTS(it->second->ports != nullptr);
   return it->second;
 }
 

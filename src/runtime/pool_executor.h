@@ -133,8 +133,10 @@ class PoolExecutor {
   // the backend-selection and Sim fields are ignored (deadlock here is
   // certified by exact quiescence, not a sweep budget).
   //
-  // With options.ports set, sources read the injected feeds and tapped
-  // sinks gain an egress out-slot. Live ports (ports->live) extend the
+  // With options.ports null, each source reads a pre-closed feed of
+  // options.num_inputs firing tokens (runtime::Wiring builds it). With
+  // options.ports set (exec::Stream), sources read the injected feeds and
+  // tapped sinks gain an egress out-slot, and the live ports extend the
   // quiescence rule: the instance only finalizes when it is quiescent *and*
   // no port can still supply work -- every port reported closed
   // (stream_port_closed), no input-starved source with a non-empty feed,

@@ -94,8 +94,8 @@ Simulation::Simulation(const StreamGraph& g,
 
 exec::RunReport Simulation::run(const exec::RunSpec& options) {
   // Live ports would make a no-progress sweep ambiguous (more input may
-  // arrive); this blocking entry point only accepts pre-closed feeds.
-  SDAF_EXPECTS(options.ports == nullptr || !options.ports->live);
+  // arrive); this blocking entry point runs the pre-closed token feeds only.
+  SDAF_EXPECTS(options.ports == nullptr);
   SweepEngine engine(graph_, kernels_, options);
   (void)engine.pump();
   // With every feed pre-closed, pump() stopping short of completion inside

@@ -30,8 +30,10 @@ class Simulation {
   Simulation(const StreamGraph& g,
              std::vector<std::shared_ptr<runtime::Kernel>> kernels);
 
-  // Consumes spec.mode/intervals/forward_on_filter/num_inputs/tracer/batch,
-  // max_sweeps and ports; backend-selection and pool fields are ignored.
+  // A batch run: consumes spec.mode/intervals/forward_on_filter/num_inputs/
+  // tracer/batch and max_sweeps; backend-selection and pool fields are
+  // ignored, and spec.ports must be null (live ports run through
+  // exec::Stream on a SweepEngine).
   [[nodiscard]] exec::RunReport run(const exec::RunSpec& options);
 
  private:

@@ -115,9 +115,9 @@ StreamGraph random_ladder(Prng& rng, const RandomLadderOptions& options) {
   const NodeId x = g.add_node("X");
   std::vector<NodeId> left{x}, right{x};
   for (std::size_t i = 1; i <= left_n; ++i)
-    left.push_back(g.add_node("u" + std::to_string(i)));
+    left.push_back(g.add_node(std::string("u").append(std::to_string(i))));
   for (std::size_t i = 1; i <= right_n; ++i)
-    right.push_back(g.add_node("v" + std::to_string(i)));
+    right.push_back(g.add_node(std::string("v").append(std::to_string(i))));
   const NodeId y = g.add_node("Y");
   left.push_back(y);
   right.push_back(y);

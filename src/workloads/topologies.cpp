@@ -105,7 +105,7 @@ StreamGraph pipeline(std::size_t stages, std::int64_t buffer) {
   StreamGraph g;
   std::vector<NodeId> nodes;
   for (std::size_t i = 0; i < stages; ++i)
-    nodes.push_back(g.add_node("s" + std::to_string(i)));
+    nodes.push_back(g.add_node(std::string("s").append(std::to_string(i))));
   for (std::size_t i = 0; i + 1 < stages; ++i)
     g.add_edge(nodes[i], nodes[i + 1], buffer);
   return g;
@@ -121,8 +121,10 @@ StreamGraph splitjoin(std::size_t width, std::size_t depth,
   for (std::size_t w = 0; w < width; ++w) {
     NodeId prev = split;
     for (std::size_t d = 0; d < depth; ++d) {
-      const NodeId stage =
-          g.add_node("b" + std::to_string(w) + "_" + std::to_string(d));
+      const NodeId stage = g.add_node(std::string("b")
+                                          .append(std::to_string(w))
+                                          .append("_")
+                                          .append(std::to_string(d)));
       g.add_edge(prev, stage, buffer);
       prev = stage;
     }
@@ -161,7 +163,7 @@ StreamGraph continuation_ladder(std::size_t relays, std::int64_t fat,
   g.add_edge(u, a, fat);
   NodeId prev = a;
   for (std::size_t i = 0; i < relays; ++i) {
-    const NodeId r = g.add_node("r" + std::to_string(i));
+    const NodeId r = g.add_node(std::string("r").append(std::to_string(i)));
     g.add_edge(prev, r, fat);
     prev = r;
   }

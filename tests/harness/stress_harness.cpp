@@ -464,7 +464,8 @@ std::optional<std::string> run_multitenant_differential(
           ss.run = make_run_spec(g, spec);
           ss.run.backend = exec::Backend::Pooled;
           ss.run.pool = pool;
-          ss.run.tenant = "t" + std::to_string(t);
+          ss.run.tenant = "t";
+          ss.run.tenant += std::to_string(t);
           ss.run.tenant_weight = static_cast<double>(t + 1);
           if (spec.mode != DummyMode::None) ss.run.credits = &credits;
           ss.feed_capacity = static_cast<std::size_t>(spec.num_inputs) + 1;

@@ -561,7 +561,7 @@ TEST_F(LoopbackTest, MultipleStreamsMultiplexOneConnection) {
   EXPECT_TRUE(s2.finish().completed);
 
   // Reusing a live id is a protocol error.
-  ClientStream s3 = client.open(3, spec);
+  [[maybe_unused]] ClientStream s3 = client.open(3, spec);
   EXPECT_THROW((void)client.open(3, spec), ProtocolError);
 }
 

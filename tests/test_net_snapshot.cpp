@@ -88,7 +88,9 @@ struct Delivered {
     for (const auto& item : d.items) {
       const std::int64_t v = item.value.as<std::int64_t>();
       const auto [it, inserted] = items.emplace(item.seq, v);
-      if (!inserted) EXPECT_EQ(it->second, v) << "seq " << item.seq;
+      if (!inserted) {
+        EXPECT_EQ(it->second, v) << "seq " << item.seq;
+      }
     }
   }
 };

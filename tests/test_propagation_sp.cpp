@@ -111,8 +111,9 @@ TEST(SetIvals, OnlySplitNodesGetFiniteIntervals) {
     const auto built = workloads::random_sp(rng, opt);
     const auto iv = propagation_intervals_sp(built.graph, built.tree);
     for (EdgeId e = 0; e < built.graph.edge_count(); ++e) {
-      if (iv[e].is_finite())
+      if (iv[e].is_finite()) {
         EXPECT_GE(built.graph.out_degree(built.graph.edge(e).from), 2u);
+      }
     }
   }
 }

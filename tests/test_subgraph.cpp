@@ -24,8 +24,9 @@ TEST(Subgraph, MappingsAreInverse) {
   for (NodeId sn = 0; sn < sub.graph.node_count(); ++sn)
     EXPECT_EQ(sub.to_sub[sub.orig_node[sn]], sn);
   for (NodeId n = 0; n < g.node_count(); ++n)
-    if (sub.to_sub[n] != kNoNode)
+    if (sub.to_sub[n] != kNoNode) {
       EXPECT_EQ(sub.orig_node[sub.to_sub[n]], n);
+    }
 }
 
 TEST(Subgraph, PreservesNames) {

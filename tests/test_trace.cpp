@@ -64,7 +64,7 @@ TEST(TracerDeathTest, RejectsZeroCapacity) {
 TEST(Tracer, TailForNode) {
   Tracer t(32);
   for (std::uint64_t i = 0; i < 10; ++i)
-    t.record(TraceEvent{TraceKind::Fire, i % 2, 0, i, i});
+    t.record(TraceEvent{TraceKind::Fire, static_cast<NodeId>(i % 2), 0, i, i});
   const auto tail = t.tail_for_node(0, 3);
   ASSERT_EQ(tail.size(), 3u);
   // The *last* three node-0 events (seqs 4, 6, 8), oldest first.

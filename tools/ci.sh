@@ -54,8 +54,10 @@ cd "$(dirname "$0")/.."
 jobs=$(nproc 2>/dev/null || echo 2)
 mode=${1:-}
 
-echo "==> release build"
-cmake --preset release
+# The release build is warning-clean and held there: any new warning fails
+# CI (SDAF_WERROR turns -Wall -Wextra into errors).
+echo "==> release build (-DSDAF_WERROR=ON)"
+cmake --preset release -DSDAF_WERROR=ON
 cmake --build --preset release -j "$jobs"
 
 # The exporter contract check: a real run's Prometheus page must satisfy the

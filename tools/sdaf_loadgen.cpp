@@ -4,7 +4,7 @@
 // and reports per-request RTT percentiles and sustained throughput as
 // schema-stable JSON ("sdaf.service.bench.v1") for BENCH_service.json.
 //
-//   sdaf_loadgen --unix=/tmp/sdafd.sock --connections=1,8,64 \
+//   sdaf_loadgen --unix=/tmp/sdafd.sock --connections=1,8,64
 //                --items=20000 --batch=64 --out=BENCH_service.json
 //   sdaf_loadgen --host=127.0.0.1 --port=7411 ...
 //   sdaf_loadgen --unix=PATH --stats-out=stats.prom   # dump the STATS page

@@ -35,7 +35,9 @@ volatile std::sig_atomic_t g_signals = 0;
 // Async-signal-safe: request_drain/request_stop are plain atomic stores.
 void on_signal(int) {
   if (g_server == nullptr) return;
-  if (g_signals++ == 0)
+  const std::sig_atomic_t seen = g_signals;
+  g_signals = seen + 1;
+  if (seen == 0)
     g_server->request_drain();
   else
     g_server->request_stop();
