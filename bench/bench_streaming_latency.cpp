@@ -186,18 +186,18 @@ void run_ingest(benchmark::State& state, exec::Backend backend,
 void BM_StreamIngest_Sim(benchmark::State& state) {
   run_ingest(state, exec::Backend::Sim, /*pass_rate=*/0.1);
 }
-BENCHMARK(BM_StreamIngest_Sim)->Iterations(3)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_StreamIngest_Sim)->Iterations(10)->Unit(benchmark::kMillisecond);
 
 void BM_StreamIngest_Pooled(benchmark::State& state) {
   run_ingest(state, exec::Backend::Pooled, /*pass_rate=*/0.1);
 }
 BENCHMARK(BM_StreamIngest_Pooled)
-    ->Iterations(3)->Unit(benchmark::kMillisecond);
+    ->Iterations(10)->Unit(benchmark::kMillisecond);
 
 void BM_StreamIngest_PooledBatch(benchmark::State& state) {
   run_ingest(state, exec::Backend::Pooled, /*pass_rate=*/0.1, kIngestBatch);
 }
 BENCHMARK(BM_StreamIngest_PooledBatch)
-    ->Iterations(3)->Unit(benchmark::kMillisecond);
+    ->Iterations(10)->Unit(benchmark::kMillisecond);
 
 }  // namespace
