@@ -186,11 +186,6 @@ struct TenantMetrics {
   double wall_seconds = 0.0;
 };
 
-// Per-tenant scheduler accounting from the pooled backend's deficit-round-
-// robin injector lanes: how much injector bandwidth each tenant consumed
-// (enqueued/dequeued tasks) and how deep its lane ran (queue residency).
-// Snapshotted under the injector lock, so enqueued - dequeued ==
-// queue_depth exactly.
 // One tenant's qos credit window (qos::TenantTable::entries): its limit
 // (0 = unlimited) and the items pushed but not yet consumed by a source.
 struct TenantCreditMetrics {
@@ -199,6 +194,11 @@ struct TenantCreditMetrics {
   std::uint64_t in_flight = 0;
 };
 
+// Per-tenant scheduler accounting from the pooled backend's deficit-round-
+// robin injector lanes: how much injector bandwidth each tenant consumed
+// (enqueued/dequeued tasks) and how deep its lane ran (queue residency).
+// Snapshotted under the injector lock, so enqueued - dequeued ==
+// queue_depth exactly.
 struct TenantSchedMetrics {
   std::string tenant;
   std::uint64_t weight = 1;

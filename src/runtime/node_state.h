@@ -15,8 +15,9 @@
 // Wiring builds one run's runtime::BoundedChannels and NodeStates from a
 // graph and an exec::RunSpec -- intervals, continuation flags, injected
 // ports (or, for a batch run, its pre-closed token feeds), snapshot plane,
-// restore -- and reads back the report, the edge cuts and the wedge dump. sim::SweepEngine and runtime::PoolExecutor each
-// hold one, so both engines run the same channels and the same nodes.
+// restore -- and reads back the report, the edge cuts and the wedge dump.
+// sim::SweepEngine and runtime::PoolExecutor each hold one, so both
+// engines run the same channels and the same nodes.
 #pragma once
 
 #include <cstdint>
@@ -162,11 +163,10 @@ class Wiring {
   // Applies the spec's intervals and continuation flags (empty = none),
   // attaches its ports (feed -> source; egress -> one extra out-slot with
   // an infinite interval) -- or, with spec.ports null, gives each source a
-  // feed of spec.num_inputs firing tokens and EOS -- metrics and snapshot
-  // plane, and
-  // rebuilds the cut of spec.restore: node counters and kernel state,
-  // finished nodes, cumulative edge traffic, and the EOS a finished
-  // producer had left for a live consumer.
+  // feed of spec.num_inputs firing tokens and EOS -- plus its metrics and
+  // snapshot plane, and rebuilds the cut of spec.restore: node counters
+  // and kernel state, finished nodes, cumulative edge traffic, and the EOS
+  // a finished producer had left for a live consumer.
   Wiring(const StreamGraph& g,
          const std::vector<std::shared_ptr<Kernel>>& kernels,
          const exec::RunSpec& spec, Waker& waker,
