@@ -66,15 +66,15 @@ struct Core {
   // --- per-tenant credit backpressure (sdaf::qos) -----------------------
   // Borrowed gauge bounding this tenant's in-flight items (null or
   // unlimited = no credit gating; normalized to null below so every check
-  // is one pointer test). A push acquires one credit BEFORE probing channel
-  // space; the credit returns when the source node consumes the item (the
-  // feed's drain hook fires on the consumer thread) or, for items still
-  // buffered when the stream dies, in finish() after collect(). The charge
-  // is recorded in `credit_releaser.held` before the channel publish, so
-  // drain decrements can never outrun their increments; `held` is signed
-  // only to tolerate the transient where a concurrent drain's decrement
-  // lands between a batch push and its (post-publish) charge -- at
-  // quiescence it is exact and non-negative.
+  // is one pointer test). A push round acquires a credit per item BEFORE
+  // probing channel space; a credit returns when the source node consumes
+  // its item (the feed's drain hook fires on the consumer thread) or, for
+  // items still buffered when the stream dies, in finish() after
+  // collect(). The charge is recorded in `credit_releaser.held` before the
+  // channel publish, so drain decrements can never outrun their
+  // increments; `held` is signed only to tolerate the transient where a
+  // concurrent drain's decrement lands between a batch push and its
+  // (post-publish) charge -- at quiescence it is exact and non-negative.
   qos::CreditGauge* credits = nullptr;
   struct CreditReleaser final : BoundedChannel::DrainHook {
     qos::CreditGauge* gauge = nullptr;
