@@ -71,6 +71,8 @@ void run_latency(benchmark::State& state, exec::Backend backend) {
   std::vector<double> samples_ns;
   samples_ns.reserve(kLatencyItems);
   std::uint64_t processed = 0;
+  std::uint64_t futex_parks = 0;
+  std::uint64_t futex_wakes = 0;
   double wall = 0.0;
   for (auto _ : state) {
     exec::Session session(g, workloads::passthrough_kernels(g));
@@ -93,6 +95,10 @@ void run_latency(benchmark::State& state, exec::Backend backend) {
     }
     wall += run_clock.elapsed_seconds();
     processed += kLatencyItems;
+    for (const auto& w : stream.metrics().workers) {
+      futex_parks += w.futex_parks;
+      futex_wakes += w.futex_wakes;
+    }
     in.close();
     const auto report = stream.finish();
     SDAF_ASSERT(report.completed);
@@ -100,6 +106,14 @@ void run_latency(benchmark::State& state, exec::Backend backend) {
   report_percentiles(state, samples_ns);
   state.counters["round_trips_per_second"] =
       wall > 0 ? static_cast<double>(processed) / wall : 0.0;
+  // Pooled only: idle-worker futex sleeps and wake syscalls per round trip
+  // (zero on Sim). Near 1 each means the worker slept between items and
+  // every push paid a wake; near 0 means it found the next push awake.
+  const auto per_rt = [&](std::uint64_t n) {
+    return static_cast<double>(n) / static_cast<double>(processed);
+  };
+  state.counters["futex_parks_per_rt"] = per_rt(futex_parks);
+  state.counters["futex_wakes_per_rt"] = per_rt(futex_wakes);
 }
 
 void BM_StreamLatency_Sim(benchmark::State& state) {

@@ -162,6 +162,7 @@ std::string to_json(const MetricsSnapshot& s) {
       << ",\"parks\":" << w.parks << ",\"wakes\":" << w.wakes
       << ",\"steals\":" << w.steals << ",\"steal_fails\":" << w.steal_fails
       << ",\"futex_parks\":" << w.futex_parks
+      << ",\"futex_wakes\":" << w.futex_wakes
       << ",\"depth_samples\":" << w.depth_samples
       << ",\"depth_max\":" << w.depth_max
       << ",\"depth_avg\":" << jnum(w.depth_avg) << "}";
@@ -294,6 +295,12 @@ std::string to_prometheus(const std::vector<MetricsSnapshot>& snaps) {
     for (const auto& x : s.workers)
       w.sample(s.tenant.tenant,
                ",worker=\"" + std::to_string(x.worker) + "\"", x.futex_parks);
+  w.family("sdaf_worker_futex_wakes_total", "counter",
+           "Wake syscalls issued for idle pool workers.");
+  for (const auto& s : snaps)
+    for (const auto& x : s.workers)
+      w.sample(s.tenant.tenant,
+               ",worker=\"" + std::to_string(x.worker) + "\"", x.futex_wakes);
   w.family("sdaf_worker_queue_depth_max", "gauge",
            "Maximum ready-queue depth sampled per worker.");
   for (const auto& s : snaps)

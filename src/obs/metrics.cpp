@@ -39,6 +39,7 @@ void WorkerCounters::reset() {
   steals.store(0, std::memory_order_relaxed);
   steal_fails.store(0, std::memory_order_relaxed);
   futex_parks.store(0, std::memory_order_relaxed);
+  futex_wakes.store(0, std::memory_order_relaxed);
   depth_samples.store(0, std::memory_order_relaxed);
   depth_sum.store(0, std::memory_order_relaxed);
   depth_max.store(0, std::memory_order_relaxed);
@@ -125,6 +126,7 @@ WorkerMetrics read_worker(const WorkerCounters& counters, std::size_t index) {
   m.steals = load(counters.steals);
   m.steal_fails = load(counters.steal_fails);
   m.futex_parks = load(counters.futex_parks);
+  m.futex_wakes = load(counters.futex_wakes);
   m.depth_samples = load(counters.depth_samples);
   m.depth_max = load(counters.depth_max);
   m.depth_avg = m.depth_samples == 0

@@ -80,6 +80,7 @@ struct alignas(64) WorkerCounters {
   std::atomic<std::uint64_t> steals{0};         // tasks taken from a peer
   std::atomic<std::uint64_t> steal_fails{0};    // empty/contended steal probes
   std::atomic<std::uint64_t> futex_parks{0};    // idle worker futex sleeps
+  std::atomic<std::uint64_t> futex_wakes{0};    // idle worker wake syscalls
   std::atomic<std::uint64_t> depth_samples{0};  // local deque depth samples
   std::atomic<std::uint64_t> depth_sum{0};
   std::atomic<std::uint64_t> depth_max{0};
@@ -154,6 +155,7 @@ struct WorkerMetrics {
   std::uint64_t steals = 0;
   std::uint64_t steal_fails = 0;
   std::uint64_t futex_parks = 0;
+  std::uint64_t futex_wakes = 0;
   std::uint64_t depth_samples = 0;
   std::uint64_t depth_max = 0;
   double depth_avg = 0.0;

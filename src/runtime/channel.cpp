@@ -42,11 +42,11 @@ void BoundedChannel::record_push(MessageKind kind, std::size_t count,
 }
 
 void BoundedChannel::notify_not_empty() {
-  // The ring publish already issued a seq_cst fence, so the elided bump's
+  // The ring publish already issued a seq_cst fence, so the claimed wake's
   // relaxed waiter read pairs with a waiter's seq_cst registration: one
   // side always sees the other (lost-wakeup-free), and with no waiter
   // neither the version word nor the kernel is ever touched.
-  not_empty_.bump_if_waiters();
+  not_empty_.claim_wake();
 }
 
 void BoundedChannel::notify_producer() {

@@ -12,8 +12,8 @@
 // egress tap), parks futex-style directly on the channel's not-empty event
 // word (runtime::ParkingLot). Wake-ups are elided with an atomic waiter
 // count: a push never issues a wake syscall unless the consumer has
-// registered as parked, so the hot path of the pooled backend pays
-// nothing. The protocol is lost-wakeup-free: a waiter
+// registered as parked (and none while a claimed wake to it is in
+// flight), so the hot path of the pooled backend pays nothing. The protocol is lost-wakeup-free: a waiter
 // captures the event word, registers its count with a seq_cst RMW *before*
 // re-checking the ring, and the producer's counter publish issues a
 // seq_cst fence *before* reading the waiter count, so one of the two
@@ -67,17 +67,17 @@ struct ProducerSignal {
   // note_pop after each pop, past the ring's seq_cst fence
   // (SpscRing::finish_pop), so either it sees the registration -- and,
   // through the acquire on the count, the `wake_at` stored before it -- or
-  // the waiter's re-check sees the pop. Never both miss. `occupancy()`
-  // (the post-pop logical occupancy) is read only when a waiter is
-  // registered; it must not over-report, which holds for the channel's
-  // size() on the consumer thread while the one producer is parked.
+  // the waiter's re-check sees the pop. Never both miss. The wake is
+  // claimed: the waiter is single, so pops behind the one that woke it skip
+  // the syscall. `occupancy()` (the post-pop logical occupancy) is read
+  // only when a waiter is registered; it must not over-report, which holds
+  // for the channel's size() on the consumer thread while the one producer
+  // is parked.
   template <typename OccupancyFn>
   void note_pop(OccupancyFn occupancy) {
     if (event.waiters.load(std::memory_order_acquire) > 0 &&
-        occupancy() <= wake_at.load(std::memory_order_relaxed)) {
-      event.version.fetch_add(1, std::memory_order_release);
-      ParkingLot::wake_all(event.version);
-    }
+        occupancy() <= wake_at.load(std::memory_order_relaxed))
+      event.claim_wake();
   }
 
   // Unconditional: the version moves off every captured value, so a waiter
@@ -243,9 +243,10 @@ class BoundedChannel {
   std::atomic<std::uint64_t> cut_data_pushed_{0};
   std::atomic<std::uint64_t> cut_dummies_pushed_{0};
 
-  // Slow path only: the futex-parked event word for peek_head_wait. The
-  // elided bump is sound because SpscRing's publish issues a seq_cst fence
-  // before the waiter-count read (see EventWord).
+  // Slow path only: the futex-parked event word for peek_head_wait (one
+  // waiter: the tap's poller). The claimed wake is sound because SpscRing's
+  // publish issues a seq_cst fence before the waiter-count read (see
+  // EventWord).
   EventWord not_empty_;
 };
 

@@ -62,18 +62,30 @@ class ParkingLot {
 // publishes the new version before reading the count across a seq_cst
 // fence, so one side always observes the other ("never falsely empty for a
 // parked peer").
+//
+// bump_if_waiters() wakes every sleeper (the credit gauge: its pushers do
+// not wake each other). claim_wake() wakes one, and only while no claimed
+// wake is in flight: for single waiters and the pool's idle workers, which
+// pass the wake on. register/unregister_waiter clear the claim ahead of
+// the waiter's fence and re-check, so a publisher that skips its wake
+// leaves its change to a later re-check (docs/SCHEDULER.md).
 struct EventWord {
   std::atomic<std::uint32_t> version{0};
   std::atomic<int> waiters{0};
+  std::atomic<bool> wake_pending{false};
 
   [[nodiscard]] std::uint32_t capture() const {
     return version.load(std::memory_order_acquire);
   }
 
-  // Registers as parked; pair with unregister() after the park returns.
-  void register_waiter() { waiters.fetch_add(1, std::memory_order_seq_cst); }
+  // Registers as parked; pair with unregister_waiter() after the park.
+  void register_waiter() {
+    waiters.fetch_add(1, std::memory_order_seq_cst);
+    clear_claim();
+  }
   void unregister_waiter() {
     waiters.fetch_sub(1, std::memory_order_relaxed);
+    clear_claim();
   }
 
   // Publishes one transition: version moves first (so a mid-registration
@@ -100,6 +112,22 @@ struct EventWord {
       ParkingLot::wake_all(version);
     }
   }
+
+  // bump_if_waiters' fence precondition, but one wake at a time: only the
+  // publisher that sets `wake_pending` bumps and wakes a sleeper. Returns
+  // whether this call issued the wake.
+  bool claim_wake() {
+    if (waiters.load(std::memory_order_relaxed) == 0 ||
+        wake_pending.load(std::memory_order_relaxed) ||
+        wake_pending.exchange(true, std::memory_order_acq_rel))
+      return false;
+    version.fetch_add(1, std::memory_order_release);
+    ParkingLot::wake_one(version);
+    return true;
+  }
+
+ private:
+  void clear_claim() { wake_pending.store(false, std::memory_order_relaxed); }
 };
 
 }  // namespace sdaf::runtime

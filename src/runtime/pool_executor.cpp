@@ -307,7 +307,7 @@ void PoolExecutor::enqueue_injector(NodeTask* task) {
   // External enqueues flush immediately: nothing amortizes a caller that
   // may go quiet (a stream pusher, a submit kick).
   std::atomic_thread_fence(std::memory_order_seq_cst);
-  work_event_.bump_if_waiters();
+  wake_idle_worker();
 }
 
 void PoolExecutor::flush_wakes(Worker& w) {
@@ -317,7 +317,11 @@ void PoolExecutor::flush_wakes(Worker& w) {
   // sees the sleeper (and the epoch bump unparks it), or the sleeper's
   // post-registration re-scan sees our deque pushes. Never both miss.
   std::atomic_thread_fence(std::memory_order_seq_cst);
-  work_event_.bump_if_waiters();
+  wake_idle_worker();
+}
+
+void PoolExecutor::wake_idle_worker() {
+  if (work_event_.claim_wake()) obs::bump(current_shard().futex_wakes);
 }
 
 NodeTask* PoolExecutor::pop_injector() {
@@ -635,9 +639,16 @@ void PoolExecutor::worker_loop(std::size_t worker_index) {
   Worker& w = *workers_[worker_index];
   tls_worker = &w;
   obs::WorkerCounters& shard = *tls_shard;
+  bool parked = false;  // back from a futex park, no task found since
   for (;;) {
     bool contended = false;
     if (NodeTask* task = find_task(w, &contended)) {
+      // Chain wake: with one claimed wake in flight at a time, a worker
+      // woken into a burst passes it on, so the burst fans out.
+      if (parked) {
+        parked = false;
+        wake_idle_worker();
+      }
       run_task(w, task);
       // The amortized wake point: one epoch bump covers every push this
       // drain produced.
@@ -671,8 +682,11 @@ void PoolExecutor::worker_loop(std::size_t worker_index) {
       // reliable); keep it long enough that idle pools cost ~nothing.
       ParkingLot::park_for(work_event_.version, epoch,
                            std::chrono::milliseconds(50));
+      parked = true;
     }
+    // Orders unregister's claim clear before the next re-scan.
     work_event_.unregister_waiter();
+    std::atomic_thread_fence(std::memory_order_seq_cst);
     if (task != nullptr) {
       run_task(w, task);
       flush_wakes(w);

@@ -20,7 +20,8 @@
 // its quantum generates and publishes one epoch bump per drain, not one per
 // channel push; idle workers park futex-style (runtime::ParkingLot) on the
 // epoch word, with a pre-park re-scan of every source so the flush protocol
-// is "never falsely empty for a parked peer". See docs/SCHEDULER.md.
+// is "never falsely empty for a parked peer"; one claimed wake is in flight
+// at a time, and a woken worker passes it on. See docs/SCHEDULER.md.
 //
 // Deadlock is certified *exactly*, not by timing: a per-instance
 // counter tracks queued + running tasks plus the quiescence credits
@@ -215,6 +216,8 @@ class PoolExecutor {
   // One amortized wake: publishes this worker's batched pushes to parked
   // peers with a single epoch bump (elided when nobody sleeps).
   void flush_wakes(Worker& w);
+  // EventWord::claim_wake on the work epoch, counted in futex_wakes.
+  void wake_idle_worker();
   // Next runnable task for worker w: own hot slot, own deque, injector,
   // then a randomized steal sweep. Sets *contended when a steal lost a
   // race (work exists; the caller must not park on this round).
@@ -251,7 +254,8 @@ class PoolExecutor {
   Options options_;
   std::atomic<bool> stop_{false};
   // Sleep/wake rendezvous for idle workers: version = work epoch, bumped
-  // (amortized) whenever new work may exist and a worker sleeps.
+  // (amortized, one claimed wake) whenever new work may exist and a worker
+  // sleeps.
   EventWord work_event_;
   // The injector (external schedulers, quantum-yielded tasks): per-tenant
   // lanes + the DRR ring of lanes with queued work. injector_size_ caches

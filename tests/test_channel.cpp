@@ -340,11 +340,16 @@ TEST(Channel, ProducerSignalWakesOnlyAtLowWaterMark) {
   EXPECT_EQ(ch.pop_dummies(2).popped, 2u);
   EXPECT_EQ(ch.pop_dummies(4).popped, 1u);
   EXPECT_EQ(sig.event.capture(), v0);
-  // The pop that reaches the mark wakes; so does every pop below it while
-  // the waiter stays registered.
+  // The pop that reaches the mark wakes. That wake is claimed: a pop below
+  // the mark skips while it is in flight, and the next pop signals again
+  // once the woken pusher has unregistered and parked anew.
   EXPECT_EQ(ch.pop_head().seq, 4u);  // occupancy 3
   EXPECT_EQ(sig.event.capture(), v0 + 1);
   EXPECT_FALSE(ch.pop());  // occupancy 2
+  EXPECT_EQ(sig.event.capture(), v0 + 1);
+  sig.event.unregister_waiter();
+  sig.event.register_waiter();
+  EXPECT_FALSE(ch.pop());  // occupancy 1
   EXPECT_EQ(sig.event.capture(), v0 + 2);
   sig.event.unregister_waiter();
   EXPECT_FALSE(sig.aborted.load());

@@ -462,6 +462,40 @@ TEST(PoolExecutor, BarrierSnapshotPendingMidStealRestoresExactly) {
   }
 }
 
+TEST(PoolExecutor, IdleWorkerWakesStayWithinParks) {
+  // The idle-worker wake is claimed: a publisher wakes one parked worker,
+  // and only when no claimed wake is in flight, so wake syscalls track
+  // parks instead of every flush that finds a registered waiter. A herd
+  // wake on a 1000-node batch-1 ladder issues thousands per round.
+  workloads::RandomLadderOptions lopt;
+  lopt.rungs = 250;
+  lopt.left_interior = 500;
+  lopt.right_interior = 500;
+  lopt.component_edges = 1;
+  lopt.max_buffer = 4;
+  Prng rng(0xBEEF ^ 1000);
+  const StreamGraph g = workloads::random_ladder(rng, lopt);
+  constexpr std::uint64_t kRounds = 20;
+  for (const std::size_t workers : {4u, 16u}) {
+    PoolExecutor pool(workers);
+    exec::RunSpec opt;
+    opt.mode = DummyMode::None;
+    opt.num_inputs = 32;
+    opt.batch = 1;
+    for (std::uint64_t round = 0; round < kRounds; ++round)
+      ASSERT_TRUE(pool.run(g, workloads::passthrough_kernels(g), opt).completed);
+    std::uint64_t parks = 0;
+    std::uint64_t wakes = 0;
+    for (const auto& m : pool.worker_metrics()) {
+      parks += m.futex_parks;
+      wakes += m.futex_wakes;
+    }
+    EXPECT_LE(wakes, 2 * parks + 2 * kRounds)
+        << workers << " workers: " << wakes << " wake syscalls, " << parks
+        << " parks";
+  }
+}
+
 TEST(PoolExecutor, RepeatedRunsAreIndependent) {
   const StreamGraph g = workloads::fig1_splitjoin(2);
   PoolExecutor pool(2);

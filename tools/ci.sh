@@ -86,30 +86,88 @@ check_prom() {
   rm -f "$topo" "$page"
 }
 
-# The pooled scaling guard (fixing the 1-cpu blind spot): run the batch=1
-# BM_PoolExecutor_LadderScaling ladder and assert the work-stealing pool
-# actually scales -- on runners that can show it. On < 4 hardware threads
-# the assertions are SKIPPED WITH A VISIBLE WARNING instead of vacuously
-# passing: a flat ladder on one core is absence of evidence, not a pass.
+# The pooled scaling guard (fixing the 1-cpu blind spot). Both gates run
+# the batch=1 1000-node BM_PoolExecutor_LadderScaling ladder in interleaved
+# pairs -- 1, 4 and 16 workers, the order reversed every other pair -- so
+# host drift hits both sides of every ratio. Each side of a pair is the
+# best round rate of 15 repetitions (2 rounds each), which steal time on a
+# shared host can only lower. Gated on the median of the per-pair ratios,
+# each floor one pair IQR below the median of six 7-pair sessions on a
+# 4-vCPU host (rounded):
+#   - 4 workers >= 1.0x 1 worker: session medians 1.51-1.86 (median 1.70),
+#     pair IQR 0.71;
+#   - 16 workers >= 65% of 4 workers: session medians 0.77-0.99 (median
+#     0.90), pair IQR 0.27. A pool that wakes every idle worker on each
+#     flush read 0.46-0.66 here.
+# The earlier gate (1000-node @ 8 workers >= 50% of the 100-node ladder)
+# needs a 5.2x speedup over one worker, which fewer than 6 hardware threads
+# cannot give; it still applies on hosts with 6 or more. On < 4 hardware
+# threads the assertions are SKIPPED WITH A VISIBLE WARNING instead of
+# vacuously passing: a flat ladder on one core is absence of evidence, not
+# a pass.
 check_pool_scaling() {
   echo "==> pooled ladder scaling check (BM_PoolExecutor_LadderScaling)"
-  local cores out
+  local cores out pairs dir pair order w
   cores=$(nproc 2>/dev/null || echo 1)
   out=$(mktemp)
+  dir=$(mktemp -d)
+  pairs=7
   build/release/bench_pool_scaling \
       --benchmark_filter='BM_PoolExecutor_LadderScaling' \
       --benchmark_out="$out" --benchmark_out_format=json \
       >/dev/null
+  for pair in $(seq 1 "$pairs"); do
+    order="1 4 16"
+    (( pair % 2 == 0 )) && order="16 4 1"
+    for w in $order; do
+      build/release/bench_pool_scaling \
+          --benchmark_filter="BM_PoolExecutor_LadderScaling/1000/$w/" \
+          --benchmark_repetitions=15 \
+          --benchmark_out="$dir/$pair-$w.json" --benchmark_out_format=json \
+          >/dev/null
+    done
+  done
   if [[ "$cores" -lt 4 ]]; then
     echo "ci: WARNING: skipping pool scaling assertions -- this runner has" \
          "$cores hardware thread(s) (< 4); the ladder ran (counters above" \
          "are recorded) but cannot demonstrate scaling here" >&2
-    rm -f "$out"
+    rm -rf "$out" "$dir"
     return 0
   fi
-  python3 - "$out" <<'PY'
-import json, sys
-with open(sys.argv[1]) as f:
+  python3 - "$out" "$dir" "$pairs" "$cores" <<'PY'
+import json, statistics, sys
+out, pair_dir, pairs, cores = sys.argv[1], sys.argv[2], int(sys.argv[3]), \
+    int(sys.argv[4])
+
+def best(pair, workers):
+    with open(f"{pair_dir}/{pair}-{workers}.json") as f:
+        doc = json.load(f)
+    rates = [b["items_per_second"] for b in doc.get("benchmarks", [])
+             if b.get("run_type") == "iteration"]
+    if not rates:
+        sys.exit(f"ci: missing LadderScaling/1000/{workers} pair {pair}")
+    return max(rates)
+
+speedup, oversub = [], []
+for p in range(1, pairs + 1):
+    one, four, sixteen = best(p, 1), best(p, 4), best(p, 16)
+    speedup.append(four / one)
+    oversub.append(sixteen / four)
+s_med, o_med = statistics.median(speedup), statistics.median(oversub)
+pairs_txt = lambda v: ", ".join(f"{x:.2f}" for x in v)
+print(f"ci: 1000-node 1 -> 4 worker speedup, median of {pairs} pairs "
+      f"{s_med:.2f} ({pairs_txt(speedup)})")
+print(f"ci: 1000-node 16 / 4 workers, median of {pairs} pairs "
+      f"{o_med:.2f} ({pairs_txt(oversub)})")
+if s_med < 1.0:
+    sys.exit(f"ci: pooled ladder does not scale: 4 workers ran the "
+             f"1000-node ladder at {s_med:.2f}x one worker (need >= 1.0x)")
+if o_med < 0.65:
+    sys.exit(f"ci: oversubscribed pool collapses: 16 workers ran the "
+             f"1000-node ladder at {100 * o_med:.0f}% of 4 workers "
+             f"(need >= 65%)")
+
+with open(out) as f:
     doc = json.load(f)
 rows = {b["name"]: b for b in doc.get("benchmarks", [])
         if b.get("name", "").startswith("BM_PoolExecutor_LadderScaling")}
@@ -120,17 +178,18 @@ def ips(nodes, workers):
     sys.exit(f"ci: missing LadderScaling row for {nodes} nodes / "
              f"{workers} workers")
 small, large = ips(100, 8), ips(1000, 8)
-# A 10x bigger graph exposes 10x more node parallelism: at 8 workers the
-# pool must hold at least half the small-graph throughput, else stealing
-# is serializing on the scheduler instead of distributing.
-if large < 0.5 * small:
-    sys.exit(f"ci: pooled ladder does not scale: 1000-node @ 8 workers ran "
-             f"{large:,.0f} items/s vs 100-node {small:,.0f} "
-             f"(need >= 50%)")
+if cores >= 6:
+    # A 10x bigger graph exposes 10x more node parallelism: at 8 workers
+    # the pool must hold at least half the small-graph throughput, else
+    # stealing is serializing on the scheduler instead of distributing.
+    if large < 0.5 * small:
+        sys.exit(f"ci: pooled ladder does not scale: 1000-node @ 8 workers "
+                 f"ran {large:,.0f} items/s vs 100-node {small:,.0f} "
+                 f"(need >= 50%)")
+    print(f"ci: 1000-node @ 8 workers at {100 * large / small:.0f}% of "
+          "100-node throughput")
 par = [(n, b.get("effective_parallelism", 0)) for n, b in rows.items()]
-print(f"ci: pool scaling OK: 1000-node @ 8 workers at "
-      f"{100 * large / small:.0f}% of 100-node throughput; "
-      "effective_parallelism " +
+print("ci: pool scaling OK; effective_parallelism " +
       ", ".join(f"{p:.2f}" for _, p in sorted(par)))
 # Regression gate against the committed baseline, only when it was produced
 # on comparable hardware (same cpu count): the 100-node @ 8 workers config
@@ -154,7 +213,7 @@ else:
     print("ci: no comparable committed baseline (different hardware or "
           "missing rows); regression gate skipped")
 PY
-  rm -f "$out"
+  rm -rf "$out" "$dir"
 }
 
 # The service contract check: boot the daemon on a Unix socket, push real
