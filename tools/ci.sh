@@ -10,7 +10,8 @@
 #                          # run sdafc --metrics=prom on a known topology,
 #                          # validate the exposition page with
 #                          # tools/check_prom.sh and require the scheduler
-#                          # counter families (steals/futex parks), then the
+#                          # counter families (steals/futex parks and
+#                          # wakes), then the
 #                          # service smoke: boot sdafd on a Unix socket,
 #                          # drive it with sdaf_loadgen, validate the
 #                          # daemon's STATS dump with check_prom.sh, run the
@@ -63,8 +64,8 @@ cmake --build --preset release -j "$jobs"
 # The exporter contract check: a real run's Prometheus page must satisfy the
 # exposition grammar end to end (sdafc emits metrics on stderr), and a
 # pooled run's page must carry the scheduler counter families -- steals,
-# steal failures, futex parks -- so a scheduler change that silently drops
-# worker attribution fails here, not in a dashboard.
+# steal failures, futex parks and wakes -- so a scheduler change that
+# silently drops worker attribution fails here, not in a dashboard.
 check_prom() {
   echo "==> prometheus exposition check (tools/check_prom.sh)"
   local topo page
@@ -77,7 +78,8 @@ check_prom() {
   tools/check_prom.sh "$page"
   local family
   for family in sdaf_worker_steals_total sdaf_worker_steal_fails_total \
-      sdaf_worker_futex_parks_total sdaf_worker_queue_depth_max; do
+      sdaf_worker_futex_parks_total sdaf_worker_futex_wakes_total \
+      sdaf_worker_queue_depth_max; do
     if ! grep -q "^$family{" "$page"; then
       echo "ci: pooled prom page lacks the $family family" >&2
       exit 1
