@@ -121,6 +121,13 @@ void BM_StreamLatency_Sim(benchmark::State& state) {
 }
 BENCHMARK(BM_StreamLatency_Sim)->Iterations(3)->Unit(benchmark::kMillisecond);
 
+// Bimodal with the host's state: on a 4-vCPU host, 10 alternating runs
+// each of this binary and of the herd-wake pool before it read p50 8-10 us
+// with ~1 pool park per round trip (0.84-0.92 here, 1.03-1.28 before), or
+// 19-24 us with 2-3 (2.0-2.2 here, 2.8-3.2 before). Both binaries switched
+// mode between the same two pairs (4 fast runs, then 6 slow, each side).
+// In the slow mode the second worker sleeps and wakes within every round
+// trip; futex_parks_per_rt tells which mode a run hit.
 void BM_StreamLatency_Pooled(benchmark::State& state) {
   run_latency(state, exec::Backend::Pooled);
 }

@@ -13,7 +13,8 @@
 // word (runtime::ParkingLot). Wake-ups are elided with an atomic waiter
 // count: a push never issues a wake syscall unless the consumer has
 // registered as parked (and none while a claimed wake to it is in
-// flight), so the hot path of the pooled backend pays nothing. The protocol is lost-wakeup-free: a waiter
+// flight), so the hot path of the pooled backend pays nothing. The
+// protocol is lost-wakeup-free: a waiter
 // captures the event word, registers its count with a seq_cst RMW *before*
 // re-checking the ring, and the producer's counter publish issues a
 // seq_cst fence *before* reading the waiter count, so one of the two

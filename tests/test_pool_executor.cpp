@@ -482,8 +482,10 @@ TEST(PoolExecutor, IdleWorkerWakesStayWithinParks) {
     opt.mode = DummyMode::None;
     opt.num_inputs = 32;
     opt.batch = 1;
-    for (std::uint64_t round = 0; round < kRounds; ++round)
-      ASSERT_TRUE(pool.run(g, workloads::passthrough_kernels(g), opt).completed);
+    for (std::uint64_t round = 0; round < kRounds; ++round) {
+      const auto r = pool.run(g, workloads::passthrough_kernels(g), opt);
+      ASSERT_TRUE(r.completed);
+    }
     std::uint64_t parks = 0;
     std::uint64_t wakes = 0;
     for (const auto& m : pool.worker_metrics()) {
