@@ -94,13 +94,13 @@ check_prom() {
 # host drift hits both sides of every ratio. Each side of a pair is the
 # best round rate of 15 repetitions (2 rounds each), which steal time on a
 # shared host can only lower. Gated on the median of the per-pair ratios,
-# each floor one pair IQR below the median of six 7-pair sessions on a
-# 4-vCPU host (rounded):
-#   - 4 workers >= 1.0x 1 worker: session medians 1.51-1.86 (median 1.70),
+# each floor one pair IQR below the median of six runs of this 7-pair
+# check on a 4-vCPU host (rounded):
+#   - 4 workers >= 1.0x 1 worker: run medians 1.51-1.86 (median 1.70),
 #     pair IQR 0.71;
-#   - 16 workers >= 65% of 4 workers: session medians 0.77-0.99 (median
-#     0.90), pair IQR 0.27. A pool that wakes every idle worker on each
-#     flush read 0.46-0.66 here.
+#   - 16 workers >= 65% of 4 workers: run medians 0.77-0.99 (median 0.90),
+#     pair IQR 0.27. A pool that wakes every idle worker on each flush
+#     read 0.46-0.66 here.
 # The earlier gate (1000-node @ 8 workers >= 50% of the 100-node ladder)
 # needs a 5.2x speedup over one worker, which fewer than 6 hardware threads
 # cannot give; it still applies on hosts with 6 or more. On < 4 hardware
