@@ -1,30 +1,18 @@
 // Multi-tenant QoS isolation: what a latency-sensitive tenant's push ->
 // poll round trip costs while a batch tenant saturates the same shared
-// pool, and how much of that interference the qos machinery (weighted
-// deficit-round-robin injector lanes + per-tenant credit windows) removes.
+// pool (one FIFO injector), with the batch tenant held to a per-tenant
+// credit window.
 //
 // Recorded in BENCH_qos.json by tools/bench.sh (fixed benchmark names =
-// the schema). Three interactive configurations, same counters each
+// the schema). Two interactive configurations, same counters each
 // (p50_ns / p99_ns over every round trip, batch_items pushed by the
 // co-tenant while they were taken):
 //   - BM_QosInteractive_Solo: the interactive tenant alone on the shared
-//     pool. The baseline every other number is compared against.
-//   - BM_QosInteractive_SharedDRR: a batch tenant saturates the pool;
-//     DRR on (interactive weight 4 vs batch 1) and the batch tenant runs
-//     under a 64-item credit window. The figure of merit: p99 here should
-//     stay within a small multiple of solo p99 (tools/bench.sh prints the
+//     pool. The baseline the other number is compared against.
+//   - BM_QosInteractive_Shared: a batch tenant saturates the pool under a
+//     64-item credit window. The figure of merit: p99 here should stay
+//     within a small multiple of solo p99 (tools/bench.sh prints the
 //     ratio; the acceptance budget is <= 5x on a multi-core host).
-//   - BM_QosInteractive_SharedUnfair: same co-tenant, fair_injector off
-//     and no credit window -- the legacy single-lane injector. This is
-//     the interference the subsystem exists to remove; expect p99 to
-//     degrade with the batch tenant's queue depth.
-// Plus the bandwidth-share check:
-//   - BM_QosWeightedShare: two identical batch tenants, weights 4 and 1,
-//     pushing concurrently through the DRR injector; counters heavy_items
-//     / light_items and share_ratio (heavy / light items accepted --
-//     biased toward the heavy tenant when injector bandwidth is the
-//     bottleneck, and an exact fairness audit lives in
-//     PoolExecutor::tenant_metrics() rather than this wall-clock number).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -52,14 +40,13 @@ constexpr std::uint64_t kRoundTrips = 1500;
 
 exec::StreamSpec tenant_spec(const core::CompileResult& compiled,
                              runtime::PoolExecutor& pool,
-                             const std::string& tenant, double weight) {
+                             const std::string& tenant) {
   exec::StreamSpec spec;
   spec.run.backend = exec::Backend::Pooled;
   spec.run.mode = runtime::DummyMode::Propagation;
   spec.run.apply(compiled);
   spec.run.pool = &pool;
   spec.run.tenant = tenant;
-  spec.run.tenant_weight = weight;
   spec.metrics = false;
   return spec;
 }
@@ -123,9 +110,8 @@ void report_percentiles(benchmark::State& state,
 }
 
 // One interactive round trip at a time against an optionally saturated
-// pool. `with_batch` runs the co-tenant; `fair` + `credit_limit` pick the
-// qos configuration under test.
-void run_interactive(benchmark::State& state, bool with_batch, bool fair,
+// pool. `with_batch` runs the co-tenant under a `credit_limit` window.
+void run_interactive(benchmark::State& state, bool with_batch,
                      std::uint64_t credit_limit) {
   const StreamGraph g = workloads::continuation_ladder(4, 64, 1);
   const auto compiled = core::compile(g);
@@ -134,15 +120,12 @@ void run_interactive(benchmark::State& state, bool with_batch, bool fair,
   samples_ns.reserve(kRoundTrips);
   std::uint64_t batch_items = 0;
   for (auto _ : state) {
-    runtime::PoolExecutor::Options popt;
-    popt.workers = 2;
-    popt.fair_injector = fair;
-    runtime::PoolExecutor pool(popt);
+    runtime::PoolExecutor pool(2);
     qos::CreditGauge batch_credits(credit_limit);  // limit 0 = unlimited
 
     std::unique_ptr<BatchTenant> batch;
     if (with_batch) {
-      exec::StreamSpec bs = tenant_spec(compiled, pool, "batch", 1.0);
+      exec::StreamSpec bs = tenant_spec(compiled, pool, "batch");
       if (credit_limit > 0) bs.run.credits = &batch_credits;
       batch = std::make_unique<BatchTenant>(g, std::move(bs));
       batch->start();
@@ -150,7 +133,7 @@ void run_interactive(benchmark::State& state, bool with_batch, bool fair,
 
     exec::Session session(g, workloads::passthrough_kernels(g));
     exec::Stream stream =
-        session.open(tenant_spec(compiled, pool, "interactive", 4.0));
+        session.open(tenant_spec(compiled, pool, "interactive"));
     exec::InputPort& in = stream.input(0);
     exec::OutputPort& out = stream.output(0);
     for (std::uint64_t i = 0; i < kRoundTrips; ++i) {
@@ -172,55 +155,14 @@ void run_interactive(benchmark::State& state, bool with_batch, bool fair,
 }
 
 void BM_QosInteractive_Solo(benchmark::State& state) {
-  run_interactive(state, /*with_batch=*/false, /*fair=*/true,
-                  /*credit_limit=*/0);
+  run_interactive(state, /*with_batch=*/false, /*credit_limit=*/0);
 }
 BENCHMARK(BM_QosInteractive_Solo)->Iterations(3)->Unit(benchmark::kMillisecond);
 
-void BM_QosInteractive_SharedDRR(benchmark::State& state) {
-  run_interactive(state, /*with_batch=*/true, /*fair=*/true,
-                  /*credit_limit=*/64);
+void BM_QosInteractive_Shared(benchmark::State& state) {
+  run_interactive(state, /*with_batch=*/true, /*credit_limit=*/64);
 }
-BENCHMARK(BM_QosInteractive_SharedDRR)
+BENCHMARK(BM_QosInteractive_Shared)
     ->Iterations(3)->Unit(benchmark::kMillisecond);
-
-void BM_QosInteractive_SharedUnfair(benchmark::State& state) {
-  run_interactive(state, /*with_batch=*/true, /*fair=*/false,
-                  /*credit_limit=*/0);
-}
-BENCHMARK(BM_QosInteractive_SharedUnfair)
-    ->Iterations(3)->Unit(benchmark::kMillisecond);
-
-// Two identical saturating tenants at weights 4:1 on the DRR injector for
-// a fixed wall-time window; the accepted-item split is the coarse share
-// check (the exact per-lane grant accounting is tenant_metrics()).
-void BM_QosWeightedShare(benchmark::State& state) {
-  const StreamGraph g = workloads::continuation_ladder(4, 64, 1);
-  const auto compiled = core::compile(g);
-  SDAF_ASSERT(compiled.ok);
-  std::uint64_t heavy_items = 0;
-  std::uint64_t light_items = 0;
-  for (auto _ : state) {
-    runtime::PoolExecutor::Options popt;
-    popt.workers = 2;
-    popt.fair_injector = true;
-    runtime::PoolExecutor pool(popt);
-
-    BatchTenant heavy(g, tenant_spec(compiled, pool, "heavy", 4.0));
-    BatchTenant light(g, tenant_spec(compiled, pool, "light", 1.0));
-    heavy.start();
-    light.start();
-    std::this_thread::sleep_for(std::chrono::milliseconds(300));
-    heavy_items += heavy.finish();
-    light_items += light.finish();
-  }
-  state.counters["heavy_items"] = static_cast<double>(heavy_items);
-  state.counters["light_items"] = static_cast<double>(light_items);
-  state.counters["share_ratio"] =
-      light_items > 0
-          ? static_cast<double>(heavy_items) / static_cast<double>(light_items)
-          : 0.0;
-}
-BENCHMARK(BM_QosWeightedShare)->Iterations(2)->Unit(benchmark::kMillisecond);
 
 }  // namespace

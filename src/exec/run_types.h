@@ -93,11 +93,6 @@ struct RunSpec {
   obs::MetricsRegistry* metrics = nullptr;
   // Tenant label for roll-ups (Session ledgers, exporter labels).
   std::string tenant = "default";
-  // Relative share of the shared pool's injector bandwidth under the
-  // deficit-round-robin scheduler (qos): a tenant's lane drains
-  // proportionally to its weight. Rounded to an integer grant, clamped to
-  // >= 1; the latest submission of a tenant wins when weights disagree.
-  double tenant_weight = 1.0;
   // Per-tenant in-flight credit gauge (qos): when set, InputPort pushes
   // acquire one credit per data item *before* channel space and the credit
   // returns when the source node consumes the item from its feed. Borrowed

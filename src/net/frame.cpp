@@ -292,8 +292,12 @@ void encode(const OpenFrame& f, Writer& w) {
   w.str(f.topology);
 }
 
-std::optional<OpenFrame> decode_open(const std::uint8_t* p, std::size_t n) {
-  Reader r(p, n);
+namespace {
+
+// The Open body, shared by Open and Restore (whose payload is an Open body
+// plus the snapshot bytes): reads every field and applies the bounds, but
+// leaves the end-of-payload check to the caller.
+std::optional<OpenFrame> read_open(Reader& r) {
   OpenFrame f;
   f.backend = r.u8();
   f.mode = r.u8();
@@ -308,7 +312,7 @@ std::optional<OpenFrame> decode_open(const std::uint8_t* p, std::size_t n) {
   f.weight = r.f64();
   f.tenant = r.str();
   f.topology = r.str();
-  if (!r.done()) return std::nullopt;
+  if (!r.ok()) return std::nullopt;
   if (!valid_backend(f.backend) || f.mode > 2 ||
       kernel > static_cast<std::uint8_t>(KernelKind::Wedge))
     return std::nullopt;
@@ -319,9 +323,18 @@ std::optional<OpenFrame> decode_open(const std::uint8_t* p, std::size_t n) {
       f.batch == 0 || f.batch > 4096)
     return std::nullopt;
   if (!(f.pass_rate >= 0.0 && f.pass_rate <= 1.0)) return std::nullopt;
-  // NaN fails this check too; the cap keeps llround in range.
+  // The reserved weight is outside input all the same; NaN fails this too.
   if (!(f.weight >= 0.0 && f.weight <= 1e6)) return std::nullopt;
   f.kernel = static_cast<KernelKind>(kernel);
+  return f;
+}
+
+}  // namespace
+
+std::optional<OpenFrame> decode_open(const std::uint8_t* p, std::size_t n) {
+  Reader r(p, n);
+  auto f = read_open(r);
+  if (!f || !r.done()) return std::nullopt;
   return f;
 }
 
@@ -560,37 +573,13 @@ void encode(const RestoreFrame& f, Writer& w) {
 
 std::optional<RestoreFrame> decode_restore(const std::uint8_t* p,
                                            std::size_t n) {
-  // The Open prefix is length-variable (two embedded strings), so parse it
-  // inline with the same field order and bounds as decode_open.
   Reader r(p, n);
+  auto open = read_open(r);
+  if (!open) return std::nullopt;
   RestoreFrame f;
-  f.open.backend = r.u8();
-  f.open.mode = r.u8();
-  const std::uint8_t kernel = r.u8();
-  (void)r.u8();
-  f.open.pass_rate = r.f64();
-  f.open.seed = r.u64();
-  f.open.wedge_prefix = r.u64();
-  f.open.feed_capacity = r.u32();
-  f.open.egress_capacity = r.u32();
-  f.open.batch = r.u32();
-  f.open.weight = r.f64();
-  f.open.tenant = r.str();
-  f.open.topology = r.str();
+  f.open = std::move(*open);
   f.snapshot = r.str();
-  if (!r.done()) return std::nullopt;
-  if (!valid_backend(f.open.backend) || f.open.mode > 2 ||
-      kernel > static_cast<std::uint8_t>(KernelKind::Wedge))
-    return std::nullopt;
-  if (f.open.feed_capacity == 0 || f.open.feed_capacity > (1u << 20) ||
-      f.open.egress_capacity == 0 || f.open.egress_capacity > (1u << 20) ||
-      f.open.batch == 0 || f.open.batch > 4096)
-    return std::nullopt;
-  if (!(f.open.pass_rate >= 0.0 && f.open.pass_rate <= 1.0))
-    return std::nullopt;
-  if (!(f.open.weight >= 0.0 && f.open.weight <= 1e6)) return std::nullopt;
-  if (f.snapshot.empty()) return std::nullopt;
-  f.open.kernel = static_cast<KernelKind>(kernel);
+  if (!r.done() || f.snapshot.empty()) return std::nullopt;
   return f;
 }
 

@@ -184,9 +184,8 @@ struct OpenFrame {
   std::uint32_t feed_capacity = 256;
   std::uint32_t egress_capacity = 1024;
   std::uint32_t batch = 1;
-  // DRR scheduling weight for this tenant on the server's shared pool
-  // (rounded to an integer grant, clamped >= 1; the tenant's latest open
-  // wins). 1.0 = equal share.
+  // Reserved, ignored by the server (the pool's injector is one FIFO).
+  // Still on the wire and still range-checked, [0, 1e6], as outside input.
   double weight = 1.0;
   std::string tenant = "default";
   std::string topology;  // graph::to_text format

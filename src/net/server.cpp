@@ -355,9 +355,8 @@ struct Server::Impl {
         nullptr, [this, tenant = ss.run.tenant, cost](void*) {
           admission.release(tenant, cost);
         });
-    // DRR weight + the tenant's shared credit gauge (unlimited gauges are
-    // normalized away inside the stream core).
-    ss.run.tenant_weight = s->spec.weight;
+    // The tenant's shared credit gauge (unlimited gauges are normalized
+    // away inside the stream core).
     ss.run.credits = tenants.gauge(ss.run.tenant);
 
     s->session = std::make_unique<exec::Session>(
@@ -607,7 +606,7 @@ struct Server::Impl {
     }
     std::string page = obs::to_prometheus(snaps);
 
-    // QoS families: per-tenant DRR lane accounting from the shared pool,
+    // QoS families: the shared pool's per-tenant injector ledger,
     // the admission counters, and each tenant's credit window. All family
     // names are disjoint from the per-stream ones, so appending keeps the
     // one-TYPE-per-family rule intact.

@@ -380,20 +380,17 @@ std::string to_prometheus(const std::vector<MetricsSnapshot>& snaps) {
 std::string tenant_sched_to_prometheus(
     const std::vector<TenantSchedMetrics>& tenants) {
   PromWriter w;
-  w.family("sdaf_tenant_weight", "gauge",
-           "DRR weight of the tenant's injector lane.");
-  for (const auto& t : tenants) w.sample(t.tenant, "", t.weight);
   w.family("sdaf_tenant_sched_enqueued_total", "counter",
-           "Tasks enqueued into the tenant's injector lane.");
+           "The tenant's tasks enqueued into the shared injector.");
   for (const auto& t : tenants) w.sample(t.tenant, "", t.enqueued);
   w.family("sdaf_tenant_sched_dequeued_total", "counter",
-           "Tasks drained from the tenant's injector lane by workers.");
+           "The tenant's tasks taken from the shared injector by workers.");
   for (const auto& t : tenants) w.sample(t.tenant, "", t.dequeued);
   w.family("sdaf_tenant_queue_depth", "gauge",
-           "Current occupancy of the tenant's injector lane.");
+           "The tenant's tasks in the shared injector now.");
   for (const auto& t : tenants) w.sample(t.tenant, "", t.queue_depth);
   w.family("sdaf_tenant_queue_depth_max", "gauge",
-           "Maximum occupancy the tenant's injector lane reached.");
+           "Most of the tenant's tasks the shared injector held at once.");
   for (const auto& t : tenants) w.sample(t.tenant, "", t.queue_depth_max);
   return w.str();
 }

@@ -30,9 +30,9 @@ namespace sdaf::obs {
 [[nodiscard]] std::string to_prometheus(
     const std::vector<MetricsSnapshot>& snapshots);
 
-// Per-tenant DRR injector-lane accounting (PoolExecutor::tenant_metrics)
-// as its own family group (sdaf_tenant_sched_*, sdaf_tenant_queue_*,
-// sdaf_tenant_weight). Family names are disjoint from to_prometheus's, so
+// Per-tenant injector ledger (PoolExecutor::tenant_metrics) as its own
+// family group (sdaf_tenant_sched_*, sdaf_tenant_queue_*). Family names
+// are disjoint from to_prometheus's, so
 // the result can be appended to a page without violating the
 // one-TYPE-per-family rule.
 [[nodiscard]] std::string tenant_sched_to_prometheus(

@@ -196,17 +196,16 @@ struct TenantCreditMetrics {
   std::uint64_t in_flight = 0;
 };
 
-// Per-tenant scheduler accounting from the pooled backend's deficit-round-
-// robin injector lanes: how much injector bandwidth each tenant consumed
-// (enqueued/dequeued tasks) and how deep its lane ran (queue residency).
+// Per-tenant scheduler accounting from the pooled backend's injector
+// ledger: how many of each tenant's tasks passed through the shared FIFO
+// injector (enqueued/dequeued) and how many of them sat in it at once.
 // Snapshotted under the injector lock, so enqueued - dequeued ==
 // queue_depth exactly.
 struct TenantSchedMetrics {
   std::string tenant;
-  std::uint64_t weight = 1;
-  std::uint64_t enqueued = 0;     // tasks pushed into this tenant's lane
-  std::uint64_t dequeued = 0;     // tasks drained from it by workers
-  std::uint64_t queue_depth = 0;  // current lane occupancy
+  std::uint64_t enqueued = 0;     // the tenant's tasks pushed to the injector
+  std::uint64_t dequeued = 0;     // ... and taken from it by workers
+  std::uint64_t queue_depth = 0;  // the tenant's tasks in it now
   std::uint64_t queue_depth_max = 0;
 };
 

@@ -1,7 +1,7 @@
 #include "src/runtime/pool_executor.h"
 
 #include <chrono>
-#include <cmath>
+#include <algorithm>
 #include <optional>
 #include <thread>
 
@@ -96,14 +96,13 @@ struct PoolExecutor::Instance final : Waker {
   std::optional<Wiring> wiring;  // wakes route through this Instance
   std::vector<NodeTask> tasks;
   Stopwatch clock;
-  // Injector lane this instance's external wakes and quantum yields land
-  // in (the submitting tenant's, or lane 0 with fair_injector off).
-  std::size_t lane = 0;
+  // The submitting tenant's injector ledger row.
+  std::size_t tenant_row = 0;
 
   // Queued + running tasks of this instance, plus the credits workers hold
   // for it. A task counts from its kIdle->kQueued CAS until its park
-  // decrement, wherever it sits -- a hot slot, any deque, any tenant lane
-  // of the injector, or a thief's hands between the winning steal CAS and
+  // decrement, wherever it sits -- a hot slot, any deque, the injector,
+  // or a thief's hands between the winning steal CAS and
   // run_task -- so a steal in flight is still pending work. The park
   // decrement is deferred: the parking worker keeps it as a credit, spends
   // it on its next wake of this instance (instead of an increment), and
@@ -118,10 +117,9 @@ struct PoolExecutor::Instance final : Waker {
   // report), so 0 here means quiescence: no node of this instance can
   // progress until a port supplies more work -- and with no open ports
   // that verdict is final: either all nodes finished (completed) or some
-  // cannot (deadlock), exactly. DRR only reorders *when* a queued task
-  // runs, never whether it is counted: deferral in a low-weight lane keeps
-  // `active` nonzero, so quiescence stays exact per instance
-  // (docs/SCHEDULER.md).
+  // cannot (deadlock), exactly. A task waiting in the injector behind
+  // co-tenants' tasks keeps `active` nonzero, so quiescence stays exact
+  // per instance (docs/SCHEDULER.md).
   std::atomic<std::int64_t> active{0};
 
   // Live-port bookkeeping (exec::Stream submissions; null `ports` = a batch
@@ -172,12 +170,6 @@ PoolExecutor::PoolExecutor(const Options& options) : options_(options) {
   // Sized before the workers spawn and never resized: one shard per worker
   // plus a trailing shard for non-worker threads.
   worker_shards_ = std::vector<obs::WorkerCounters>(n + 1);
-  // Lane 0 always exists: the shared FIFO every instance uses when
-  // fair_injector is off (and the fallback target before any tenant is
-  // interned).
-  lanes_.push_back(std::make_unique<TenantLane>());
-  lanes_.back()->tenant = "shared";
-  lane_ids_.emplace("shared", 0);
   workers_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     // Odd-multiplier mix so seed 0 still decorrelates the workers.
@@ -226,9 +218,7 @@ PoolExecutor::TicketId PoolExecutor::submit(
   if (instance->ports != nullptr)
     instance->open_ports.store(
         static_cast<std::int64_t>(options.ports->feeds.size()));
-  instance->lane = options_.fair_injector
-                       ? intern_lane(options.tenant, options.tenant_weight)
-                       : 0;
+  instance->tenant_row = intern_tenant(options.tenant);
   instance->wiring.emplace(g, instance->kernels, options, *instance);
   instance->tasks = std::vector<NodeTask>(g.node_count());
   for (NodeId n = 0; n < g.node_count(); ++n) {
@@ -271,38 +261,21 @@ void PoolExecutor::enqueue_local(Worker& w, NodeTask* task) {
   ++w.pending_wakes;
 }
 
-std::size_t PoolExecutor::intern_lane(const std::string& tenant,
-                                      double weight) {
-  std::uint64_t w = 1;
-  if (weight > 1.0)
-    w = static_cast<std::uint64_t>(std::llround(weight));
+std::size_t PoolExecutor::intern_tenant(const std::string& tenant) {
   std::lock_guard lock(injector_mu_);
-  const auto [it, inserted] = lane_ids_.emplace(tenant, lanes_.size());
-  if (inserted) {
-    lanes_.push_back(std::make_unique<TenantLane>());
-    lanes_.back()->tenant = tenant;
-  }
-  // Last submission wins: weights are per-tenant, not per-stream, and a
-  // tenant re-opening with a new weight expects the new share.
-  lanes_[it->second]->weight = w;
+  const auto [it, inserted] = ledger_ids_.emplace(tenant, ledger_.size());
+  if (inserted) ledger_.push_back(TenantLedger{tenant});
   return it->second;
 }
 
 void PoolExecutor::enqueue_injector(NodeTask* task) {
   {
     std::lock_guard lock(injector_mu_);
-    TenantLane& lane = *lanes_[task->instance->lane];
-    lane.q.push_back(task);
-    ++lane.enqueued;
-    if (lane.q.size() > lane.depth_max) lane.depth_max = lane.q.size();
-    if (!lane.linked) {
-      lane.linked = true;
-      lane.deficit = 0;
-      active_lanes_.push_back(task->instance->lane);
-    }
-    injector_size_.store(
-        injector_size_.load(std::memory_order_relaxed) + 1,
-        std::memory_order_relaxed);
+    injector_.push_back(task);
+    TenantLedger& row = ledger_[task->instance->tenant_row];
+    ++row.enqueued;
+    row.depth_max = std::max(row.depth_max, row.enqueued - row.dequeued);
+    injector_size_.store(injector_.size(), std::memory_order_relaxed);
   }
   // External enqueues flush immediately: nothing amortizes a caller that
   // may go quiet (a stream pusher, a submit kick).
@@ -327,40 +300,12 @@ void PoolExecutor::wake_idle_worker() {
 NodeTask* PoolExecutor::pop_injector() {
   if (injector_size_.load(std::memory_order_acquire) == 0) return nullptr;
   std::lock_guard lock(injector_mu_);
-  // Deficit round-robin, one dequeue per call: the head lane's visit grants
-  // it `weight` dequeues (all tasks cost 1 -- a scheduling quantum is the
-  // unit of service); when the grant is spent the lane rotates to the back,
-  // and a lane that runs empty forfeits its remainder and unlinks, so a
-  // quiet tenant banks no credit. With one lane (fair_injector off) every
-  // branch below degenerates to the legacy shared FIFO.
-  while (!active_lanes_.empty()) {
-    const std::size_t idx = active_lanes_.front();
-    TenantLane& lane = *lanes_[idx];
-    if (lane.q.empty()) {
-      lane.linked = false;
-      lane.deficit = 0;
-      active_lanes_.pop_front();
-      continue;
-    }
-    if (lane.deficit == 0) lane.deficit = lane.weight;
-    NodeTask* task = lane.q.front();
-    lane.q.pop_front();
-    --lane.deficit;
-    ++lane.dequeued;
-    injector_size_.store(
-        injector_size_.load(std::memory_order_relaxed) - 1,
-        std::memory_order_relaxed);
-    if (lane.q.empty()) {
-      lane.linked = false;
-      lane.deficit = 0;
-      active_lanes_.pop_front();
-    } else if (lane.deficit == 0) {
-      active_lanes_.pop_front();
-      active_lanes_.push_back(idx);
-    }
-    return task;
-  }
-  return nullptr;
+  if (injector_.empty()) return nullptr;
+  NodeTask* task = injector_.front();
+  injector_.pop_front();
+  ++ledger_[task->instance->tenant_row].dequeued;
+  injector_size_.store(injector_.size(), std::memory_order_relaxed);
+  return task;
 }
 
 NodeTask* PoolExecutor::find_task(Worker& w, bool* contended) {
@@ -710,17 +655,10 @@ std::vector<obs::WorkerMetrics> PoolExecutor::worker_metrics() const {
 std::vector<obs::TenantSchedMetrics> PoolExecutor::tenant_metrics() const {
   std::lock_guard lock(injector_mu_);
   std::vector<obs::TenantSchedMetrics> out;
-  out.reserve(lanes_.size());
-  for (const auto& lane : lanes_) {
-    obs::TenantSchedMetrics m;
-    m.tenant = lane->tenant;
-    m.weight = lane->weight;
-    m.enqueued = lane->enqueued;
-    m.dequeued = lane->dequeued;
-    m.queue_depth = lane->q.size();
-    m.queue_depth_max = lane->depth_max;
-    out.push_back(std::move(m));
-  }
+  out.reserve(ledger_.size());
+  for (const TenantLedger& row : ledger_)
+    out.push_back({row.tenant, row.enqueued, row.dequeued,
+                   row.enqueued - row.dequeued, row.depth_max});
   return out;
 }
 

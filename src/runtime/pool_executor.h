@@ -30,7 +30,7 @@
 // counter reaches zero no future progress is possible. Distributing the
 // ready queue does not move that quiescence point: a task counts from its
 // kIdle->kQueued CAS until its park decrement, wherever it sits -- a hot
-// slot, any deque, a per-tenant injector lane, or a thief's hands between
+// slot, any deque, the shared injector, or a thief's hands between
 // the winning steal CAS and run_task. The park decrement is worker-held:
 // a parking worker keeps it as a credit, spends it on its next wake of the
 // same instance, and returns the rest in one RMW when it starts a task of
@@ -38,9 +38,9 @@
 // credits -- never below the true count (no false verdict), and back to
 // zero once every holder has moved on or gone idle (liveness). If nodes
 // remain unfinished at quiescence the instance deadlocked -- the same
-// verdict sim::simulate computes. The DRR lanes (qos) reorder only *when*
-// queued tasks run, never whether they are counted, so weighting one
-// tenant down cannot turn another tenant's starvation into a false
+// verdict sim::simulate computes. The injector is one more container
+// inside that counted region: a task waiting in it is queued, so however
+// long co-tenants keep it waiting, its instance cannot reach a false
 // deadlock verdict.
 //
 // The pool is multi-tenant: submit() may be called concurrently for many
@@ -108,13 +108,6 @@ class PoolExecutor {
     // When false, workers skip the LIFO hot slot and take their own deque
     // from the FIFO end (self-steal) -- the harness's sched=fifo mode.
     bool lifo_slot = true;
-    // Weighted deficit-round-robin across per-tenant injector lanes (qos):
-    // external wakes and quantum yields land in the lane of the submitting
-    // tenant, and workers drain lanes proportionally to RunSpec::
-    // tenant_weight. When false every instance shares lane 0 -- the legacy
-    // single-FIFO injector, kept as the bench baseline (and the degenerate
-    // case of the same code path, so verdicts cannot depend on the flag).
-    bool fair_injector = true;
   };
 
   PoolExecutor() : PoolExecutor(Options{}) {}
@@ -185,11 +178,10 @@ class PoolExecutor {
   // run, owns worker identity).
   [[nodiscard]] std::vector<obs::WorkerMetrics> worker_metrics() const;
 
-  // Per-tenant injector-lane accounting (DRR scheduler): one entry per
-  // tenant the pool has ever seen, snapshotted under the injector lock so
-  // enqueued - dequeued == queue_depth exactly. Lanes are never removed --
-  // a retired tenant's lane costs one empty deque and keeps its counters
-  // visible to the exporter.
+  // Per-tenant injector ledger: one entry per tenant the pool has ever
+  // seen, snapshotted under the injector lock so enqueued - dequeued ==
+  // queue_depth exactly. Rows are never removed -- a retired tenant's row
+  // keeps its counters visible to the exporter.
   [[nodiscard]] std::vector<obs::TenantSchedMetrics> tenant_metrics() const;
 
  private:
@@ -231,25 +223,17 @@ class PoolExecutor {
   void maybe_finalize(Instance& instance);
   void finalize(Instance& instance);
 
-  // One per-tenant injector lane, drained by deficit round-robin: a lane at
-  // the head of the active ring gets a grant of `weight` task dequeues,
-  // then rotates to the back; a lane that empties forfeits its remaining
-  // deficit and unlinks (DRR's empty-queue rule, so a silent tenant
-  // accumulates no credit). All fields are guarded by injector_mu_.
-  struct TenantLane {
+  // One tenant's share of the injector: how many of its tasks entered and
+  // left the FIFO, and the most that sat in it at once (queue_depth is
+  // enqueued - dequeued). Guarded by injector_mu_.
+  struct TenantLedger {
     std::string tenant;
-    std::uint64_t weight = 1;
-    std::uint64_t deficit = 0;
-    bool linked = false;  // present in the active ring
-    std::deque<pool_detail::NodeTask*> q;
     std::uint64_t enqueued = 0;
     std::uint64_t dequeued = 0;
     std::uint64_t depth_max = 0;
   };
-  // Lane id for `tenant`, creating it on first sight (injector_mu_ held by
-  // the caller is NOT required -- this takes the lock itself).
-  [[nodiscard]] std::size_t intern_lane(const std::string& tenant,
-                                        double weight);
+  // Ledger row for `tenant`, created on first sight (takes injector_mu_).
+  [[nodiscard]] std::size_t intern_tenant(const std::string& tenant);
 
   Options options_;
   std::atomic<bool> stop_{false};
@@ -257,13 +241,13 @@ class PoolExecutor {
   // (amortized, one claimed wake) whenever new work may exist and a worker
   // sleeps.
   EventWord work_event_;
-  // The injector (external schedulers, quantum-yielded tasks): per-tenant
-  // lanes + the DRR ring of lanes with queued work. injector_size_ caches
-  // the total across lanes for the lock-free empty probe.
+  // The injector (external schedulers, quantum-yielded tasks): one FIFO in
+  // arrival order, plus the per-tenant ledger. injector_size_ caches its
+  // length for the lock-free empty probe.
   mutable std::mutex injector_mu_;
-  std::vector<std::unique_ptr<TenantLane>> lanes_;
-  std::unordered_map<std::string, std::size_t> lane_ids_;
-  std::deque<std::size_t> active_lanes_;
+  std::deque<pool_detail::NodeTask*> injector_;
+  std::vector<TenantLedger> ledger_;
+  std::unordered_map<std::string, std::size_t> ledger_ids_;
   std::atomic<std::size_t> injector_size_{0};
   std::vector<std::unique_ptr<Worker>> workers_;
   // workers + 1 shards, sized before the workers spawn and never resized;

@@ -444,8 +444,8 @@ std::optional<std::string> run_multitenant_differential(
   if (auto err = check_dump(reference, "sim"); err.has_value())
     return *err + "\n  repro: " + repro_command(spec);
 
-  // N concurrent port-fed pooled copies on the one shared (DRR) pool, each
-  // under a distinct tenant label and weight. Avoidance-armed copies also
+  // N concurrent port-fed pooled copies on the one shared pool, each under
+  // a distinct tenant label. Avoidance-armed copies also
   // run under a tight per-tenant credit window so the acquire/park/release
   // path is exercised under real cross-tenant concurrency; wedge-capable
   // (mode None) copies run uncredited -- a wedged stream never returns its
@@ -466,7 +466,6 @@ std::optional<std::string> run_multitenant_differential(
           ss.run.pool = pool;
           ss.run.tenant = "t";
           ss.run.tenant += std::to_string(t);
-          ss.run.tenant_weight = static_cast<double>(t + 1);
           if (spec.mode != DummyMode::None) ss.run.credits = &credits;
           ss.feed_capacity = static_cast<std::size_t>(spec.num_inputs) + 1;
           ss.egress_capacity = static_cast<std::size_t>(spec.num_inputs) + 2;

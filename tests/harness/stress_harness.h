@@ -87,8 +87,8 @@ struct CaseSpec {
   Sched sched = Sched::Lifo;
   // Multi-tenant axis (qos): run_multitenant_differential runs this many
   // concurrent port-fed copies of the case on ONE shared pool, tenant i
-  // labeled "t<i>" at DRR weight i+1 (and, when avoidance-armed, under a
-  // per-tenant credit window), each required bit-identical to the solo
+  // labeled "t<i>" (and, when avoidance-armed, under a per-tenant credit
+  // window), each required bit-identical to the solo
   // batch-fed simulator reference. 1 = the classic single-tenant case.
   std::uint32_t tenants = 1;
 };
@@ -124,12 +124,12 @@ struct CaseSpec {
     bool* reference_deadlocked = nullptr);
 
 // The multi-tenant differential (qos): spec.tenants concurrent port-fed
-// copies of the case on the caller's shared pool (fair DRR injector),
-// weights 1..N, avoidance-armed copies additionally throttled by a
-// per-tenant credit window -- and every copy's verdict, per-edge traffic,
-// firing counts and sink deliveries must be bit-identical to the solo
-// batch-fed simulator reference. This is "weighting and backpressure
-// reorder execution, never change semantics" under real concurrency.
+// copies of the case on the caller's shared pool (one FIFO injector),
+// avoidance-armed copies additionally throttled by a per-tenant credit
+// window -- and every copy's verdict, per-edge traffic, firing counts and
+// sink deliveries must be bit-identical to the solo batch-fed simulator
+// reference. This is "co-tenants and backpressure reorder execution,
+// never change semantics" under real concurrency.
 // Requires a non-null shared pool. Returns nullopt on agreement.
 [[nodiscard]] std::optional<std::string> run_multitenant_differential(
     const CaseSpec& spec, runtime::PoolExecutor* pool);

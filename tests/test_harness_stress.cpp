@@ -118,11 +118,10 @@ TEST(HarnessStress, PortModeSweep) {
 }
 
 // The multi-tenant sweep (qos): every case runs as 2-3 concurrent port-fed
-// tenant copies on one shared fair-injector pool, distinct DRR weights and
-// (when avoidance-armed) tight per-tenant credit windows, each copy
-// required bit-identical to the solo batch-fed simulator reference --
-// weighting and backpressure may reorder execution, never change
-// semantics. tools/ci.sh --stress runs this under ASan and TSan.
+// tenant copies on one shared pool, distinct tenant labels and (when
+// avoidance-armed) tight per-tenant credit windows, each copy required
+// bit-identical to the solo batch-fed simulator reference -- co-tenants
+// and backpressure may reorder execution, never change semantics. tools/ci.sh --stress runs this under ASan and TSan.
 TEST(HarnessStress, MultiTenantSweep) {
   double seconds = 2.0;
   if (const char* env = std::getenv("SDAF_STRESS_SECONDS"))

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -452,6 +453,17 @@ TEST(NetFrame, SnapshotFramesRoundTrip) {
     encode(f, w);
     const auto b = payload_of(w);
     EXPECT_FALSE(decode_restore(b.data(), b.size()).has_value());
+  }
+  for (const double weight : {std::numeric_limits<double>::quiet_NaN(),
+                              1e6 + 1}) {
+    // The reserved weight keeps its range check inside Restore too.
+    RestoreFrame f;
+    f.open.weight = weight;
+    f.snapshot = "x";
+    Writer w;
+    encode(f, w);
+    const auto b = payload_of(w);
+    EXPECT_FALSE(decode_restore(b.data(), b.size()).has_value()) << weight;
   }
   {
     RestoreOkFrame f;

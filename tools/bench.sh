@@ -19,11 +19,10 @@
 # latency under load (p50_ns/p99_ns + serialized snapshot_bytes).
 # Since sdaf::qos it also runs bench_qos_isolation into BENCH_qos.json
 # (5 repetitions; read the *_median rows):
-# interactive push->poll p50/p99 solo vs under batch-tenant saturation
-# (DRR + credit window vs the legacy unfair injector) plus the weighted
-# bandwidth-share pair; the interference ratio (shared-DRR p99 / solo p99,
-# budget <= 5x) is printed and, like the scaling ladder, flagged as
-# non-evidence on a host with < 4 hardware threads.
+# interactive push->poll p50/p99 solo vs under a batch tenant saturating
+# the shared pool through a credit window; the interference ratio (shared
+# p99 / solo p99, budget <= 5x) is printed and, like the scaling ladder,
+# flagged as non-evidence on a host with < 4 hardware threads.
 # It also times the whole compile pass: bench_ladder_scaling's
 # BM_Compile_Ladder rows (core::compile of wide_ladder-shaped ladders at
 # 1k/2k/8k/32k nodes, with the process's peak RSS) go, 5 repetitions each,
@@ -102,9 +101,11 @@ context+=",cmake_build_type=${build_type:-unknown},nproc=$jobs"
 # and
 # (since checkpoint/restore) the pooled snapshot overhead pair + barrier
 # latency (budget: snapshot_overhead_pct <= 5%), and the whole batch=1
-# LadderScaling ladder (1/4/8/16 workers; the 1 -> 4 rows are the speedup).
+# LadderScaling ladder (1/4/8/16 workers; the 1 -> 4 rows are the speedup),
+# 5 repetitions -- read the *_median rows; tools/ci.sh --smoke gates the
+# 100-node @ 8 workers median against it).
 throughput_filter='.'
-pool_filter='Filtering|CompileCache'
+pool_filter='Filtering|CompileCache|LadderScaling'
 streaming_filter='.'
 snapshot_filter='.'
 qos_filter='.'
@@ -113,7 +114,7 @@ if [[ $smoke -eq 1 ]]; then
   pool_filter='BM_PoolExecutor_Filtering|BM_PoolExecutor_Ladder/(100|1000)/2|BM_PoolExecutor_LadderScaling'
   streaming_filter='BM_Stream(Latency|Ingest)_Pooled|BM_StreamIngest_(PooledBatch|Sim)'
   snapshot_filter='BM_Snapshot(Overhead|Latency)_Pooled'
-  qos_filter='BM_QosInteractive_(Solo|SharedDRR)'
+  qos_filter='BM_QosInteractive_(Solo|Shared)'
 fi
 
 echo "==> bench_throughput -> BENCH_throughput.json"
@@ -125,6 +126,7 @@ echo "==> bench_throughput -> BENCH_throughput.json"
 echo "==> bench_pool_scaling -> BENCH_pool_scaling.json"
 "$build_dir/bench_pool_scaling" "$context" \
     --benchmark_filter="$pool_filter" \
+    --benchmark_repetitions=5 \
     --benchmark_out=BENCH_pool_scaling.json \
     --benchmark_out_format=json
 
@@ -140,7 +142,8 @@ import json
 with open("BENCH_pool_scaling.json") as f:
     doc = json.load(f)
 rows = [b for b in doc.get("benchmarks", [])
-        if b.get("name", "").startswith("BM_PoolExecutor_LadderScaling")]
+        if b.get("name", "").startswith("BM_PoolExecutor_LadderScaling")
+        and b.get("aggregate_name") == "median"]
 if rows:
     hw = int(rows[0].get("hardware_concurrency", 0))
     print(f"==> pool scaling ladder (runner has {hw} hardware thread(s)):")
@@ -181,7 +184,7 @@ echo "==> bench_qos_isolation -> BENCH_qos.json"
     --benchmark_out=BENCH_qos.json \
     --benchmark_out_format=json
 
-# The isolation headline: shared-under-DRR p99 as a multiple of solo p99
+# The isolation headline: shared-pool p99 as a multiple of solo p99
 # (budget <= 5x). Like the scaling ladder above, a 1-cpu runner cannot
 # demonstrate isolation -- every thread interferes with every other by
 # construction -- so the ratio is printed but flagged as non-evidence
@@ -194,12 +197,12 @@ with open("BENCH_qos.json") as f:
 rows = {b["name"].split("/")[0]: b for b in doc.get("benchmarks", [])
         if b.get("aggregate_name") == "median"}
 solo = rows.get("BM_QosInteractive_Solo")
-shared = rows.get("BM_QosInteractive_SharedDRR")
+shared = rows.get("BM_QosInteractive_Shared")
 if solo and shared and solo.get("p99_ns", 0) > 0:
     ratio = shared["p99_ns"] / solo["p99_ns"]
     hw = int(solo.get("hardware_concurrency", 0))
     print(f"==> qos isolation: solo p99 {solo['p99_ns']:,.0f} ns, "
-          f"shared-DRR p99 {shared['p99_ns']:,.0f} ns "
+          f"shared p99 {shared['p99_ns']:,.0f} ns "
           f"(ratio {ratio:.2f}x, budget <= 5x)")
     if hw < 4:
         print(f"    WARNING: {hw} hardware thread(s) < 4 -- this ratio "

@@ -17,10 +17,10 @@
 //
 // Multi-tenant modes (sdaf::qos):
 //   --mix=I:B        after the connection ladder, run I interactive
-//                    connections (tenant "interactive", DRR weight 4,
-//                    1-item push -> poll round trips, the latency tenant)
-//                    against B batch connections (tenant "batch", weight
-//                    1, full-batch closed loop) concurrently, and emit
+//                    connections (tenant "interactive", 1-item push ->
+//                    poll round trips, the latency tenant) against B
+//                    batch connections (tenant "batch", full-batch
+//                    closed loop) concurrently, and emit
 //                    per-tenant p50/p99 + throughput as the "mix" object
 //                    in the JSON report.
 //   --expect-rejected  probe mode for admission smoke tests: open one
@@ -185,9 +185,9 @@ std::uint64_t drive(const Config& cfg, std::vector<std::uint64_t>* rtts,
 }
 
 // One interactive-tenant connection in the --mix run: 1-item push ->
-// poll-until-delivered round trips under tenant "interactive" at DRR
-// weight 4. Unlike drive(), the RTT covers the delivery poll too -- the
-// number a latency SLO would be written against.
+// poll-until-delivered round trips under tenant "interactive". Unlike
+// drive(), the RTT covers the delivery poll too -- the number a latency
+// SLO would be written against.
 std::uint64_t drive_interactive(const Config& cfg, std::size_t items,
                                 std::vector<std::uint64_t>* rtts,
                                 std::atomic<bool>* failed) {
@@ -204,7 +204,6 @@ std::uint64_t drive_interactive(const Config& cfg, std::size_t items,
     spec.pass_rate = 1.0;
     spec.topology = kTopology;
     spec.tenant = "interactive";
-    spec.weight = 4.0;
     net::ClientStream s = client->open(1, spec);
     std::uint64_t done = 0;
     for (std::size_t i = 0; i < items; ++i) {
@@ -241,8 +240,8 @@ std::uint64_t drive_interactive(const Config& cfg, std::size_t items,
 }
 
 // One batch-tenant connection in the --mix run: full-batch closed loop
-// under tenant "batch" at weight 1 until `stop` is raised (the interactive
-// tenant finishing ends the measurement window).
+// under tenant "batch" until `stop` is raised (the interactive tenant
+// finishing ends the measurement window).
 std::uint64_t drive_batch_saturator(const Config& cfg,
                                     const std::atomic<bool>* stop,
                                     std::atomic<bool>* failed) {
@@ -259,7 +258,6 @@ std::uint64_t drive_batch_saturator(const Config& cfg,
     spec.pass_rate = 1.0;
     spec.topology = kTopology;
     spec.tenant = "batch";
-    spec.weight = 1.0;
     net::ClientStream s = client->open(1, spec);
     std::uint64_t accepted_total = 0;
     std::vector<runtime::Value> batch;

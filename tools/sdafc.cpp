@@ -8,7 +8,7 @@
 //   sdafc [--nonprop] [--reject-general] [--dot] [--ceil] FILE
 //   sdafc --run [--backend=sim|pooled] [--items=N]
 //         [--pass-rate=P] [--seed=S] [--no-avoidance] [--metrics[=json|prom]]
-//         [--tenant=NAME] [--tenant-weight=W]
+//         [--tenant=NAME]
 //         FILE
 //   sdafc --run --stdin [--backend=...] FILE   # one item per input line
 //   sdafc --help
@@ -24,11 +24,9 @@
 // --metrics=prom), keeping stdout parseable and exit codes unchanged. With
 // --stdin the final summary is printed once the stream closes.
 //
-// --tenant / --tenant-weight (qos) label the run for the pooled backend's
-// deficit-round-robin injector: the tenant's lane drains proportionally to
-// its weight when the pool is shared. A pooled --metrics run also appends
-// the per-tenant scheduler ledger (weight, lane enqueues/dequeues, queue
-// depth high-water) to the metrics summary.
+// --tenant (qos) labels the run. A pooled --metrics run also appends the
+// pool's per-tenant injector ledger (enqueues/dequeues, queue depth and
+// its high-water) to the metrics summary.
 //
 // --snapshot-every=N (with --run --stdin) cuts an asynchronous barrier
 // snapshot after every N accepted lines and writes the serialized bytes to
@@ -87,10 +85,9 @@ int usage() {
       "                    deadlock the intervals prevent)\n"
       "  --metrics[=FMT]   print the end-of-run metrics snapshot to stderr;\n"
       "                    FMT is json (default) or prom (Prometheus text)\n"
-      "  --tenant=NAME     tenant label for the run (default \"default\")\n"
-      "  --tenant-weight=W DRR weight of this tenant's injector lane on the\n"
-      "                    pooled backend, W >= 1 (default 1); a pooled\n"
-      "                    --metrics run appends the per-tenant ledger\n"
+      "  --tenant=NAME     tenant label for the run (default \"default\");\n"
+      "                    a pooled --metrics run appends the per-tenant\n"
+      "                    injector ledger\n"
       "  --stdin           with --run: stream one item per stdin line\n"
       "                    through the live InputPort (single-source\n"
       "                    topologies), printing sink results as they\n"
@@ -150,7 +147,7 @@ void print_metrics(const obs::MetricsSnapshot& snapshot,
   if (text.empty() || text.back() != '\n') std::fputc('\n', stderr);
 }
 
-// The per-tenant DRR ledger off a pooled run's explicit executor, on stderr
+// The per-tenant injector ledger off a pooled run's executor, on stderr
 // like the snapshot it follows. prom reuses the canonical exporter; json
 // emits a separate schema-tagged document so sdaf.metrics.v1 stays intact.
 void print_tenant_ledger(const runtime::PoolExecutor& pool,
@@ -163,12 +160,12 @@ void print_tenant_ledger(const runtime::PoolExecutor& pool,
     return;
   }
   std::ostringstream out;
-  out << "{\"schema\":\"sdaf.tenant_sched.v1\",\"tenants\":[";
+  out << "{\"schema\":\"sdaf.tenant_sched.v2\",\"tenants\":[";
   for (std::size_t i = 0; i < tenants.size(); ++i) {
     const auto& t = tenants[i];
     if (i != 0) out << ",";
-    out << "{\"tenant\":\"" << t.tenant << "\",\"weight\":" << t.weight
-        << ",\"enqueued\":" << t.enqueued << ",\"dequeued\":" << t.dequeued
+    out << "{\"tenant\":\"" << t.tenant << "\",\"enqueued\":" << t.enqueued
+        << ",\"dequeued\":" << t.dequeued
         << ",\"queue_depth\":" << t.queue_depth
         << ",\"queue_depth_max\":" << t.queue_depth_max << "}";
   }
@@ -351,7 +348,6 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 1;
   std::string metrics_format;  // empty = off
   std::string tenant = "default";
-  double tenant_weight = 1.0;
   CkptFlags ckpt_flags;
   std::string file;
   for (int i = 1; i < argc; ++i) {
@@ -395,14 +391,6 @@ int main(int argc, char** argv) {
       tenant = arg.substr(9);
       if (tenant.empty()) {
         std::fprintf(stderr, "sdafc: --tenant needs a name\n");
-        return usage();
-      }
-    } else if (arg.rfind("--tenant-weight=", 0) == 0) {
-      char* end = nullptr;
-      tenant_weight = std::strtod(arg.c_str() + 16, &end);
-      if (end == arg.c_str() + 16 || *end != '\0' || !(tenant_weight >= 1.0)) {
-        std::fprintf(stderr, "sdafc: bad --tenant-weight value %s (want >= 1)\n",
-                     arg.c_str() + 16);
         return usage();
       }
     } else if (arg == "--metrics" || arg.rfind("--metrics=", 0) == 0) {
@@ -479,7 +467,6 @@ int main(int argc, char** argv) {
   spec.backend = backend;
   spec.num_inputs = items;
   spec.tenant = tenant;
-  spec.tenant_weight = tenant_weight;
   if (avoidance) {
     spec.mode = options.algorithm == core::Algorithm::NonPropagation
                     ? runtime::DummyMode::NonPropagation
@@ -536,8 +523,8 @@ int main(int argc, char** argv) {
     obs::MetricsSnapshot snap = obs::snapshot(g, *registry, sopt);
     if (pool.has_value()) snap.workers = pool->worker_metrics();
     print_metrics(snap, metrics_format);
-    // The per-tenant scheduler ledger (qos): what the DRR injector owes and
-    // has paid each tenant lane on this pool. Appended after the snapshot
+    // The per-tenant injector ledger (qos): how many of each tenant's tasks
+    // passed through this pool's injector. Appended after the snapshot
     // so the sdaf.metrics.v1 schema is untouched.
     if (pool.has_value()) print_tenant_ledger(*pool, metrics_format);
   }
