@@ -1,7 +1,7 @@
 #include "src/runtime/pool_executor.h"
 
-#include <chrono>
 #include <algorithm>
+#include <chrono>
 #include <optional>
 #include <thread>
 
@@ -101,9 +101,9 @@ struct PoolExecutor::Instance final : Waker {
 
   // Queued + running tasks of this instance, plus the credits workers hold
   // for it. A task counts from its kIdle->kQueued CAS until its park
-  // decrement, wherever it sits -- a hot slot, any deque, the injector,
-  // or a thief's hands between the winning steal CAS and
-  // run_task -- so a steal in flight is still pending work. The park
+  // decrement, wherever it sits -- a hot slot, any deque, the injector, or
+  // a thief's hands between the winning steal CAS and run_task -- so a
+  // steal in flight is still pending work. The park
   // decrement is deferred: the parking worker keeps it as a credit, spends
   // it on its next wake of this instance (instead of an increment), and
   // returns what is left with one fetch_sub when it switches to another

@@ -103,7 +103,9 @@ check_prom() {
 #     read 0.46-0.66 here.
 # The earlier gate (1000-node @ 8 workers >= 50% of the 100-node ladder)
 # needs a 5.2x speedup over one worker, which fewer than 6 hardware threads
-# cannot give; it still applies on hosts with 6 or more. On < 4 hardware
+# cannot give; it still applies on hosts with 6 or more. The last gate
+# holds the median of 5 repetitions of 100-node @ 8 workers within 5% of
+# the median stamped in BENCH_pool_scaling.json. On < 4 hardware
 # threads the assertions are SKIPPED WITH A VISIBLE WARNING instead of
 # vacuously passing: a flat ladder on one core is absence of evidence, not
 # a pass.
