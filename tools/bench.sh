@@ -200,7 +200,9 @@ solo = rows.get("BM_QosInteractive_Solo")
 shared = rows.get("BM_QosInteractive_Shared")
 if solo and shared and solo.get("p99_ns", 0) > 0:
     ratio = shared["p99_ns"] / solo["p99_ns"]
-    hw = int(solo.get("hardware_concurrency", 0))
+    # bench_qos_isolation records no hardware_concurrency counter; the
+    # runner's cpu count is in the context block.
+    hw = int(doc.get("context", {}).get("num_cpus", 0))
     print(f"==> qos isolation: solo p99 {solo['p99_ns']:,.0f} ns, "
           f"shared p99 {shared['p99_ns']:,.0f} ns "
           f"(ratio {ratio:.2f}x, budget <= 5x)")
