@@ -37,6 +37,8 @@ namespace {
 using namespace sdaf;
 
 constexpr std::uint64_t kRoundTrips = 1500;
+// The batch co-tenant's credit window.
+constexpr std::uint64_t kBatchCredits = 64;
 
 exec::StreamSpec tenant_spec(const core::CompileResult& compiled,
                              runtime::PoolExecutor& pool,
@@ -110,9 +112,8 @@ void report_percentiles(benchmark::State& state,
 }
 
 // One interactive round trip at a time against an optionally saturated
-// pool. `with_batch` runs the co-tenant under a `credit_limit` window.
-void run_interactive(benchmark::State& state, bool with_batch,
-                     std::uint64_t credit_limit) {
+// pool. `with_batch` runs the co-tenant under its credit window.
+void run_interactive(benchmark::State& state, bool with_batch) {
   const StreamGraph g = workloads::continuation_ladder(4, 64, 1);
   const auto compiled = core::compile(g);
   SDAF_ASSERT(compiled.ok);
@@ -121,12 +122,12 @@ void run_interactive(benchmark::State& state, bool with_batch,
   std::uint64_t batch_items = 0;
   for (auto _ : state) {
     runtime::PoolExecutor pool(2);
-    qos::CreditGauge batch_credits(credit_limit);  // limit 0 = unlimited
+    qos::CreditGauge batch_credits(kBatchCredits);
 
     std::unique_ptr<BatchTenant> batch;
     if (with_batch) {
       exec::StreamSpec bs = tenant_spec(compiled, pool, "batch");
-      if (credit_limit > 0) bs.run.credits = &batch_credits;
+      bs.run.credits = &batch_credits;
       batch = std::make_unique<BatchTenant>(g, std::move(bs));
       batch->start();
     }
@@ -155,12 +156,12 @@ void run_interactive(benchmark::State& state, bool with_batch,
 }
 
 void BM_QosInteractive_Solo(benchmark::State& state) {
-  run_interactive(state, /*with_batch=*/false, /*credit_limit=*/0);
+  run_interactive(state, /*with_batch=*/false);
 }
 BENCHMARK(BM_QosInteractive_Solo)->Iterations(3)->Unit(benchmark::kMillisecond);
 
 void BM_QosInteractive_Shared(benchmark::State& state) {
-  run_interactive(state, /*with_batch=*/true, /*credit_limit=*/64);
+  run_interactive(state, /*with_batch=*/true);
 }
 BENCHMARK(BM_QosInteractive_Shared)
     ->Iterations(3)->Unit(benchmark::kMillisecond);
