@@ -36,29 +36,48 @@ std::string describe_park_summary(std::uint64_t summary) {
   }
 }
 
-FiringCore::FiringCore(NodeId node, runtime::Kernel& kernel,
-                       std::size_t in_slots, std::size_t out_slots,
-                       runtime::NodeWrapper wrapper, runtime::NodeState& owner,
-                       std::uint32_t batch, runtime::Tracer* tracer,
-                       const std::uint64_t* tick, obs::NodeCounters* metrics)
+FiringCore::FiringCore(NodeId node, std::size_t in_slots,
+                       std::size_t out_slots, runtime::NodeState& owner)
     : node_(node),
-      kernel_(kernel),
       in_slots_(in_slots),
       out_slots_(out_slots),
-      wrapper_(std::move(wrapper)),
+      wrapper_(runtime::DummyMode::None, {}),
       io_(owner),
-      batch_(std::max<std::uint32_t>(1, batch)),
-      tracer_(tracer),
-      tick_(tick),
-      metrics_(metrics),
       emitter_(out_slots),
       inputs_(in_slots),
       feed_input_(in_slots == 0 ? 1 : 0),
-      feed_batch_(in_slots == 0 ? batch_ : 0),
       heads_(in_slots),
       dummy_runs_(out_slots),
       pending_tail_(out_slots, kNoTail),
       slot_blocked_(out_slots, 0) {}
+
+void FiringCore::reset(runtime::Kernel& kernel, runtime::DummyMode mode,
+                       const std::vector<std::int64_t>& out_intervals,
+                       const std::vector<std::uint8_t>& out_forward,
+                       std::uint32_t batch, runtime::Tracer* tracer,
+                       const std::uint64_t* tick, obs::NodeCounters* metrics,
+                       ckpt::SnapshotPlane* plane) {
+  SDAF_EXPECTS(out_intervals.size() == out_slots_);
+  kernel_ = &kernel;
+  wrapper_.reset(mode, out_intervals, out_forward);
+  batch_ = std::max<std::uint32_t>(1, batch);
+  tracer_ = tracer;
+  tick_ = tick;
+  metrics_ = metrics;
+  plane_ = plane;
+  emitter_.reset();
+  for (auto& in : inputs_) in.reset();
+  for (auto& in : feed_input_) in.reset();
+  feed_batch_.resize(in_slots_ == 0 ? batch_ : 0);
+  pending_.clear();
+  std::fill(pending_tail_.begin(), pending_tail_.end(), kNoTail);
+  fires = 0;
+  sink_data = 0;
+  source_seq_ = 0;
+  eos_flooded_ = false;
+  done_ = false;
+  aborted_ = false;
+}
 
 void FiringCore::trace(TraceKind kind, std::size_t slot, std::uint64_t seq) {
   if constexpr (runtime::kTracingEnabled) {
@@ -150,7 +169,7 @@ ckpt::NodeCut FiringCore::make_cut(bool done) const {
   cut.sink_data = sink_data;
   cut.source_seq = source_seq_;
   cut.last_sent = wrapper_.last_sent();
-  kernel_.save_state(cut.kernel_state);
+  kernel_->save_state(cut.kernel_state);
   return cut;
 }
 
@@ -172,7 +191,7 @@ void FiringCore::restore_cut(const ckpt::NodeCut& cut) {
   sink_data = cut.sink_data;
   source_seq_ = cut.source_seq;
   wrapper_.restore_last_sent(cut.last_sent);
-  kernel_.load_state(cut.kernel_state);
+  kernel_->load_state(cut.kernel_state);
 }
 
 void FiringCore::mark_done() {
@@ -276,11 +295,11 @@ std::uint64_t FiringCore::fire_once(std::uint64_t budget) {
       emitter_.reset();
       if (m.payload.has_value()) {
         feed_input_[0] = std::move(m.payload);
-        kernel_.fire(m.seq, feed_input_, emitter_);
+        kernel_->fire(m.seq, feed_input_, emitter_);
         feed_input_[0].reset();
       } else {
         // Firing token: the kernel sees an empty input vector.
-        kernel_.fire(m.seq, no_inputs, emitter_);
+        kernel_->fire(m.seq, no_inputs, emitter_);
       }
       ++fires;
       if (metrics_ != nullptr) obs::bump(metrics_->fires);
@@ -393,7 +412,7 @@ std::uint64_t FiringCore::fire_once(std::uint64_t budget) {
   }
   emitter_.reset();
   if (any_data) {
-    kernel_.fire(min_seq, inputs_, emitter_);
+    kernel_->fire(min_seq, inputs_, emitter_);
     ++fires;
     if (metrics_ != nullptr) obs::bump(metrics_->fires);
     trace(TraceKind::Fire, 0, min_seq);

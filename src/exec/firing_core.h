@@ -77,24 +77,35 @@ inline constexpr std::uint64_t kParkSlotMask = (std::uint64_t{1} << 62) - 1;
 class FiringCore {
  public:
   // `in_slots`/`out_slots` are the node's degree; the channels themselves
-  // live in `owner`, the NodeState this core is a member of. A source
-  // (in_slots == 0) consumes the owner's feed: a payload-free data message
-  // is a pure firing token (the kernel sees an empty input vector), a
-  // payload rides to the kernel as a single-slot input, and EOS triggers
-  // the ordinary flood. `batch` is the firing quantum (see RunSpec::batch;
-  // clamped to >= 1). `tracer` (optional, not owned) records per-message
-  // events; `tick` (optional, not owned) supplies the tracer timestamp --
-  // the simulator points it at its sweep counter, the pooled backend leaves
-  // it null (tick 0; event *order* across threads is not meaningful there).
-  // `metrics` (optional, not owned): the node's obs counter shard;
-  // increments happen at the same sites on every engine, so the counters
-  // are differentially exact against the sim reference.
-  FiringCore(NodeId node, runtime::Kernel& kernel, std::size_t in_slots,
-             std::size_t out_slots, runtime::NodeWrapper wrapper,
-             runtime::NodeState& owner, std::uint32_t batch = 1,
-             runtime::Tracer* tracer = nullptr,
-             const std::uint64_t* tick = nullptr,
-             obs::NodeCounters* metrics = nullptr);
+  // live in `owner`, the NodeState this core is a member of. The core is
+  // not runnable until reset() binds it to a run.
+  FiringCore(NodeId node, std::size_t in_slots, std::size_t out_slots,
+             runtime::NodeState& owner);
+
+  // Binds the core to one run and rewinds it to "never fired": counters,
+  // source sequence, pending outputs, EOS/done/abort flags and the
+  // wrapper's emissions. A source (in_slots == 0) consumes the owner's
+  // feed: a payload-free data message is a pure firing token (the kernel
+  // sees an empty input vector), a payload rides to the kernel as a
+  // single-slot input, and EOS triggers the ordinary flood. The wrapper
+  // runs `mode` with one interval and one forward-on-filter flag per
+  // out-slot (see runtime::NodeWrapper). `batch` is the firing quantum
+  // (see RunSpec::batch; clamped to >= 1). `tracer` (optional, not owned)
+  // records per-message events; `tick` (optional, not owned) supplies the
+  // tracer timestamp -- the simulator points it at its sweep counter, the
+  // pooled backend leaves it null (tick 0; event *order* across threads is
+  // not meaningful there). `metrics` (optional, not owned): the node's obs
+  // counter shard; increments happen at the same sites on every engine, so
+  // the counters are differentially exact against the sim reference.
+  // `plane` (optional, not owned): the stream's barrier coordinator, see
+  // below. Reuses the core's buffers, so rewinding allocates nothing
+  // unless `batch` grew. Never while a step() runs.
+  void reset(runtime::Kernel& kernel, runtime::DummyMode mode,
+             const std::vector<std::int64_t>& out_intervals,
+             const std::vector<std::uint8_t>& out_forward,
+             std::uint32_t batch, runtime::Tracer* tracer,
+             const std::uint64_t* tick, obs::NodeCounters* metrics,
+             ckpt::SnapshotPlane* plane);
 
   // One scheduling quantum; returns true iff any progress was made (a
   // message delivered, consumed, or produced). After false the node cannot
@@ -114,15 +125,14 @@ class FiringCore {
   // Human-readable state for deadlock dumps. Owner-only (or quiescent).
   [[nodiscard]] std::string describe() const;
 
-  // Snapshot plumbing (ckpt). set_snapshot_plane attaches the stream's
-  // barrier coordinator (null = snapshots off, the default: every marker
-  // branch below is then dead and the fast path is unchanged). When a
-  // Marker(S) aligns at this node's inputs, step() pops the markers,
-  // reports a NodeCut to the plane, and queues Marker(S) on every output
-  // after the pre-S emissions -- no kernel firing, no counter movement.
-  // queue_eos additionally reports the node's final cut to the plane so a
-  // barrier begun after this node drained still completes.
-  void set_snapshot_plane(ckpt::SnapshotPlane* plane) { plane_ = plane; }
+  // Snapshot plumbing (ckpt). reset() attaches the stream's barrier
+  // coordinator (null = snapshots off, the default: every marker branch
+  // below is then dead and the fast path is unchanged). When a Marker(S)
+  // aligns at this node's inputs, step() pops the markers, reports a
+  // NodeCut to the plane, and queues Marker(S) on every output after the
+  // pre-S emissions -- no kernel firing, no counter movement. queue_eos
+  // additionally reports the node's final cut to the plane so a barrier
+  // begun after this node drained still completes.
 
   // Restore plumbing: rehydrate this core from a NodeCut taken at a
   // barrier. Live node: restore_cut alone. Done node: restore_cut (its
@@ -174,15 +184,15 @@ class FiringCore {
   std::uint64_t fire_once(std::uint64_t budget);
 
   NodeId node_;
-  runtime::Kernel& kernel_;
+  runtime::Kernel* kernel_ = nullptr;
   std::size_t in_slots_;
   std::size_t out_slots_;
   runtime::NodeWrapper wrapper_;
   runtime::NodeState& io_;
-  std::uint32_t batch_;
-  runtime::Tracer* tracer_;
-  const std::uint64_t* tick_;
-  obs::NodeCounters* metrics_;
+  std::uint32_t batch_ = 1;
+  runtime::Tracer* tracer_ = nullptr;
+  const std::uint64_t* tick_ = nullptr;
+  obs::NodeCounters* metrics_ = nullptr;
   runtime::Emitter emitter_;
   std::vector<std::optional<runtime::Value>> inputs_;
   // Scratch single-slot input vector for payload-carrying feed messages.

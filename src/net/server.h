@@ -46,6 +46,14 @@ class CompileCache;
 
 namespace sdaf::net {
 
+// The most undirected cycles an Open may have counted for a non-CS4
+// topology (core::CompileOptions::cycle_limit; the library default is
+// 1 << 22). The count runs on the event loop, where the default spends
+// ~0.3 s on the 11-node complete DAG before refusing it; at this bound a
+// refusal costs a few milliseconds. A topology past it gets
+// Error(BadTopology), and the diagnostic names the limit.
+inline constexpr std::size_t kOpenCycleLimit = std::size_t{1} << 16;
+
 struct ServerOptions {
   // Listeners: any subset; start() fails if none is configured or a bind
   // fails. tcp_port 0 = ephemeral (tcp_port() reports the real one).

@@ -395,6 +395,14 @@ std::string tenant_sched_to_prometheus(
   return w.str();
 }
 
+std::string pool_to_prometheus(std::uint64_t instances_built) {
+  return scalars_to_prometheus(
+      {{"sdaf_pool_instances_built_total", "counter",
+        "Run instances (wiring, node tasks) the pool built; a batch round "
+        "that reuses a retired instance of its shape builds none.",
+        instances_built}});
+}
+
 std::string admission_to_prometheus(std::uint64_t admitted,
                                     std::uint64_t rejected) {
   return scalars_to_prometheus(

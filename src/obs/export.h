@@ -38,6 +38,11 @@ namespace sdaf::obs {
 [[nodiscard]] std::string tenant_sched_to_prometheus(
     const std::vector<TenantSchedMetrics>& tenants);
 
+// The pool's instance counter (PoolExecutor::instances_built) as the
+// sdaf_pool_instances_built_total counter. A plain integer so obs stays
+// independent of runtime.
+[[nodiscard]] std::string pool_to_prometheus(std::uint64_t instances_built);
+
 // Admission-controller counters (qos::Admission) as Prometheus families:
 // sdaf_admission_admitted_total / sdaf_admission_rejected_total. Plain
 // integers so obs stays independent of qos.

@@ -220,6 +220,16 @@ void BoundedChannel::abort() {
   if (producer_signal_ != nullptr) producer_signal_->abort();
 }
 
+void BoundedChannel::reset() {
+  ring_.reset();
+  aborted_.store(false, std::memory_order_relaxed);
+  data_pushed_.store(0, std::memory_order_relaxed);
+  dummies_pushed_.store(0, std::memory_order_relaxed);
+  max_occupancy_.store(0, std::memory_order_relaxed);
+  cut_data_pushed_.store(0, std::memory_order_relaxed);
+  cut_dummies_pushed_.store(0, std::memory_order_relaxed);
+}
+
 bool BoundedChannel::aborted() const {
   return aborted_.load(std::memory_order_acquire);
 }

@@ -195,6 +195,12 @@ class BoundedChannel {
   void abort();
   [[nodiscard]] bool aborted() const;
 
+  // Rewinds the channel for another run of the same shape: the ring's
+  // contents and counters, the stats, the marker latch and the abort flag.
+  // The capacity and the attached producer signal and drain hook stay;
+  // set_metrics rebinds the counters. Pre-start only, like restore_stats.
+  void reset();
+
   // Instantaneous occupancy tests (non-blocking, any thread; coherent
   // snapshots -- for scheduler probes and state dumps). All logical-message
   // counts: a coalesced run of k dummies counts k.

@@ -6,41 +6,48 @@
 
 namespace sdaf::runtime {
 
-NodeState::NodeState(NodeId node, Kernel& kernel,
-                     std::vector<BoundedChannel*> ins,
-                     std::vector<BoundedChannel*> outs, BoundedChannel* feed,
-                     NodeWrapper wrapper, std::vector<NodeId> in_producers,
-                     std::vector<NodeId> out_consumers, Waker& waker,
-                     std::uint32_t batch, Tracer* tracer,
-                     const std::uint64_t* tick, obs::NodeCounters* metrics)
+NodeState::NodeState(NodeId node, std::vector<BoundedChannel*> ins,
+                     std::vector<BoundedChannel*> outs,
+                     std::vector<NodeId> in_producers,
+                     std::vector<NodeId> out_consumers)
     : ins_(std::move(ins)),
       outs_(std::move(outs)),
-      feed_(feed),
       in_producers_(std::move(in_producers)),
       out_consumers_(std::move(out_consumers)),
-      waker_(waker),
-      core_(node, kernel, ins_.size(), outs_.size(), std::move(wrapper),
-            *this, batch, tracer, tick, metrics) {
-  SDAF_EXPECTS((feed_ != nullptr) == ins_.empty());
+      core_(node, ins_.size(), outs_.size(), *this) {
   SDAF_EXPECTS(in_producers_.size() == ins_.size());
   SDAF_EXPECTS(out_consumers_.size() == outs_.size());
+}
+
+void NodeState::reset(Kernel& kernel, BoundedChannel* feed, Waker& waker,
+                      DummyMode mode,
+                      const std::vector<std::int64_t>& out_intervals,
+                      const std::vector<std::uint8_t>& out_forward,
+                      std::uint32_t batch, Tracer* tracer,
+                      const std::uint64_t* tick, obs::NodeCounters* metrics,
+                      ckpt::SnapshotPlane* plane) {
+  SDAF_EXPECTS((feed != nullptr) == ins_.empty());
+  feed_ = feed;
+  waker_ = &waker;
+  core_.reset(kernel, mode, out_intervals, out_forward, batch, tracer, tick,
+              metrics, plane);
 }
 
 Message NodeState::pop_head(std::size_t slot) {
   bool was_full = false;
   Message m = ins_[slot]->pop_head(&was_full);
-  if (was_full) waker_.wake(in_producers_[slot]);
+  if (was_full) waker_->wake(in_producers_[slot]);
   return m;
 }
 
 void NodeState::pop(std::size_t slot) {
-  if (ins_[slot]->pop()) waker_.wake(in_producers_[slot]);
+  if (ins_[slot]->pop()) waker_->wake(in_producers_[slot]);
 }
 
 void NodeState::pop_dummies(std::size_t slot, std::size_t count) {
   const auto run = ins_[slot]->pop_dummies(count);
   SDAF_ASSERT(run.popped == count);
-  if (run.was_full) waker_.wake(in_producers_[slot]);
+  if (run.was_full) waker_->wake(in_producers_[slot]);
 }
 
 exec::PushOutcome NodeState::try_push(std::size_t slot, Message&& m) {
@@ -56,7 +63,7 @@ exec::PushOutcome NodeState::try_push(std::size_t slot, Message&& m) {
       // kNoNode = egress tap: the consumer is the external caller, woken
       // through the channel's own event word, not the scheduler.
       if (was_empty && out_consumers_[slot] != kNoNode)
-        waker_.wake(out_consumers_[slot]);
+        waker_->wake(out_consumers_[slot]);
       return exec::PushOutcome::Delivered;
     case PushResult::Aborted:
       return exec::PushOutcome::Aborted;
@@ -76,7 +83,7 @@ std::size_t NodeState::try_push_dummies(std::size_t slot,
       outs_[slot]->try_push_dummies(first_seq, count, &was_empty,
                                     &chan_aborted);
   if (accepted > 0 && was_empty && out_consumers_[slot] != kNoNode)
-    waker_.wake(out_consumers_[slot]);
+    waker_->wake(out_consumers_[slot]);
   if (chan_aborted)
     *outcome = exec::PushOutcome::Aborted;
   else
@@ -112,24 +119,13 @@ Wiring::Wiring(const StreamGraph& g,
                const std::vector<std::shared_ptr<Kernel>>& kernels,
                const exec::RunSpec& spec, Waker& waker,
                const std::uint64_t* tick)
-    : graph_(g), tracer_(spec.tracer) {
-  const std::size_t edges = g.edge_count();
-  SDAF_EXPECTS(kernels.size() == g.node_count());
-  for (const auto& k : kernels) SDAF_EXPECTS(k != nullptr);
-  std::vector<std::int64_t> intervals = spec.intervals;
-  if (intervals.empty()) intervals.assign(edges, kInfiniteInterval);
-  SDAF_EXPECTS(intervals.size() == edges);
-  std::vector<std::uint8_t> forward = spec.forward_on_filter;
-  if (forward.empty()) forward.assign(edges, 0);
-  SDAF_EXPECTS(forward.size() == edges);
-
-  channels_.reserve(edges);
-  for (EdgeId e = 0; e < edges; ++e) {
+    : tick_(tick) {
+  edges_.reserve(g.edge_count());
+  for (EdgeId e = 0; e < g.edge_count(); ++e) edges_.push_back(g.edge(e));
+  channels_.reserve(g.edge_count());
+  for (EdgeId e = 0; e < g.edge_count(); ++e)
     channels_.push_back(std::make_unique<BoundedChannel>(
         static_cast<std::size_t>(g.edge(e).buffer)));
-    if (spec.metrics != nullptr)
-      channels_.back()->set_metrics(&spec.metrics->channel(e));
-  }
 
   nodes_.reserve(g.node_count());
   for (NodeId n = 0; n < g.node_count(); ++n) {
@@ -141,37 +137,72 @@ Wiring::Wiring(const StreamGraph& g,
     }
     std::vector<BoundedChannel*> outs;
     std::vector<NodeId> out_consumers;
-    std::vector<std::int64_t> out_intervals;
-    std::vector<std::uint8_t> out_forward;
     for (const EdgeId e : g.out_edges(n)) {
       outs.push_back(channels_[e].get());
       out_consumers.push_back(g.edge(e).to);
-      out_intervals.push_back(intervals[e]);
-      out_forward.push_back(forward[e]);
     }
-    BoundedChannel* feed = nullptr;
-    if (spec.ports == nullptr) {
-      if (ins.empty()) feed = token_feed(spec.num_inputs);
-    } else {
-      feed = spec.ports->feed_for(n);
+    if (spec.ports != nullptr) {
       if (BoundedChannel* egress = spec.ports->egress_for(n)) {
-        // The egress tap is one extra out-slot: infinite dummy interval,
-        // never continuation-forwarding, no consumer task to wake.
+        // The egress tap is one extra out-slot with no consumer task to
+        // wake; reset() gives it an infinite dummy interval and no
+        // continuation forwarding.
         outs.push_back(egress);
         out_consumers.push_back(kNoNode);
-        out_intervals.push_back(kInfiniteInterval);
-        out_forward.push_back(0);
       }
     }
     nodes_.push_back(std::make_unique<NodeState>(
-        n, *kernels[n], std::move(ins), std::move(outs), feed,
-        NodeWrapper(spec.mode, std::move(out_intervals),
-                    std::move(out_forward)),
-        std::move(in_producers), std::move(out_consumers), waker, spec.batch,
-        spec.tracer, tick,
-        spec.metrics != nullptr ? &spec.metrics->node(n) : nullptr));
-    if (spec.ckpt_plane != nullptr)
-      nodes_.back()->set_snapshot_plane(spec.ckpt_plane);
+        n, std::move(ins), std::move(outs), std::move(in_producers),
+        std::move(out_consumers)));
+  }
+  reset(g, kernels, spec, waker);
+}
+
+void Wiring::reset(const StreamGraph& g,
+                   const std::vector<std::shared_ptr<Kernel>>& kernels,
+                   const exec::RunSpec& spec, Waker& waker) {
+  const std::size_t edges = g.edge_count();
+  SDAF_EXPECTS(fits(g));
+  SDAF_EXPECTS(kernels.size() == g.node_count());
+  for (const auto& k : kernels) SDAF_EXPECTS(k != nullptr);
+  SDAF_EXPECTS(spec.intervals.empty() || spec.intervals.size() == edges);
+  SDAF_EXPECTS(spec.forward_on_filter.empty() ||
+               spec.forward_on_filter.size() == edges);
+  graph_ = &g;
+  tracer_ = spec.tracer;
+
+  for (EdgeId e = 0; e < edges; ++e) {
+    channels_[e]->reset();
+    channels_[e]->set_metrics(spec.metrics != nullptr
+                                  ? &spec.metrics->channel(e)
+                                  : nullptr);
+  }
+
+  std::size_t sources = 0;
+  for (NodeId n = 0; n < g.node_count(); ++n) {
+    slot_intervals_.clear();
+    slot_forward_.clear();
+    for (const EdgeId e : g.out_edges(n)) {
+      slot_intervals_.push_back(spec.intervals.empty() ? kInfiniteInterval
+                                                       : spec.intervals[e]);
+      slot_forward_.push_back(
+          spec.forward_on_filter.empty() ? 0 : spec.forward_on_filter[e]);
+    }
+    BoundedChannel* feed = nullptr;
+    if (spec.ports == nullptr) {
+      if (g.in_degree(n) == 0) feed = token_feed(sources++, spec.num_inputs);
+    } else {
+      feed = spec.ports->feed_for(n);
+      if (spec.ports->egress_for(n) != nullptr) {
+        // The egress out-slot: infinite dummy interval, never
+        // continuation-forwarding.
+        slot_intervals_.push_back(kInfiniteInterval);
+        slot_forward_.push_back(0);
+      }
+    }
+    nodes_[n]->reset(*kernels[n], feed, waker, spec.mode, slot_intervals_,
+                     slot_forward_, spec.batch, spec.tracer, tick_,
+                     spec.metrics != nullptr ? &spec.metrics->node(n) : nullptr,
+                     spec.ckpt_plane);
   }
 
   if (spec.restore == nullptr) return;
@@ -196,19 +227,35 @@ Wiring::Wiring(const StreamGraph& g,
   }
 }
 
-BoundedChannel* Wiring::token_feed(std::uint64_t num_inputs) {
+BoundedChannel* Wiring::token_feed(std::size_t i, std::uint64_t num_inputs) {
   // Pre-closed: the source never observes a starved feed, so a batch run's
   // verdict is the closed-world one, and its EOS lands right after item N.
-  auto feed = std::make_unique<BoundedChannel>(
-      static_cast<std::size_t>(num_inputs) + 1);
+  const auto capacity = static_cast<std::size_t>(num_inputs) + 1;
+  if (i == token_feeds_.size())
+    token_feeds_.push_back(std::make_unique<BoundedChannel>(capacity));
+  else if (token_feeds_[i]->capacity() != capacity)
+    token_feeds_[i] = std::make_unique<BoundedChannel>(capacity);
+  else
+    token_feeds_[i]->reset();
+  BoundedChannel& feed = *token_feeds_[i];
   for (std::uint64_t seq = 0; seq < num_inputs; ++seq) {
-    const PushResult r = feed->try_push(Message::data(seq, {}));
+    const PushResult r = feed.try_push(Message::data(seq, {}));
     SDAF_ASSERT(r == PushResult::Ok);
   }
-  const PushResult r = feed->try_push(Message::eos());
+  const PushResult r = feed.try_push(Message::eos());
   SDAF_ASSERT(r == PushResult::Ok);
-  token_feeds_.push_back(std::move(feed));
-  return token_feeds_.back().get();
+  return &feed;
+}
+
+bool Wiring::fits(const StreamGraph& g) const {
+  if (g.node_count() != nodes_.size() || g.edge_count() != edges_.size())
+    return false;
+  for (EdgeId e = 0; e < edges_.size(); ++e) {
+    const Edge& a = g.edge(e);
+    const Edge& b = edges_[e];
+    if (a.from != b.from || a.to != b.to || a.buffer != b.buffer) return false;
+  }
+  return true;
 }
 
 bool Wiring::all_done() const {
@@ -241,20 +288,21 @@ ckpt::EdgeCut Wiring::edge_cut(EdgeId e, bool producer_checkpointed) const {
 
 std::string Wiring::dump_wedged_state() const {
   std::ostringstream dump;
-  for (EdgeId e = 0; e < graph_.edge_count(); ++e) {
+  const StreamGraph& graph = *graph_;
+  for (EdgeId e = 0; e < graph.edge_count(); ++e) {
     const BoundedChannel& ch = *channels_[e];
     const ChannelStats s = ch.stats();
-    dump << "edge " << e << " " << graph_.node_name(graph_.edge(e).from)
-         << "->" << graph_.node_name(graph_.edge(e).to) << " " << ch.size()
+    dump << "edge " << e << " " << graph.node_name(graph.edge(e).from)
+         << "->" << graph.node_name(graph.edge(e).to) << " " << ch.size()
          << "/" << ch.capacity() << " pushed=" << s.data_pushed << "+"
          << s.dummies_pushed << "d";
     if (const auto head = ch.try_peek(); head.has_value())
       dump << " head=" << to_string(*head);
     dump << "\n";
   }
-  for (NodeId n = 0; n < graph_.node_count(); ++n) {
+  for (NodeId n = 0; n < graph.node_count(); ++n) {
     const NodeState& node = *nodes_[n];
-    dump << "node " << graph_.node_name(n) << " " << node.describe()
+    dump << "node " << graph.node_name(n) << " " << node.describe()
          << " park=" << exec::describe_park_summary(node.park_summary())
          << "\n";
     if (tracer_ != nullptr)

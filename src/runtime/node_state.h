@@ -17,7 +17,12 @@
 // ports (or, for a batch run, its pre-closed token feeds), snapshot plane,
 // restore -- and reads back the report, the edge cuts and the wedge dump.
 // sim::SweepEngine and runtime::PoolExecutor each hold one, so both
-// engines run the same channels and the same nodes.
+// engines run the same channels and the same nodes. Its shape (channels,
+// nodes, slots) is allocated once; reset() binds a run's values to it, so
+// the pool rewinds one wiring across rounds of a topology instead of
+// rebuilding it. A node that has never run counts as parked on its inputs:
+// its park summary reads kParkInputs, and probe() of that summary is how
+// the pool picks the nodes worth kicking at submit.
 #pragma once
 
 #include <cstdint>
@@ -47,20 +52,28 @@ class Waker {
 
 class NodeState final {
  public:
-  // `in_producers[j]` / `out_consumers[slot]` name the node at the far end
-  // of the corresponding channel; they are the wake targets for the
-  // pop-freed-a-full-channel / push-filled-an-empty-channel transitions.
-  // `feed` is the injected channel a source (no `ins`) consumes, null for
-  // every other node; an egress tap rides in `outs` as one extra slot whose
+  // The node's shape. `in_producers[j]` / `out_consumers[slot]` name the
+  // node at the far end of the corresponding channel; they are the wake
+  // targets for the pop-freed-a-full-channel / push-filled-an-empty-channel
+  // transitions. An egress tap rides in `outs` as one extra slot whose
   // out_consumers entry is kNoNode (its consumer is the external caller,
-  // woken through the channel itself, never through the Waker). `tick`
-  // (optional) stamps trace events, see exec::FiringCore.
-  NodeState(NodeId node, Kernel& kernel, std::vector<BoundedChannel*> ins,
-            std::vector<BoundedChannel*> outs, BoundedChannel* feed,
-            NodeWrapper wrapper, std::vector<NodeId> in_producers,
-            std::vector<NodeId> out_consumers, Waker& waker,
-            std::uint32_t batch, Tracer* tracer, const std::uint64_t* tick,
-            obs::NodeCounters* metrics);
+  // woken through the channel itself, never through the Waker). The node
+  // is not runnable until reset() binds it to a run.
+  NodeState(NodeId node, std::vector<BoundedChannel*> ins,
+            std::vector<BoundedChannel*> outs,
+            std::vector<NodeId> in_producers,
+            std::vector<NodeId> out_consumers);
+
+  // Binds the node to one run and rewinds its core (see
+  // exec::FiringCore::reset for the remaining parameters). `feed` is the
+  // injected channel a source (no `ins`) consumes, null for every other
+  // node; wakes go to `waker`. The channels are rewound by their owner,
+  // runtime::Wiring.
+  void reset(Kernel& kernel, BoundedChannel* feed, Waker& waker,
+             DummyMode mode, const std::vector<std::int64_t>& out_intervals,
+             const std::vector<std::uint8_t>& out_forward,
+             std::uint32_t batch, Tracer* tracer, const std::uint64_t* tick,
+             obs::NodeCounters* metrics, ckpt::SnapshotPlane* plane);
 
   // One scheduling quantum; returns true iff any progress was made
   // (a message delivered, consumed, or produced). After false the node is
@@ -93,10 +106,7 @@ class NodeState final {
   // from the owning worker).
   [[nodiscard]] std::string describe() const { return core_.describe(); }
 
-  // Snapshot/restore plumbing (ckpt): see exec::FiringCore.
-  void set_snapshot_plane(ckpt::SnapshotPlane* plane) {
-    core_.set_snapshot_plane(plane);
-  }
+  // Restore plumbing (ckpt): see exec::FiringCore.
   void restore_cut(const ckpt::NodeCut& cut) { core_.restore_cut(cut); }
   void mark_done() { core_.mark_done(); }
 
@@ -148,29 +158,52 @@ class NodeState final {
 
   std::vector<BoundedChannel*> ins_;
   std::vector<BoundedChannel*> outs_;
-  BoundedChannel* feed_;
+  BoundedChannel* feed_ = nullptr;
   std::vector<NodeId> in_producers_;
   std::vector<NodeId> out_consumers_;
-  Waker& waker_;
+  Waker* waker_ = nullptr;
   exec::FiringCore core_;  // last: its channel operations are ours
 };
 
 // One run's channels (one per graph edge, capacity = the edge's buffer)
 // and node tasks. The graph, the kernels and the spec's borrowed pointers
-// must outlive it.
+// must outlive the run. The wiring splits into a shape -- the channels,
+// the nodes and the slots that join them, allocated once by the
+// constructor -- and the values one run binds to that shape, which reset()
+// applies. The constructor ends with reset(), so a new wiring and a rewound
+// one get their values from the same code.
 class Wiring {
  public:
-  // Applies the spec's intervals and continuation flags (empty = none),
-  // attaches its ports (feed -> source; egress -> one extra out-slot with
-  // an infinite interval) -- or, with spec.ports null, gives each source a
-  // feed of spec.num_inputs firing tokens and EOS -- plus its metrics and
-  // snapshot plane, and rebuilds the cut of spec.restore: node counters
-  // and kernel state, finished nodes, cumulative edge traffic, and the EOS
-  // a finished producer had left for a live consumer.
+  // Allocates the channels and nodes of `g` (plus an egress out-slot for
+  // each tapped sink when spec.ports is set), then reset()s them to `spec`.
+  // `tick` (optional) stamps trace events, see exec::FiringCore.
   Wiring(const StreamGraph& g,
          const std::vector<std::shared_ptr<Kernel>>& kernels,
          const exec::RunSpec& spec, Waker& waker,
          const std::uint64_t* tick = nullptr);
+
+  // Binds the wiring to a run of `g`, which must have the shape it was
+  // built from (node and edge counts, each edge's endpoints and buffer),
+  // and rewinds it to "never ran" without reallocating: rebinds the graph,
+  // the kernels, the waker, the spec's tracer, metrics and snapshot plane;
+  // applies the spec's intervals and continuation flags (empty = none),
+  // mode and batch; rewinds every channel and node; attaches the ports'
+  // feeds -- or, with spec.ports null, refills each source's feed with
+  // spec.num_inputs firing tokens and EOS (a feed is re-allocated only when
+  // num_inputs changes its capacity) -- and rebuilds the cut of
+  // spec.restore: node counters and kernel state, finished nodes,
+  // cumulative edge traffic, and the EOS a finished producer had left for
+  // a live consumer. A port run's egress slots are part of its shape, so a
+  // wiring built with ports is only ever reset by its constructor. No task
+  // may run on the wiring meanwhile.
+  void reset(const StreamGraph& g,
+             const std::vector<std::shared_ptr<Kernel>>& kernels,
+             const exec::RunSpec& spec, Waker& waker);
+
+  // Whether `g` has the shape this wiring was built from: the node count,
+  // and each edge's endpoints and buffer in edge order (StreamGraph only
+  // appends, so equal edge lists mean equal in/out slot orders).
+  [[nodiscard]] bool fits(const StreamGraph& g) const;
 
   Wiring(const Wiring&) = delete;
   Wiring& operator=(const Wiring&) = delete;
@@ -197,15 +230,22 @@ class Wiring {
   [[nodiscard]] std::string dump_wedged_state() const;
 
  private:
-  // A batch source's feed: num_inputs firing tokens, then EOS.
-  BoundedChannel* token_feed(std::uint64_t num_inputs);
+  // Batch source `i`'s feed, refilled with num_inputs firing tokens, then
+  // EOS.
+  BoundedChannel* token_feed(std::size_t i, std::uint64_t num_inputs);
 
-  const StreamGraph& graph_;
-  const Tracer* tracer_;
+  const StreamGraph* graph_ = nullptr;
+  const std::uint64_t* tick_;
+  const Tracer* tracer_ = nullptr;
+  // The shape: the edges the channels were built from.
+  std::vector<Edge> edges_;
   std::vector<std::unique_ptr<BoundedChannel>> channels_;
-  // Batch runs only: the sources' pre-closed token feeds.
+  // Batch runs only: the sources' pre-closed token feeds, in node order.
   std::vector<std::unique_ptr<BoundedChannel>> token_feeds_;
   std::vector<std::unique_ptr<NodeState>> nodes_;
+  // reset() scratch: one node's out-slot intervals and forward flags.
+  std::vector<std::int64_t> slot_intervals_;
+  std::vector<std::uint8_t> slot_forward_;
 };
 
 }  // namespace sdaf::runtime

@@ -95,6 +95,8 @@ struct PoolExecutor::Instance final : Waker {
   std::vector<std::shared_ptr<Kernel>> kernels;
   std::optional<Wiring> wiring;  // wakes route through this Instance
   std::vector<NodeTask> tasks;
+  // submit()'s scratch: the tasks runnable at the kick.
+  std::vector<NodeTask*> runnable;
   Stopwatch clock;
   // The submitting tenant's injector ledger row.
   std::size_t tenant_row = 0;
@@ -156,6 +158,24 @@ struct PoolExecutor::Instance final : Waker {
   void wake(NodeId node) override {
     executor->schedule(&tasks[node]);
   }
+
+  // Back to the state of a freshly built batch instance, keeping the
+  // wiring and the tasks for the next submit of the same shape (which
+  // reset()s the wiring): the kernel references are dropped, the result
+  // and the verdict flags cleared, and every task reads "never ran"
+  // (kIdle, park summary 0). Only after wait() collected the run: the
+  // instance is quiescent, so no worker touches it.
+  void retire() {
+    kernels.clear();
+    for (NodeTask& task : tasks) {
+      SDAF_ASSERT(task.sched.load(std::memory_order_relaxed) == kIdle);
+      task.park_summary.store(0, std::memory_order_relaxed);
+    }
+    SDAF_ASSERT(active.load(std::memory_order_relaxed) == 0);
+    finished = false;
+    collected = false;
+    result = exec::RunReport{};
+  }
 };
 
 PoolExecutor::PoolExecutor(const Options& options) : options_(options) {
@@ -211,20 +231,30 @@ PoolExecutor::~PoolExecutor() {
 PoolExecutor::TicketId PoolExecutor::submit(
     const StreamGraph& g, std::vector<std::shared_ptr<Kernel>> kernels,
     const exec::RunSpec& options) {
-  auto instance = std::make_shared<Instance>();
-  instance->executor = this;
-  instance->kernels = std::move(kernels);
+  // A batch run takes a retired instance of its shape and rewinds it; a
+  // stream (port) run, or a shape with none retired, builds a new one.
+  std::shared_ptr<Instance> instance =
+      options.ports == nullptr ? take_retired(g) : nullptr;
+  if (instance != nullptr) {
+    instance->kernels = std::move(kernels);
+    instance->wiring->reset(g, instance->kernels, options, *instance);
+  } else {
+    instances_built_.fetch_add(1, std::memory_order_relaxed);
+    instance = std::make_shared<Instance>();
+    instance->executor = this;
+    instance->kernels = std::move(kernels);
+    instance->wiring.emplace(g, instance->kernels, options, *instance);
+    instance->tasks = std::vector<NodeTask>(g.node_count());
+    for (NodeId n = 0; n < g.node_count(); ++n) {
+      instance->tasks[n].instance = instance.get();
+      instance->tasks[n].node = &instance->wiring->node(n);
+    }
+  }
   instance->ports = options.ports;
   if (instance->ports != nullptr)
     instance->open_ports.store(
         static_cast<std::int64_t>(options.ports->feeds.size()));
   instance->tenant_row = intern_tenant(options.tenant);
-  instance->wiring.emplace(g, instance->kernels, options, *instance);
-  instance->tasks = std::vector<NodeTask>(g.node_count());
-  for (NodeId n = 0; n < g.node_count(); ++n) {
-    instance->tasks[n].instance = instance.get();
-    instance->tasks[n].node = &instance->wiring->node(n);
-  }
 
   TicketId ticket;
   {
@@ -233,16 +263,42 @@ PoolExecutor::TicketId PoolExecutor::submit(
     instances_.emplace(ticket, instance);
   }
   instance->clock.reset();
+  // Kick only the nodes that can run: every input (a source's feed) holds
+  // a message -- the batch sources, plus any node a restore left with an
+  // EOS on each input. Every other node has an empty input, so a kick
+  // would step it without progress and park it on its inputs; it is left
+  // parked instead, and the push that fills its empty input wakes it as
+  // always. That is also what quiescence sees: a node that never ran has
+  // park_summary 0 == kParkInputs, which maybe_finalize already reads as
+  // "parked on inputs", and a task that is never scheduled never counts
+  // in `active`. They are collected before the first schedule(), so the
+  // workers it wakes do not preempt this loop or change what it probes.
+  instance->runnable.clear();
+  for (NodeTask& task : instance->tasks)
+    if (task.node->probe(exec::kParkInputs << exec::kParkTagShift))
+      instance->runnable.push_back(&task);
   // Guard against quiescence being declared mid-kick (a fast subgraph could
   // otherwise drain to zero before every node is scheduled): hold one
   // synthetic active task for the duration of submission.
   instance->active.store(1);
-  // Kick every node once; interior nodes immediately park until fed.
-  for (NodeTask& task : instance->tasks) schedule(&task);
+  for (NodeTask* task : instance->runnable) schedule(task);
   instance->verdict_guests.fetch_add(1, std::memory_order_acq_rel);
   if (instance->active.fetch_sub(1) == 1) maybe_finalize(*instance);
   instance->verdict_guests.fetch_sub(1, std::memory_order_release);
   return ticket;
+}
+
+std::shared_ptr<PoolExecutor::Instance> PoolExecutor::take_retired(
+    const StreamGraph& g) {
+  std::lock_guard lock(instances_mu_);
+  // Newest first: the topology a caller just ran is the likeliest next.
+  for (auto it = retired_.rbegin(); it != retired_.rend(); ++it) {
+    if (!(*it)->wiring->fits(g)) continue;
+    std::shared_ptr<Instance> instance = std::move(*it);
+    retired_.erase(std::next(it).base());
+    return instance;
+  }
+  return nullptr;
 }
 
 void PoolExecutor::enqueue_local(Worker& w, NodeTask* task) {
@@ -682,9 +738,22 @@ exec::RunReport PoolExecutor::wait(TicketId ticket) {
   // attempt is still inside the decrement/maybe_finalize window.
   while (instance->verdict_guests.load(std::memory_order_acquire) != 0)
     std::this_thread::yield();
+  // A batch instance is retired for the next submit of its shape; the
+  // oldest retired one makes room (and is freed outside the lock). A
+  // stream instance may still be pinned by its StreamHandle, so it is
+  // freed with its last reference, as before.
+  if (instance->ports == nullptr) instance->retire();
+  std::shared_ptr<Instance> evicted;
   {
     std::lock_guard lock(instances_mu_);
     instances_.erase(ticket);
+    if (instance->ports == nullptr) {
+      if (retired_.size() == kRetiredInstances) {
+        evicted = std::move(retired_.front());
+        retired_.erase(retired_.begin());
+      }
+      retired_.push_back(std::move(instance));
+    }
   }
   return result;
 }

@@ -49,6 +49,16 @@
 // decomposition + interval computation) across submissions of the same
 // topology.
 //
+// Rounds of one topology also share the instance itself: wait() retires a
+// batch instance (its Wiring, node tasks and waker) to a small free list,
+// and the next batch submit() whose graph has the same shape rewinds it
+// with Wiring::reset instead of building one; stream instances are built
+// once per stream. The submit kick schedules only the nodes that can run
+// (every input, or a source's feed, non-empty). A node left unkicked is
+// exactly a node that was kicked, made no progress and parked on its
+// inputs -- park summary 0 == kParkInputs, outside `active` -- so
+// quiescence and the verdict are unchanged. See docs/SCHEDULER.md.
+//
 // Prefer the exec::Session facade (src/exec/session.h) for new code --
 // point RunSpec::pool at a shared PoolExecutor; this header stays as the
 // backend implementation. The firing semantics live in
@@ -184,6 +194,15 @@ class PoolExecutor {
   // keeps its counters visible to the exporter.
   [[nodiscard]] std::vector<obs::TenantSchedMetrics> tenant_metrics() const;
 
+  // Instances (wiring, tasks, waker) this pool has built: one per stream,
+  // and one per batch submit that found no retired instance of its shape.
+  [[nodiscard]] std::uint64_t instances_built() const {
+    return instances_built_.load(std::memory_order_relaxed);
+  }
+
+  // How many collected batch instances the pool keeps for reuse.
+  static constexpr std::size_t kRetiredInstances = 4;
+
  private:
   struct Instance;
   friend struct pool_detail::NodeTask;
@@ -222,6 +241,9 @@ class PoolExecutor {
   // open port may still supply work.
   void maybe_finalize(Instance& instance);
   void finalize(Instance& instance);
+  // A retired batch instance whose wiring fits `g`, taken off the free
+  // list, or null.
+  [[nodiscard]] std::shared_ptr<Instance> take_retired(const StreamGraph& g);
 
   // One tenant's share of the injector: how many of its tasks entered and
   // left the FIFO, and the most that sat in it at once (queue_depth is
@@ -258,6 +280,10 @@ class PoolExecutor {
   std::mutex instances_mu_;
   std::uint64_t next_ticket_ = 1;
   std::unordered_map<TicketId, std::shared_ptr<Instance>> instances_;
+  // Collected batch instances, oldest first, at most kRetiredInstances;
+  // guarded by instances_mu_.
+  std::vector<std::shared_ptr<Instance>> retired_;
+  std::atomic<std::uint64_t> instances_built_{0};
 };
 
 }  // namespace sdaf::runtime

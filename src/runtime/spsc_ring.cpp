@@ -13,6 +13,18 @@ SpscRing::SpscRing(std::size_t capacity)
   SDAF_EXPECTS(capacity >= 1);
 }
 
+void SpscRing::reset() {
+  // Only the unretired segments can still hold a payload. Every slot is
+  // written in full (message and run) before the producer publishes it,
+  // so the retired ones need no rewinding.
+  for (std::uint64_t k = c_.segs; k < p_.segs; ++k) slot(k).msg = Message{};
+  p_ = ProducerSide{};
+  c_ = ConsumerSide{};
+  pushed_.store(0, std::memory_order_relaxed);
+  popped_.store(0, std::memory_order_relaxed);
+  markers_in_ring_.store(0, std::memory_order_relaxed);
+}
+
 std::uint64_t SpscRing::logical_space(std::uint64_t want) {
   // Marker-excluded occupancy estimate for data/dummy admission. The
   // refresh order is load-bearing: popped_ (acquire) FIRST, then

@@ -66,6 +66,13 @@ class SpscRing {
 
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
+  // Rewinds the ring to empty without reallocating: a message left in it is
+  // destroyed and both sides' counters return to zero. No endpoint may run concurrently; the
+  // caller provides the happens-before edge to the next producer and
+  // consumer (the pool hands a reset instance to its workers through the
+  // scheduler's own synchronisation).
+  void reset();
+
   struct PushEffect {
     // Whether the consumer may have observed the ring empty immediately
     // before this push (the empty -> non-empty edge a scheduler must turn

@@ -7,16 +7,24 @@
 namespace sdaf::runtime {
 
 NodeWrapper::NodeWrapper(DummyMode mode,
-                         std::vector<std::int64_t> out_intervals,
-                         std::vector<std::uint8_t> forward_on_filter)
-    : mode_(mode),
-      intervals_(std::move(out_intervals)),
-      forward_on_filter_(std::move(forward_on_filter)),
-      last_sent_(intervals_.size(), -1) {
-  for (const auto iv : intervals_) SDAF_EXPECTS(iv >= 1);
-  if (forward_on_filter_.empty())
+                         const std::vector<std::int64_t>& out_intervals,
+                         const std::vector<std::uint8_t>& forward_on_filter) {
+  reset(mode, out_intervals, forward_on_filter);
+}
+
+void NodeWrapper::reset(DummyMode mode,
+                        const std::vector<std::int64_t>& out_intervals,
+                        const std::vector<std::uint8_t>& forward_on_filter) {
+  for (const auto iv : out_intervals) SDAF_EXPECTS(iv >= 1);
+  mode_ = mode;
+  intervals_.assign(out_intervals.begin(), out_intervals.end());
+  if (forward_on_filter.empty())
     forward_on_filter_.assign(intervals_.size(), 0);
+  else
+    forward_on_filter_.assign(forward_on_filter.begin(),
+                              forward_on_filter.end());
   SDAF_EXPECTS(forward_on_filter_.size() == intervals_.size());
+  last_sent_.assign(intervals_.size(), -1);
 }
 
 void NodeWrapper::restore_last_sent(const std::vector<std::int64_t>& v) {

@@ -41,8 +41,14 @@ class NodeWrapper {
   // so sequence-number knowledge must be forwarded whenever the node
   // filters data on it; otherwise interior filtering re-creates the
   // deadlock the branch-node schedules cannot see.
-  NodeWrapper(DummyMode mode, std::vector<std::int64_t> out_intervals,
-              std::vector<std::uint8_t> forward_on_filter = {});
+  NodeWrapper(DummyMode mode, const std::vector<std::int64_t>& out_intervals,
+              const std::vector<std::uint8_t>& forward_on_filter = {});
+
+  // Re-applies the mode, the intervals and the flags (as the constructor
+  // does) and forgets every emission: last_sent() reads -1 on every slot.
+  // Reuses the vectors' storage, so a rewound run allocates nothing.
+  void reset(DummyMode mode, const std::vector<std::int64_t>& out_intervals,
+             const std::vector<std::uint8_t>& forward_on_filter = {});
 
   // Called once per accepted sequence number per output slot, after the
   // kernel fired (or the node aligned a pure-dummy firing). Returns true
@@ -78,7 +84,7 @@ class NodeWrapper {
   void restore_last_sent(const std::vector<std::int64_t>& v);
 
  private:
-  DummyMode mode_;
+  DummyMode mode_ = DummyMode::None;
   std::vector<std::int64_t> intervals_;
   std::vector<std::uint8_t> forward_on_filter_;
   std::vector<std::int64_t> last_sent_;  // last seq emitted per slot; -1 none

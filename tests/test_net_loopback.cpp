@@ -583,10 +583,10 @@ TEST_F(LoopbackTest, RetiredBackendByteEarnsBadFrame) {
   EXPECT_GE(stats.errors_total, 1u);
 }
 
-// A topology whose exact compile would enumerate past the cycle limit --
-// the complete DAG on 11 nodes, compiled with the daemon's default options
-// -- earns Error(BadTopology), which ends that connection, and the daemon
-// keeps serving: a new connection opens and runs a small stream.
+// A topology whose exact compile would enumerate past the daemon's cycle
+// limit -- the complete DAG on 11 nodes -- earns Error(BadTopology) naming
+// kOpenCycleLimit, which ends that connection, and the daemon keeps
+// serving: a new connection opens and runs a small stream.
 TEST_F(LoopbackTest, CycleLimitTopologyEarnsBadTopology) {
   Client client = connect();
   OpenFrame dense;
@@ -602,6 +602,9 @@ TEST_F(LoopbackTest, CycleLimitTopologyEarnsBadTopology) {
     ADD_FAILURE() << "an Open past the cycle limit was accepted";
   } catch (const ProtocolError& e) {
     EXPECT_EQ(e.code(), ErrorCode::BadTopology) << e.what();
+    EXPECT_NE(std::string(e.what()).find(std::to_string(kOpenCycleLimit)),
+              std::string::npos)
+        << e.what();
   }
 
   Client next = connect();

@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <thread>
 
 #include "src/core/compile.h"
 #include "src/exec/session.h"
 #include "src/exec/stream.h"
+#include "src/obs/metrics.h"
 #include "src/sim/simulation.h"
 #include "src/support/prng.h"
 #include "src/workloads/filters.h"
@@ -509,6 +511,207 @@ TEST(PoolExecutor, RepeatedRunsAreIndependent) {
   EXPECT_TRUE(r1.completed);
   EXPECT_TRUE(r2.completed);
   EXPECT_EQ(r1.total_data(), r2.total_data());
+}
+
+// A batch instance is built once per shape and rewound for each later
+// submit of that shape. Every rewound round must report what a fresh
+// pool's first round reports: traffic, fires, sink deliveries, verdict and
+// the wedge dump. The sequence walks the values Wiring::reset rebinds --
+// dummy mode, batch, num_inputs (which re-sizes the token feeds), tracer
+// and metrics, a restore -- and resets over a wedge's full channels and
+// over two alternating shapes of the same size.
+TEST(PoolExecutor, ResetInstanceReportsEqualFreshOnes) {
+  workloads::RandomLadderOptions lopt;
+  lopt.rungs = 6;
+  lopt.left_interior = 12;
+  lopt.right_interior = 12;
+  lopt.component_edges = 1;
+  lopt.max_buffer = 3;
+  Prng rng_a(0xA11CE);
+  Prng rng_b(0xB0B);
+  const StreamGraph a = workloads::random_ladder(rng_a, lopt);
+  const StreamGraph b = workloads::random_ladder(rng_b, lopt);
+  ASSERT_EQ(a.node_count(), b.node_count());
+  ASSERT_EQ(a.edge_count(), b.edge_count());
+  bool same_edges = true;
+  for (EdgeId e = 0; e < a.edge_count(); ++e)
+    same_edges &= a.edge(e).from == b.edge(e).from &&
+                  a.edge(e).to == b.edge(e).to &&
+                  a.edge(e).buffer == b.edge(e).buffer;
+  ASSERT_FALSE(same_edges) << "the two ladders must differ in shape";
+  // Ladder a's shape under other node names: it reuses a's instance, and
+  // its wedge dump must name its own nodes.
+  StreamGraph renamed = a;
+  for (NodeId n = 0; n < renamed.node_count(); ++n) {
+    std::string name = "r";
+    name += std::to_string(n);
+    renamed.set_node_name(n, std::move(name));
+  }
+  const StreamGraph triangle = workloads::fig2_triangle(2, 2, 2);
+
+  const auto spec_for = [](const StreamGraph& g, DummyMode mode,
+                           std::uint32_t batch, std::uint64_t num_inputs) {
+    exec::RunSpec spec;
+    spec.mode = mode;
+    spec.batch = batch;
+    spec.num_inputs = num_inputs;
+    if (mode != DummyMode::None) {
+      core::CompileOptions copt;
+      copt.algorithm = mode == DummyMode::Propagation
+                           ? core::Algorithm::Propagation
+                           : core::Algorithm::NonPropagation;
+      const auto compiled = core::compile(g, copt);
+      EXPECT_TRUE(compiled.ok);
+      spec.intervals = compiled.integer_intervals(core::Rounding::Floor);
+      if (mode == DummyMode::Propagation)
+        spec.forward_on_filter = compiled.forward_on_filter();
+    }
+    return spec;
+  };
+  const auto relays = [](const StreamGraph& g, std::uint64_t seed) {
+    return [&g, seed] { return workloads::relay_kernels(g, 0.5, seed); };
+  };
+  const auto wedge_kernels = [] {
+    std::vector<std::shared_ptr<Kernel>> k;
+    k.push_back(std::make_shared<RelayKernel>(
+        workloads::adversarial_prefix_filter(1, 100)));
+    k.push_back(pass_through_kernel());
+    k.push_back(pass_through_kernel());
+    return k;
+  };
+
+  // A hand-made cut of ladder a: the source finished (so its channels
+  // carry the re-created EOS and its consumers are runnable at the kick),
+  // every other node live with restored counters and traffic.
+  ckpt::StreamSnapshot cut;
+  cut.nodes.resize(a.node_count());
+  cut.edges.resize(a.edge_count());
+  for (NodeId n = 0; n < a.node_count(); ++n) {
+    ckpt::NodeCut& nc = cut.nodes[n];
+    nc.fires = 10 + n;
+    nc.sink_data = 3 * n;
+    nc.last_sent.assign(a.out_degree(n), -1);
+  }
+  const NodeId src = a.unique_source();
+  cut.nodes[src].done = 1;
+  cut.nodes[src].source_seq = 30;
+  cut.nodes[src].last_sent.assign(a.out_degree(src), 29);
+  for (EdgeId e = 0; e < a.edge_count(); ++e) cut.edges[e] = {30, e};
+
+  obs::MetricsRegistry registry(a.node_count(), a.edge_count());
+  Tracer tracer(1 << 12);
+
+  struct Round {
+    std::string label;
+    const StreamGraph* g;
+    std::function<std::vector<std::shared_ptr<Kernel>>()> kernels;
+    exec::RunSpec spec;
+    bool wedges = false;
+  };
+  std::vector<Round> rounds;
+  rounds.push_back({"a prop batch 1", &a, relays(a, 1),
+                    spec_for(a, DummyMode::Propagation, 1, 40)});
+  rounds.push_back({"a nonprop batch 64", &a, relays(a, 2),
+                    spec_for(a, DummyMode::NonPropagation, 64, 40)});
+  // Unprotected, this ladder wedges: the next round resets over its full
+  // channels.
+  rounds.push_back({"a none batch 1", &a, relays(a, 3),
+                    spec_for(a, DummyMode::None, 1, 40), true});
+  rounds.push_back({"a renamed, wedged", &renamed, relays(renamed, 3),
+                    spec_for(renamed, DummyMode::None, 1, 40), true});
+  rounds.push_back({"a prop 100 inputs", &a, relays(a, 4),
+                    spec_for(a, DummyMode::Propagation, 1, 100)});
+  rounds.push_back({"a traced", &a, relays(a, 5),
+                    spec_for(a, DummyMode::Propagation, 1, 40)});
+  rounds.back().spec.tracer = &tracer;
+  rounds.back().spec.metrics = &registry;
+  rounds.push_back({"a untraced", &a, relays(a, 5),
+                    spec_for(a, DummyMode::Propagation, 1, 40)});
+  rounds.push_back({"a restored", &a, relays(a, 6),
+                    spec_for(a, DummyMode::Propagation, 1, 0)});
+  rounds.back().spec.restore = &cut;
+  for (int i = 0; i < 2; ++i) {
+    rounds.push_back({"b", &b, relays(b, 7),
+                      spec_for(b, DummyMode::Propagation, 1, 40)});
+    rounds.push_back({"a after b", &a, relays(a, 8),
+                      spec_for(a, DummyMode::NonPropagation, 1, 40)});
+  }
+  rounds.push_back({"triangle wedge", &triangle, wedge_kernels,
+                    spec_for(triangle, DummyMode::None, 1, 100), true});
+  rounds.push_back({"triangle after wedge", &triangle, wedge_kernels,
+                    spec_for(triangle, DummyMode::Propagation, 1, 100)});
+
+  PoolExecutor shared(3);
+  std::uint64_t traced_fires = 0;
+  std::uint64_t traced_data = 0;
+  for (const Round& r : rounds) {
+    const exec::RunReport reused = shared.run(*r.g, r.kernels(), r.spec);
+    // The traced round's fresh twin gets its own tracer and registry, so
+    // the shared round's are left as it wrote them.
+    exec::RunSpec fresh_spec = r.spec;
+    obs::MetricsRegistry fresh_registry(r.g->node_count(),
+                                        r.g->edge_count());
+    Tracer fresh_tracer(1 << 12);
+    if (r.spec.metrics != nullptr) fresh_spec.metrics = &fresh_registry;
+    if (r.spec.tracer != nullptr) fresh_spec.tracer = &fresh_tracer;
+    PoolExecutor fresh(3);
+    const exec::RunReport expected = fresh.run(*r.g, r.kernels(), fresh_spec);
+    expect_parity(expected, reused, r.label);
+    EXPECT_EQ(expected.state_dump, reused.state_dump) << r.label;
+    EXPECT_EQ(reused.deadlocked, r.wedges) << r.label;
+    if (r.spec.metrics != nullptr) {
+      for (NodeId n = 0; n < a.node_count(); ++n) {
+        EXPECT_EQ(registry.node(n).fires.load(std::memory_order_relaxed),
+                  reused.fires[n])
+            << r.label << " node " << n;
+        traced_fires += reused.fires[n];
+      }
+      for (EdgeId e = 0; e < a.edge_count(); ++e) {
+        EXPECT_EQ(
+            registry.channel(e).data_pushed.load(std::memory_order_relaxed),
+            reused.edges[e].data)
+            << r.label << " edge " << e;
+        traced_data += reused.edges[e].data;
+      }
+    }
+  }
+  // The rounds after the traced one ran without metrics: the registry
+  // kept the traced round's counts.
+  std::uint64_t registry_fires = 0;
+  for (NodeId n = 0; n < a.node_count(); ++n)
+    registry_fires += registry.node(n).fires.load(std::memory_order_relaxed);
+  EXPECT_EQ(registry_fires, traced_fires);
+  std::uint64_t registry_data = 0;
+  for (EdgeId e = 0; e < a.edge_count(); ++e)
+    registry_data +=
+        registry.channel(e).data_pushed.load(std::memory_order_relaxed);
+  EXPECT_EQ(registry_data, traced_data);
+  EXPECT_GT(tracer.size(), 0u);
+  // Three shapes: ladder a (also under its other names), ladder b and the
+  // triangle.
+  EXPECT_EQ(shared.instances_built(), 3u);
+}
+
+// The build counter: rounds of one topology build one instance, and two
+// topologies that alternate keep one retired instance each.
+TEST(PoolExecutor, RoundsOfOneTopologyBuildOneInstance) {
+  const StreamGraph g = workloads::fig1_splitjoin(2);
+  const StreamGraph h = workloads::pipeline(4, 2);
+  exec::RunSpec opt;
+  opt.mode = DummyMode::None;
+  opt.num_inputs = 8;
+  {
+    PoolExecutor pool(2);
+    for (int round = 0; round < 100; ++round)
+      ASSERT_TRUE(pool.run(g, workloads::passthrough_kernels(g), opt).completed);
+    EXPECT_EQ(pool.instances_built(), 1u);
+  }
+  PoolExecutor pool(2);
+  for (int round = 0; round < 50; ++round) {
+    ASSERT_TRUE(pool.run(g, workloads::passthrough_kernels(g), opt).completed);
+    ASSERT_TRUE(pool.run(h, workloads::passthrough_kernels(h), opt).completed);
+  }
+  EXPECT_EQ(pool.instances_built(), 2u);
 }
 
 }  // namespace

@@ -92,7 +92,8 @@ context+=",cmake_build_type=${build_type:-unknown},nproc=$jobs"
 # stays stable across PRs: the three throughput pass rates at the batched
 # quantum, the metrics-on/off overhead pair (records the observability cost
 # -- counters items_per_second_metrics_{on,off} and metrics_overhead_pct,
-# budget <= 2% -- into BENCH_throughput.json), the pooled filtering sweep,
+# budget <= 2% -- into BENCH_throughput.json), 5 repetitions each -- read
+# the *_median rows -- the pooled filtering sweep,
 # (since the SPSC channel fast path) two batch=1 pooled ladder configs whose
 # per-op channel cost is the figure the lock-free path exists to cut, and
 # (since the streaming ports) the pooled latency and ingest configs (item
@@ -120,6 +121,7 @@ fi
 echo "==> bench_throughput -> BENCH_throughput.json"
 "$build_dir/bench_throughput" "$context" \
     --benchmark_filter="$throughput_filter" \
+    --benchmark_repetitions=5 \
     --benchmark_out=BENCH_throughput.json \
     --benchmark_out_format=json
 

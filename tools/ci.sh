@@ -11,7 +11,7 @@
 #                          # validate the exposition page with
 #                          # tools/check_prom.sh and require the scheduler
 #                          # counter families (steals/futex parks and
-#                          # wakes), then the
+#                          # wakes, pool instances built), then the
 #                          # service smoke: boot sdafd on a Unix socket,
 #                          # drive it with sdaf_loadgen, validate the
 #                          # daemon's STATS dump with check_prom.sh, run the
@@ -65,7 +65,8 @@ cmake --build --preset release -j "$jobs"
 # exposition grammar end to end (sdafc emits metrics on stderr), and a
 # pooled run's page must carry the scheduler counter families -- steals,
 # steal failures, futex parks and wakes -- so a scheduler change that
-# silently drops worker attribution fails here, not in a dashboard.
+# silently drops worker attribution fails here, not in a dashboard. The
+# pool's unlabelled instance counter must be there too.
 check_prom() {
   echo "==> prometheus exposition check (tools/check_prom.sh)"
   local topo page
@@ -85,6 +86,10 @@ check_prom() {
       exit 1
     fi
   done
+  if ! grep -q "^sdaf_pool_instances_built_total " "$page"; then
+    echo "ci: pooled prom page lacks sdaf_pool_instances_built_total" >&2
+    exit 1
+  fi
   rm -f "$topo" "$page"
 }
 

@@ -148,13 +148,15 @@ void print_metrics(const obs::MetricsSnapshot& snapshot,
 }
 
 // The per-tenant injector ledger off a pooled run's executor, on stderr
-// like the snapshot it follows. prom reuses the canonical exporter; json
-// emits a separate schema-tagged document so sdaf.metrics.v1 stays intact.
+// like the snapshot it follows. prom reuses the canonical exporter and adds
+// the pool's instance counter; json emits a separate schema-tagged document
+// so sdaf.metrics.v1 stays intact.
 void print_tenant_ledger(const runtime::PoolExecutor& pool,
                          const std::string& format) {
   const std::vector<obs::TenantSchedMetrics> tenants = pool.tenant_metrics();
   if (format == "prom") {
-    const std::string text = obs::tenant_sched_to_prometheus(tenants);
+    const std::string text = obs::tenant_sched_to_prometheus(tenants) +
+                             obs::pool_to_prometheus(pool.instances_built());
     std::fputs(text.c_str(), stderr);
     if (text.empty() || text.back() != '\n') std::fputc('\n', stderr);
     return;
