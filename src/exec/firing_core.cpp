@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
 
 #include "src/runtime/node_state.h"
 #include "src/support/contracts.h"
@@ -13,10 +12,6 @@ using runtime::kEosSeq;
 using runtime::Message;
 using runtime::MessageKind;
 using runtime::TraceKind;
-
-namespace {
-constexpr std::size_t kNoTail = std::numeric_limits<std::size_t>::max();
-}  // namespace
 
 std::string describe_park_summary(std::uint64_t summary) {
   switch (summary >> kParkTagShift) {
@@ -47,9 +42,7 @@ FiringCore::FiringCore(NodeId node, std::size_t in_slots,
       inputs_(in_slots),
       feed_input_(in_slots == 0 ? 1 : 0),
       heads_(in_slots),
-      dummy_runs_(out_slots),
-      pending_tail_(out_slots, kNoTail),
-      slot_blocked_(out_slots, 0) {}
+      out_(out_slots) {}
 
 void FiringCore::reset(runtime::Kernel& kernel, runtime::DummyMode mode,
                        const std::vector<std::int64_t>& out_intervals,
@@ -70,7 +63,7 @@ void FiringCore::reset(runtime::Kernel& kernel, runtime::DummyMode mode,
   for (auto& in : feed_input_) in.reset();
   feed_batch_.resize(in_slots_ == 0 ? batch_ : 0);
   pending_.clear();
-  std::fill(pending_tail_.begin(), pending_tail_.end(), kNoTail);
+  for (OutSlot& out : out_) out.pending_tail = kNoTail;
   fires = 0;
   sink_data = 0;
   source_seq_ = 0;
@@ -104,7 +97,7 @@ void FiringCore::trace_dummy_run(std::uint64_t min_seq, std::uint64_t r) {
     for (std::size_t j = 0; j < in_slots_; ++j)
       if (heads_[j].seq == min_seq) trace(TraceKind::DummyConsumed, j, seq);
     for (std::size_t slot = 0; slot < out_slots_; ++slot) {
-      const runtime::NodeWrapper::DummyRun& run = dummy_runs_[slot];
+      const runtime::NodeWrapper::DummyRun& run = out_[slot].dummy_run;
       if (run.count > 0 && seq >= run.first &&
           (seq - run.first) % run.stride == 0 &&
           (seq - run.first) / run.stride < run.count)
@@ -115,7 +108,7 @@ void FiringCore::trace_dummy_run(std::uint64_t min_seq, std::uint64_t r) {
 
 void FiringCore::queue_dummies(std::size_t slot, std::uint64_t seq,
                                std::uint64_t count) {
-  const std::size_t idx = pending_tail_[slot];
+  const std::size_t idx = out_[slot].pending_tail;
   if (idx != kNoTail) {
     // The slot's most recent pending entry is a dummy run; extend it when
     // the sequence number continues it (per-slot FIFO order is preserved
@@ -126,7 +119,7 @@ void FiringCore::queue_dummies(std::size_t slot, std::uint64_t seq,
       return;
     }
   }
-  pending_tail_[slot] = pending_.size();
+  out_[slot].pending_tail = pending_.size();
   pending_.push_back(
       {slot, Message::dummy(seq), static_cast<std::uint32_t>(count)});
 }
@@ -136,7 +129,7 @@ void FiringCore::queue_outputs(std::uint64_t seq, bool any_input_dummy) {
     if (emitter_.value(slot).has_value()) {
       (void)wrapper_.should_send_dummy(slot, seq, /*sent_data=*/true, false);
       pending_.push_back({slot, Message::data(seq, emitter_.take(slot)), 1});
-      pending_tail_[slot] = kNoTail;
+      out_[slot].pending_tail = kNoTail;
       if (metrics_ != nullptr) obs::bump(metrics_->data_out);
       trace(TraceKind::DataSent, slot, seq);
     } else if (wrapper_.should_send_dummy(slot, seq, /*sent_data=*/false,
@@ -151,7 +144,7 @@ void FiringCore::queue_outputs(std::uint64_t seq, bool any_input_dummy) {
 void FiringCore::queue_eos() {
   for (std::size_t slot = 0; slot < out_slots_; ++slot) {
     pending_.push_back({slot, Message::eos(), 1});
-    pending_tail_[slot] = kNoTail;
+    out_[slot].pending_tail = kNoTail;
     if (metrics_ != nullptr) obs::bump(metrics_->eos_out);
     trace(TraceKind::EosSent, slot, kEosSeq);
   }
@@ -182,7 +175,7 @@ void FiringCore::checkpoint(std::uint64_t barrier_seq) {
   // traffic: no fires, no data/dummy counters.
   for (std::size_t slot = 0; slot < out_slots_; ++slot) {
     pending_.push_back({slot, Message::marker(barrier_seq), 1});
-    pending_tail_[slot] = kNoTail;
+    out_[slot].pending_tail = kNoTail;
   }
 }
 
@@ -207,12 +200,12 @@ void FiringCore::mark_done() {
 bool FiringCore::drain_pending() {
   bool progressed = false;
   std::size_t write = 0;
-  std::fill(slot_blocked_.begin(), slot_blocked_.end(), 0);
+  for (OutSlot& out : out_) out.blocked = false;
   for (std::size_t i = 0; i < pending_.size(); ++i) {
     PendingRun& pr = pending_[i];
     // A blocked message parks every later message for the same slot too
     // (per-slot FIFO); other slots keep draining -- per-channel asynchrony.
-    if (aborted_ || slot_blocked_[pr.out_slot] != 0) {
+    if (aborted_ || out_[pr.out_slot].blocked) {
       if (write != i) pending_[write] = std::move(pr);
       ++write;
       continue;
@@ -224,7 +217,7 @@ bool FiringCore::drain_pending() {
           progressed = true;
           break;
         case PushOutcome::Blocked:
-          slot_blocked_[pr.out_slot] = 1;
+          out_[pr.out_slot].blocked = true;
           keep = true;
           break;
         case PushOutcome::Aborted:
@@ -244,7 +237,7 @@ bool FiringCore::drain_pending() {
         if (outcome == PushOutcome::Aborted)
           aborted_ = true;
         else
-          slot_blocked_[pr.out_slot] = 1;
+          out_[pr.out_slot].blocked = true;
         keep = true;
       }
     }
@@ -255,7 +248,7 @@ bool FiringCore::drain_pending() {
   }
   pending_.resize(write);
   // Surviving entries changed position; stop coalescing into them.
-  std::fill(pending_tail_.begin(), pending_tail_.end(), kNoTail);
+  for (OutSlot& out : out_) out.pending_tail = kNoTail;
   return progressed;
 }
 
@@ -368,11 +361,11 @@ std::uint64_t FiringCore::fire_once(std::uint64_t budget) {
     }
     SDAF_ASSERT(r >= 1);
     for (std::size_t slot = 0; slot < out_slots_; ++slot)
-      dummy_runs_[slot] = wrapper_.dummy_run(slot, min_seq, r);
+      out_[slot].dummy_run = wrapper_.dummy_run(slot, min_seq, r);
     if (runtime::kTracingEnabled && tracer_ != nullptr)
       trace_dummy_run(min_seq, r);
     for (std::size_t slot = 0; slot < out_slots_; ++slot) {
-      const runtime::NodeWrapper::DummyRun& run = dummy_runs_[slot];
+      const runtime::NodeWrapper::DummyRun& run = out_[slot].dummy_run;
       if (run.count == 0) continue;
       if (run.stride == 1) {
         queue_dummies(slot, run.first, run.count);

@@ -34,6 +34,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -146,6 +147,9 @@ class FiringCore {
   std::uint64_t sink_data = 0;  // data messages consumed
 
  private:
+  static constexpr std::size_t kNoTail =
+      std::numeric_limits<std::size_t>::max();
+
   // One queued output: a single message, or (run > 1) a coalesced run of
   // `run` dummies starting at message.seq.
   struct PendingRun {
@@ -167,7 +171,7 @@ class FiringCore {
   // extending its trailing dummy run when the seqs continue it.
   void queue_dummies(std::size_t slot, std::uint64_t seq, std::uint64_t count);
   // Tracer only: the DummyConsumed/DummySent events of the pure-dummy run
-  // [min_seq, min_seq + r) just decided into dummy_runs_, in per-message
+  // [min_seq, min_seq + r) just decided into out_[*].dummy_run, in per-message
   // order.
   void trace_dummy_run(std::uint64_t min_seq, std::uint64_t r);
   void queue_eos();
@@ -201,13 +205,18 @@ class FiringCore {
   // reused).
   std::vector<runtime::Message> feed_batch_;
   std::vector<runtime::HeadView> heads_;
-  // Pure-dummy run scratch: the wrapper's decision per output slot.
-  std::vector<runtime::NodeWrapper::DummyRun> dummy_runs_;
   std::vector<PendingRun> pending_;
-  // Index into pending_ of the slot's trailing dummy run (coalescing
-  // target), or npos. Only valid between drains; drain_pending resets it.
-  std::vector<std::size_t> pending_tail_;
-  std::vector<std::uint8_t> slot_blocked_;  // drain_pending scratch
+  // Per output slot, one allocation for all three.
+  struct OutSlot {
+    // Pure-dummy run scratch: the wrapper's decision for this slot.
+    runtime::NodeWrapper::DummyRun dummy_run;
+    // Index into pending_ of the slot's trailing dummy run (coalescing
+    // target), or kNoTail. Only valid between drains; drain_pending resets
+    // it.
+    std::size_t pending_tail = kNoTail;
+    bool blocked = false;  // drain_pending scratch
+  };
+  std::vector<OutSlot> out_;
   std::uint64_t source_seq_ = 0;
   bool eos_flooded_ = false;
   bool done_ = false;

@@ -6,14 +6,14 @@
 
 namespace sdaf::runtime {
 
-NodeState::NodeState(NodeId node, std::vector<BoundedChannel*> ins,
-                     std::vector<BoundedChannel*> outs,
-                     std::vector<NodeId> in_producers,
-                     std::vector<NodeId> out_consumers)
-    : ins_(std::move(ins)),
-      outs_(std::move(outs)),
-      in_producers_(std::move(in_producers)),
-      out_consumers_(std::move(out_consumers)),
+NodeState::NodeState(NodeId node, std::span<BoundedChannel* const> ins,
+                     std::span<BoundedChannel* const> outs,
+                     std::span<const NodeId> in_producers,
+                     std::span<const NodeId> out_consumers)
+    : ins_(ins),
+      outs_(outs),
+      in_producers_(in_producers),
+      out_consumers_(out_consumers),
       core_(node, ins_.size(), outs_.size(), *this) {
   SDAF_EXPECTS(in_producers_.size() == ins_.size());
   SDAF_EXPECTS(out_consumers_.size() == outs_.size());
@@ -127,32 +127,40 @@ Wiring::Wiring(const StreamGraph& g,
     channels_.push_back(std::make_unique<BoundedChannel>(
         static_cast<std::size_t>(g.edge(e).buffer)));
 
+  // Sized once, so the spans each node borrows stay valid.
+  const auto egress = [&](NodeId n) {
+    return spec.ports != nullptr ? spec.ports->egress_for(n) : nullptr;
+  };
+  std::size_t slots = 0;
+  for (NodeId n = 0; n < g.node_count(); ++n)
+    slots += g.in_degree(n) + g.out_degree(n) + (egress(n) != nullptr ? 1 : 0);
+  slot_channels_.resize(slots);
+  slot_peers_.resize(slots);
+  std::size_t k = 0;
   nodes_.reserve(g.node_count());
   for (NodeId n = 0; n < g.node_count(); ++n) {
-    std::vector<BoundedChannel*> ins;
-    std::vector<NodeId> in_producers;
+    const std::size_t ins = k;
     for (const EdgeId e : g.in_edges(n)) {
-      ins.push_back(channels_[e].get());
-      in_producers.push_back(g.edge(e).from);
+      slot_channels_[k] = channels_[e].get();
+      slot_peers_[k++] = g.edge(e).from;
     }
-    std::vector<BoundedChannel*> outs;
-    std::vector<NodeId> out_consumers;
+    const std::size_t outs = k;
     for (const EdgeId e : g.out_edges(n)) {
-      outs.push_back(channels_[e].get());
-      out_consumers.push_back(g.edge(e).to);
+      slot_channels_[k] = channels_[e].get();
+      slot_peers_[k++] = g.edge(e).to;
     }
-    if (spec.ports != nullptr) {
-      if (BoundedChannel* egress = spec.ports->egress_for(n)) {
-        // The egress tap is one extra out-slot with no consumer task to
-        // wake; reset() gives it an infinite dummy interval and no
-        // continuation forwarding.
-        outs.push_back(egress);
-        out_consumers.push_back(kNoNode);
-      }
+    if (BoundedChannel* tap = egress(n)) {
+      // The egress tap is one extra out-slot with no consumer task to
+      // wake; reset() gives it an infinite dummy interval and no
+      // continuation forwarding.
+      slot_channels_[k] = tap;
+      slot_peers_[k++] = kNoNode;
     }
+    const std::span<BoundedChannel* const> channels(slot_channels_);
+    const std::span<const NodeId> peers(slot_peers_);
     nodes_.push_back(std::make_unique<NodeState>(
-        n, std::move(ins), std::move(outs), std::move(in_producers),
-        std::move(out_consumers)));
+        n, channels.subspan(ins, outs - ins), channels.subspan(outs, k - outs),
+        peers.subspan(ins, outs - ins), peers.subspan(outs, k - outs)));
   }
   reset(g, kernels, spec, waker);
 }

@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -52,17 +53,18 @@ class Waker {
 
 class NodeState final {
  public:
-  // The node's shape. `in_producers[j]` / `out_consumers[slot]` name the
-  // node at the far end of the corresponding channel; they are the wake
-  // targets for the pop-freed-a-full-channel / push-filled-an-empty-channel
-  // transitions. An egress tap rides in `outs` as one extra slot whose
-  // out_consumers entry is kNoNode (its consumer is the external caller,
-  // woken through the channel itself, never through the Waker). The node
-  // is not runnable until reset() binds it to a run.
-  NodeState(NodeId node, std::vector<BoundedChannel*> ins,
-            std::vector<BoundedChannel*> outs,
-            std::vector<NodeId> in_producers,
-            std::vector<NodeId> out_consumers);
+  // The node's shape, borrowed from its owner (runtime::Wiring keeps every
+  // node's slots in two flat arrays). `in_producers[j]` /
+  // `out_consumers[slot]` name the node at the far end of the corresponding
+  // channel; they are the wake targets for the pop-freed-a-full-channel /
+  // push-filled-an-empty-channel transitions. An egress tap rides in `outs`
+  // as one extra slot whose out_consumers entry is kNoNode (its consumer is
+  // the external caller, woken through the channel itself, never through
+  // the Waker). The node is not runnable until reset() binds it to a run.
+  NodeState(NodeId node, std::span<BoundedChannel* const> ins,
+            std::span<BoundedChannel* const> outs,
+            std::span<const NodeId> in_producers,
+            std::span<const NodeId> out_consumers);
 
   // Binds the node to one run and rewinds its core (see
   // exec::FiringCore::reset for the remaining parameters). `feed` is the
@@ -156,11 +158,11 @@ class NodeState final {
     return feed_->pop_data(out, max);
   }
 
-  std::vector<BoundedChannel*> ins_;
-  std::vector<BoundedChannel*> outs_;
+  std::span<BoundedChannel* const> ins_;
+  std::span<BoundedChannel* const> outs_;
   BoundedChannel* feed_ = nullptr;
-  std::vector<NodeId> in_producers_;
-  std::vector<NodeId> out_consumers_;
+  std::span<const NodeId> in_producers_;
+  std::span<const NodeId> out_consumers_;
   Waker* waker_ = nullptr;
   exec::FiringCore core_;  // last: its channel operations are ours
 };
@@ -242,6 +244,10 @@ class Wiring {
   std::vector<std::unique_ptr<BoundedChannel>> channels_;
   // Batch runs only: the sources' pre-closed token feeds, in node order.
   std::vector<std::unique_ptr<BoundedChannel>> token_feeds_;
+  // Every node's slots, node by node (its ins, then its outs): the
+  // channels, and the node at each channel's far end.
+  std::vector<BoundedChannel*> slot_channels_;
+  std::vector<NodeId> slot_peers_;
   std::vector<std::unique_ptr<NodeState>> nodes_;
   // reset() scratch: one node's out-slot intervals and forward flags.
   std::vector<std::int64_t> slot_intervals_;

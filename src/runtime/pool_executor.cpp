@@ -738,22 +738,23 @@ exec::RunReport PoolExecutor::wait(TicketId ticket) {
   // attempt is still inside the decrement/maybe_finalize window.
   while (instance->verdict_guests.load(std::memory_order_acquire) != 0)
     std::this_thread::yield();
-  // A batch instance is retired for the next submit of its shape; the
-  // oldest retired one makes room (and is freed outside the lock). A
-  // stream instance may still be pinned by its StreamHandle, so it is
-  // freed with its last reference, as before.
-  if (instance->ports == nullptr) instance->retire();
-  std::shared_ptr<Instance> evicted;
   {
     std::lock_guard lock(instances_mu_);
     instances_.erase(ticket);
-    if (instance->ports == nullptr) {
-      if (retired_.size() == kRetiredInstances) {
-        evicted = std::move(retired_.front());
-        retired_.erase(retired_.begin());
-      }
-      retired_.push_back(std::move(instance));
+  }
+  // A batch instance, now reachable from this thread alone, is retired for
+  // the next submit of its shape; the oldest retired one makes room (and
+  // is freed outside the lock). A stream instance may still be pinned by
+  // its StreamHandle, so it is freed with its last reference, as before.
+  if (instance->ports == nullptr) {
+    instance->retire();
+    std::shared_ptr<Instance> evicted;
+    std::lock_guard lock(instances_mu_);
+    if (retired_.size() == kRetiredInstances) {
+      evicted = std::move(retired_.front());
+      retired_.erase(retired_.begin());
     }
+    retired_.push_back(std::move(instance));
   }
   return result;
 }

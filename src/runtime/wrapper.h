@@ -46,7 +46,7 @@ class NodeWrapper {
 
   // Re-applies the mode, the intervals and the flags (as the constructor
   // does) and forgets every emission: last_sent() reads -1 on every slot.
-  // Reuses the vectors' storage, so a rewound run allocates nothing.
+  // Reuses the slots' storage, so a rewound run allocates nothing.
   void reset(DummyMode mode, const std::vector<std::int64_t>& out_intervals,
              const std::vector<std::uint8_t>& forward_on_filter = {});
 
@@ -78,16 +78,18 @@ class NodeWrapper {
   // sequence number emitted per output slot, which a snapshot captures and
   // a restore rehydrates so dummy-origination schedules resume exactly
   // where the cut left them.
-  [[nodiscard]] const std::vector<std::int64_t>& last_sent() const {
-    return last_sent_;
-  }
+  [[nodiscard]] std::vector<std::int64_t> last_sent() const;
   void restore_last_sent(const std::vector<std::int64_t>& v);
 
  private:
+  struct Slot {
+    std::int64_t interval = kInfiniteInterval;
+    std::int64_t last_sent = -1;  // last seq emitted; -1 none
+    std::uint8_t forward_on_filter = 0;
+  };
+
   DummyMode mode_ = DummyMode::None;
-  std::vector<std::int64_t> intervals_;
-  std::vector<std::uint8_t> forward_on_filter_;
-  std::vector<std::int64_t> last_sent_;  // last seq emitted per slot; -1 none
+  std::vector<Slot> slots_;  // one per output slot
 };
 
 }  // namespace sdaf::runtime
