@@ -263,16 +263,12 @@ PoolExecutor::TicketId PoolExecutor::submit(
     instances_.emplace(ticket, instance);
   }
   instance->clock.reset();
-  // Kick only the nodes that can run: every input (a source's feed) holds
-  // a message -- the batch sources, plus any node a restore left with an
-  // EOS on each input. Every other node has an empty input, so a kick
-  // would step it without progress and park it on its inputs; it is left
-  // parked instead, and the push that fills its empty input wakes it as
-  // always. That is also what quiescence sees: a node that never ran has
-  // park_summary 0 == kParkInputs, which maybe_finalize already reads as
-  // "parked on inputs", and a task that is never scheduled never counts
-  // in `active`. They are collected before the first schedule(), so the
-  // workers it wakes do not preempt this loop or change what it probes.
+  // Kick only the nodes that can run (every input, or the feed, holds a
+  // message). Any other node is left as a kick would leave it: parked on
+  // its inputs (park summary 0 == kParkInputs), outside `active`, woken by
+  // the push that fills its empty input -- so quiescence is unchanged
+  // (docs/SCHEDULER.md). Collected before the first schedule(), so the
+  // workers it wakes do not preempt the probes.
   instance->runnable.clear();
   for (NodeTask& task : instance->tasks)
     if (task.node->probe(exec::kParkInputs << exec::kParkTagShift))

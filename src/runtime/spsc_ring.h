@@ -193,13 +193,6 @@ class SpscRing {
   void publish_pop(std::uint64_t before, PopEffect* effect);
   [[nodiscard]] std::uint64_t logical_space(std::uint64_t want);
 
-  // Three cache lines. The first is read-mostly: the shape, and the marker
-  // count, which only a marker's push or pop writes. The second is the
-  // producer's: its private cursor and the pushed_ counter it publishes.
-  // The third is the consumer's mirror image. When one side reads the
-  // other's counter, that side's next publish pays one line transfer --
-  // the same as with the counter on a line of its own -- and the ring takes
-  // three lines instead of six.
   std::size_t capacity_;
   std::vector<Segment> segs_;
   // Markers currently in the ring (0 or 1 under the snapshot plane's
@@ -208,10 +201,13 @@ class SpscRing {
   // counter's publish implies observing the matching marker transition --
   // which is what keeps every marker-excluded occupancy estimate
   // conservative (never under-counts logical occupancy; see logical_space).
+  // It shares the shape's read-mostly line: only a marker's push or pop
+  // writes it, so outside a snapshot the line is never invalidated, and
+  // the ring takes five lines instead of six.
   std::atomic<std::uint64_t> markers_in_ring_{0};
 
   // Producer-owned (no other thread reads or writes these).
-  struct ProducerSide {
+  struct alignas(64) ProducerSide {
     std::uint64_t pushed = 0;        // mirror of pushed_
     std::uint64_t segs = 0;          // segments ever started
     std::uint64_t popped_cache = 0;  // last observed popped_
@@ -219,26 +215,23 @@ class SpscRing {
     // Mirror of the newest segment, so coalescing checks never read memory
     // the consumer might be touching; the CAS is the only shared access.
     bool tail_is_dummy = false;
-    std::uint32_t tail_run = 0;
     std::uint64_t tail_base_seq = 0;
+    std::uint32_t tail_run = 0;
   };
 
   // Consumer-owned.
-  struct ConsumerSide {
+  struct alignas(64) ConsumerSide {
     std::uint64_t popped = 0;        // mirror of popped_
     std::uint64_t segs = 0;          // segments ever retired
     std::uint64_t pushed_cache = 0;  // last observed pushed_
     std::uint32_t consumed = 0;      // messages popped from the head segment
   };
-  static_assert(sizeof(ProducerSide) + sizeof(std::atomic<std::uint64_t>) <=
-                64);
-  static_assert(sizeof(ConsumerSide) + sizeof(std::atomic<std::uint64_t>) <=
-                64);
 
-  alignas(64) ProducerSide p_;
-  std::atomic<std::uint64_t> pushed_{0};
-  alignas(64) ConsumerSide c_;
-  std::atomic<std::uint64_t> popped_{0};
+  ProducerSide p_;
+  ConsumerSide c_;
+
+  alignas(64) std::atomic<std::uint64_t> pushed_{0};
+  alignas(64) std::atomic<std::uint64_t> popped_{0};
 };
 
 }  // namespace sdaf::runtime
