@@ -607,12 +607,11 @@ struct Server::Impl {
     }
     std::string page = obs::to_prometheus(snaps);
 
-    // QoS families: the shared pool's per-tenant injector ledger and
-    // instance counter, the admission counters, and each tenant's credit
-    // window. All family names are disjoint from the per-stream ones, so
-    // appending keeps the one-TYPE-per-family rule intact.
+    // QoS families: the shared pool's per-tenant injector ledger,
+    // the admission counters, and each tenant's credit window. All family
+    // names are disjoint from the per-stream ones, so appending keeps the
+    // one-TYPE-per-family rule intact.
     page += obs::tenant_sched_to_prometheus(pool->tenant_metrics());
-    page += obs::pool_to_prometheus(pool->instances_built());
     page += obs::admission_to_prometheus(admission.admitted_total(),
                                          admission.rejected_total());
     page += obs::credits_to_prometheus(tenants.entries());

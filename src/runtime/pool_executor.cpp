@@ -4,6 +4,7 @@
 #include <chrono>
 #include <optional>
 #include <thread>
+#include <utility>
 
 #include "src/support/contracts.h"
 #include "src/support/prng.h"
@@ -231,10 +232,16 @@ PoolExecutor::~PoolExecutor() {
 PoolExecutor::TicketId PoolExecutor::submit(
     const StreamGraph& g, std::vector<std::shared_ptr<Kernel>> kernels,
     const exec::RunSpec& options) {
-  // A batch run takes a retired instance of its shape and rewinds it; a
-  // stream (port) run, or a shape with none retired, builds a new one.
-  std::shared_ptr<Instance> instance =
-      options.ports == nullptr ? take_retired(g) : nullptr;
+  // A batch run takes the retired instance and rewinds it if it has the
+  // graph's shape; a stream (port) run, or a batch run with none that
+  // fits, builds a new one.
+  std::shared_ptr<Instance> instance;
+  if (options.ports == nullptr) {
+    std::lock_guard lock(instances_mu_);
+    instance = std::move(retired_);
+  }
+  // Outside the lock: a retired instance that does not fit is freed here.
+  if (instance != nullptr && !instance->wiring->fits(g)) instance.reset();
   if (instance != nullptr) {
     instance->kernels = std::move(kernels);
     instance->wiring->reset(g, instance->kernels, options, *instance);
@@ -282,19 +289,6 @@ PoolExecutor::TicketId PoolExecutor::submit(
   if (instance->active.fetch_sub(1) == 1) maybe_finalize(*instance);
   instance->verdict_guests.fetch_sub(1, std::memory_order_release);
   return ticket;
-}
-
-std::shared_ptr<PoolExecutor::Instance> PoolExecutor::take_retired(
-    const StreamGraph& g) {
-  std::lock_guard lock(instances_mu_);
-  // Newest first: the topology a caller just ran is the likeliest next.
-  for (auto it = retired_.rbegin(); it != retired_.rend(); ++it) {
-    if (!(*it)->wiring->fits(g)) continue;
-    std::shared_ptr<Instance> instance = std::move(*it);
-    retired_.erase(std::next(it).base());
-    return instance;
-  }
-  return nullptr;
 }
 
 void PoolExecutor::enqueue_local(Worker& w, NodeTask* task) {
@@ -739,18 +733,14 @@ exec::RunReport PoolExecutor::wait(TicketId ticket) {
     instances_.erase(ticket);
   }
   // A batch instance, now reachable from this thread alone, is retired for
-  // the next submit of its shape; the oldest retired one makes room (and
-  // is freed outside the lock). A stream instance may still be pinned by
-  // its StreamHandle, so it is freed with its last reference, as before.
+  // the next batch submit; it replaces the one retired before (freed
+  // outside the lock). A stream instance may still be pinned by its
+  // StreamHandle, so it is freed with its last reference, as before.
   if (instance->ports == nullptr) {
     instance->retire();
-    std::shared_ptr<Instance> evicted;
+    std::shared_ptr<Instance> replaced;
     std::lock_guard lock(instances_mu_);
-    if (retired_.size() == kRetiredInstances) {
-      evicted = std::move(retired_.front());
-      retired_.erase(retired_.begin());
-    }
-    retired_.push_back(std::move(instance));
+    replaced = std::exchange(retired_, std::move(instance));
   }
   return result;
 }

@@ -50,11 +50,11 @@
 // topology.
 //
 // Rounds of one topology also share the instance itself: wait() retires a
-// batch instance (its Wiring, node tasks and waker) to a small free list,
-// and the next batch submit() whose graph has the same shape rewinds it
-// with Wiring::reset instead of building one; stream instances are built
-// once per stream. The submit kick schedules only the nodes that can run
-// (every input, or a source's feed, non-empty). A node left unkicked is
+// batch instance (its Wiring, node tasks and waker), replacing the one it
+// kept before, and the next batch submit() rewinds it with Wiring::reset
+// if its graph has the same shape, or frees it and builds one if not;
+// stream instances are built once per stream. The submit kick schedules
+// only the nodes that can run (every input, or a source's feed, non-empty). A node left unkicked is
 // exactly a node that was kicked, made no progress and parked on its
 // inputs -- park summary 0 == kParkInputs, outside `active` -- so
 // quiescence and the verdict are unchanged. See docs/SCHEDULER.md.
@@ -200,9 +200,6 @@ class PoolExecutor {
     return instances_built_.load(std::memory_order_relaxed);
   }
 
-  // How many collected batch instances the pool keeps for reuse.
-  static constexpr std::size_t kRetiredInstances = 4;
-
  private:
   struct Instance;
   friend struct pool_detail::NodeTask;
@@ -241,9 +238,6 @@ class PoolExecutor {
   // open port may still supply work.
   void maybe_finalize(Instance& instance);
   void finalize(Instance& instance);
-  // A retired batch instance whose wiring fits `g`, taken off the free
-  // list, or null.
-  [[nodiscard]] std::shared_ptr<Instance> take_retired(const StreamGraph& g);
 
   // One tenant's share of the injector: how many of its tasks entered and
   // left the FIFO, and the most that sat in it at once (queue_depth is
@@ -280,9 +274,9 @@ class PoolExecutor {
   std::mutex instances_mu_;
   std::uint64_t next_ticket_ = 1;
   std::unordered_map<TicketId, std::shared_ptr<Instance>> instances_;
-  // Collected batch instances, oldest first, at most kRetiredInstances;
-  // guarded by instances_mu_.
-  std::vector<std::shared_ptr<Instance>> retired_;
+  // The last collected batch instance, kept for the next batch submit, or
+  // null; guarded by instances_mu_.
+  std::shared_ptr<Instance> retired_;
   std::atomic<std::uint64_t> instances_built_{0};
 };
 
