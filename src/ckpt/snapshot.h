@@ -6,7 +6,7 @@
 // global barrier sequence number S, injects a Marker(S) message into every
 // open input port (and into lagging ports exactly when their next push
 // would reach S), and lets the markers ride the ordinary channels through
-// exec::FiringCore like EOS does. The invariant that makes alignment
+// runtime::NodeState like EOS does. The invariant that makes alignment
 // automatic is
 //
 //   on every channel, a Marker(S) precedes every message with seq >= S
@@ -128,7 +128,7 @@ struct StreamSnapshot {
 // a snapshot begun after part of the graph drained still completes.
 //
 // Threading: node_checkpoint/node_finished are called from whatever thread
-// owns the node's FiringCore (sim sweep, node thread, pool worker); the
+// owns the node's NodeState (sim sweep or pool worker); the
 // initiator polls from the stream's caller thread. One mutex serializes
 // everything -- these are per-barrier events, not data-plane traffic.
 class SnapshotPlane {
@@ -144,7 +144,7 @@ class SnapshotPlane {
   [[nodiscard]] bool pending() const;
   [[nodiscard]] std::uint64_t barrier_seq() const;
 
-  // FiringCore hooks.
+  // NodeState hooks.
   void node_checkpoint(std::size_t node, NodeCut cut);
   void node_finished(std::size_t node, NodeCut cut);
 

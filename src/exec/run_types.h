@@ -132,7 +132,7 @@ struct RunSpec {
   const PortBinding* ports = nullptr;
 
   // --- Snapshot plumbing (internal, ckpt) ---
-  // Barrier coordinator the engine attaches to every FiringCore (not
+  // Barrier coordinator the engine attaches to every NodeState (not
   // owned; set by exec::Stream when snapshots are enabled). Null = markers
   // never appear and the data path is byte-for-byte the snapshots-off one.
   ckpt::SnapshotPlane* ckpt_plane = nullptr;

@@ -11,7 +11,8 @@
 //
 // The two backends -- the deterministic simulator (the reference model) and
 // the pooled scheduler (the concurrent engine) -- share one firing rule
-// (src/exec/firing_core.cpp) and are differential-tested bit-identical
+// (runtime::NodeState, src/runtime/node_state.cpp) and are
+// differential-tested bit-identical
 // (tests/test_session.cpp, tests/test_stream.cpp), so switching backends
 // changes cost, not semantics:
 //

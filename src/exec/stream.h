@@ -232,7 +232,7 @@ class Stream {
   // ingress/egress port gauges, and -- on the Pooled backend -- the pool's
   // per-worker scheduler counters. Safe to call from any thread at any time
   // while the Stream is alive (every counter read is a relaxed atomic
-  // load), which is exactly what obs::MetricsSampler needs as its source.
+  // load), so a monitoring thread may poll it beside the port callers.
   [[nodiscard]] obs::MetricsSnapshot metrics() const;
 
   // --- Checkpointing (sdaf::ckpt, see docs/SNAPSHOTS.md) ----------------

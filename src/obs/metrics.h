@@ -10,7 +10,7 @@
 // null pointer = every metrics branch is a single predictable-false test.
 //
 // Counter semantics are backend-invariant by construction: node counters
-// are incremented at the same FiringCore sites on every backend (emission
+// are incremented at the same NodeState sites on every backend (emission
 // is counted where outputs are queued, consumption where heads are popped),
 // so the sim's deterministic counts are a bit-exact reference for the
 // pooled backend -- the differential tests assert exactly that. Channel
@@ -18,7 +18,7 @@
 // matching the paper's buffer-size semantics.
 //
 // The snapshot structs are plain values: safe to copy out of a live run,
-// serialize (obs/export.h), or sample periodically (obs/sampler.h).
+// serialize (obs/export.h), or poll from another thread (Stream::metrics).
 #pragma once
 
 #include <atomic>

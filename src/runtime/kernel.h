@@ -30,7 +30,7 @@ class Emitter {
 
   [[nodiscard]] std::size_t slots() const { return values_.size(); }
   [[nodiscard]] const std::optional<Value>& value(std::size_t slot) const;
-  // Moves the slot's value out (leaving it empty), so the firing core can
+  // Moves the slot's value out (leaving it empty), so NodeState can
   // build the outgoing message without copying the payload. Precondition:
   // value(slot).has_value().
   [[nodiscard]] Value take(std::size_t slot);

@@ -1,16 +1,42 @@
 // Per-node task and per-run wiring shared by both execution engines.
 //
-// NodeState is an exec::FiringCore plus the node's channels: its delivery
-// operations never block -- an unavailable head or a full channel is
-// reported, and the engine decides when to step the node again. Any
-// channel transition that could unblock a peer (an input becoming
-// non-empty, a full output draining) is reported through the Waker: the
-// pooled scheduler re-enqueues the peer, the simulator's no-op waker lets
-// its round-robin sweep find it. The task never holds a lock across a
-// kernel firing and never waits inside a channel, which is what lets a
-// fixed worker pool run graphs with orders of magnitude more nodes than
-// threads. The firing semantics themselves (alignment, dummy wrappers, EOS
-// flood) live in src/exec/firing_core.cpp.
+// NodeState is the one node state machine: the paper's filter with its
+// wrapper, over the node's bounded input and output channels. Both
+// engines -- the deterministic simulator and the pooled scheduler -- step
+// every node through it: sequence-number alignment at the minimum input
+// head, kernel invocation only when data arrived, wrapper-driven dummy
+// origination/forwarding, per-channel-asynchronous output delivery, and
+// the EOS flood. Its operations never block -- an unavailable head or a
+// full channel is reported, and the engine decides when to step the node
+// again. Any channel transition that could unblock a peer (an input
+// becoming non-empty, a full output draining) is reported through the
+// Waker: the pooled scheduler re-enqueues the peer, the simulator's no-op
+// waker lets its round-robin sweep find it. The task never holds a lock
+// across a kernel firing and never waits inside a channel, which is what
+// lets a fixed worker pool run graphs with orders of magnitude more nodes
+// than threads.
+//
+// The data plane is allocation-free, batched, and (on both engines)
+// lock-free: alignment peeks payload-free HeadViews (never copying a
+// payload), data is moved out of a channel by its single consumer without
+// a mutex (the channels ride SpscRing), and the firing cost is per run,
+// not per message. When every aligned head is a dummy, the stretch
+// [min_seq, min_seq + r) fires at once: each input pops its run with one
+// channel op (pop_dummies), the wrapper's run rule (NodeWrapper::dummy_run)
+// decides each output slot's dummies for the whole run in O(1) -- all of
+// it under Propagation, every interval-th seq under Non-Propagation -- and
+// they queue and leave as coalesced runs (try_push_dummies). A source pops
+// a run of feed data the same way (one publish, one producer wake-up, one
+// credit return) and fires it message by message. A `batch` quantum lets
+// step() run several firings before handing outputs to the ring, so one
+// channel op and one (usually elided) wake-up amortize over the whole
+// batch. All of this is below the firing semantics: per-edge traffic,
+// firing counts, obs counters, trace events and verdicts are bit-identical
+// at every batch setting, which the differential tests enforce.
+//
+// A NodeState is single-owner: exactly one thread may call step() at a
+// time (the simulator sweep, or the pool worker that currently owns the
+// task).
 //
 // Wiring builds one run's runtime::BoundedChannels and NodeStates from a
 // graph and an exec::RunSpec -- intervals, continuation flags, injected
@@ -26,17 +52,20 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "src/exec/firing_core.h"
+#include "src/ckpt/snapshot.h"
 #include "src/exec/run_types.h"
 #include "src/graph/stream_graph.h"
+#include "src/obs/metrics.h"
 #include "src/runtime/channel.h"
 #include "src/runtime/kernel.h"
+#include "src/runtime/message.h"
 #include "src/runtime/trace.h"
 #include "src/runtime/wrapper.h"
 
@@ -51,10 +80,26 @@ class Waker {
   virtual void wake(NodeId node) = 0;
 };
 
+// Park summary encoding, shared by the pooled scheduler's park/probe
+// protocol and the deadlock state dumps: the top two bits select the park
+// reason, the low 62 bits are a mask of the output slots the node is
+// blocked on (slots >= 62 degrade to "check every slot"). A node only
+// parks done, output-blocked (pending messages for full channels), or
+// input-blocked (some input empty); every other situation lets step()
+// progress.
+inline constexpr std::uint64_t kParkInputs = 0;
+inline constexpr std::uint64_t kParkDone = 1;
+inline constexpr std::uint64_t kParkOutputs = 2;
+inline constexpr int kParkTagShift = 62;
+inline constexpr std::uint64_t kParkSlotMask = (std::uint64_t{1} << 62) - 1;
+
+[[nodiscard]] std::string describe_park_summary(std::uint64_t summary);
+
 class NodeState final {
  public:
   // The node's shape, borrowed from its owner (runtime::Wiring keeps every
-  // node's slots in two flat arrays). `in_producers[j]` /
+  // node's slots in two flat arrays). Slot indices follow
+  // StreamGraph::in_edges/out_edges order. `in_producers[j]` /
   // `out_consumers[slot]` name the node at the far end of the corresponding
   // channel; they are the wake targets for the pop-freed-a-full-channel /
   // push-filled-an-empty-channel transitions. An egress tap rides in `outs`
@@ -66,11 +111,26 @@ class NodeState final {
             std::span<const NodeId> in_producers,
             std::span<const NodeId> out_consumers);
 
-  // Binds the node to one run and rewinds its core (see
-  // exec::FiringCore::reset for the remaining parameters). `feed` is the
-  // injected channel a source (no `ins`) consumes, null for every other
-  // node; wakes go to `waker`. The channels are rewound by their owner,
-  // runtime::Wiring.
+  // Binds the node to one run and rewinds it to "never fired": counters,
+  // source sequence, pending outputs, EOS/done/abort flags and the
+  // wrapper's emissions. The channels are rewound by their owner,
+  // runtime::Wiring. `feed` is the injected channel a source (no `ins`)
+  // consumes, null for every other node: a payload-free data message is a
+  // pure firing token (the kernel sees an empty input vector), a payload
+  // rides to the kernel as a single-slot input, and EOS triggers the
+  // ordinary flood. Wakes go to `waker`. The wrapper runs `mode` with one
+  // interval and one forward-on-filter flag per out-slot (see
+  // NodeWrapper). `batch` is the firing quantum (see RunSpec::batch;
+  // clamped to >= 1). `tracer` (optional, not owned) records per-message
+  // events; `tick` (optional, not owned) supplies the tracer timestamp --
+  // the simulator points it at its sweep counter, the pooled backend
+  // leaves it null (a steady-clock stamp; event *order* across threads is
+  // not meaningful there). `metrics` (optional, not owned): the node's obs
+  // counter shard; increments happen at the same sites on every engine, so
+  // the counters are differentially exact against the sim reference.
+  // `plane` (optional, not owned): the stream's barrier coordinator, see
+  // restore_cut. Reuses the node's buffers, so rewinding allocates nothing
+  // unless `batch` grew. Never while a step() runs.
   void reset(Kernel& kernel, BoundedChannel* feed, Waker& waker,
              DummyMode mode, const std::vector<std::int64_t>& out_intervals,
              const std::vector<std::uint8_t>& out_forward,
@@ -79,92 +139,156 @@ class NodeState final {
 
   // One scheduling quantum; returns true iff any progress was made
   // (a message delivered, consumed, or produced). After false the node is
-  // quiescent until one of its channels changes.
-  bool step() { return core_.step(); }
+  // quiescent until one of its channels changes (or the run aborted: a
+  // channel reported PushResult::Aborted, and the node stops delivering
+  // and returns false forever).
+  bool step();
 
   // Park protocol support. After step() returns false the owning worker
-  // calls park_summary() (still owner, so reading core state is safe)
-  // to capture *why* the node is stuck, publishes it, parks, and then calls
-  // probe(summary) to close the race with a wake that slipped between the
-  // last unproductive step and the park. probe() reads only immutable
-  // members and coherent channel-occupancy snapshots, so it is safe to
-  // call after ownership has been lost; a stale verdict is handled by the
-  // caller (it re-acquires the node or defers to whoever queued it).
-  // The probe must run after the park transition's seq_cst RMW: that RMW
-  // pairs with the seq_cst fence a channel peer issues between publishing
-  // its counter and deciding whether to wake us, which is what makes the
-  // lock-free channel's elided wake-ups lost-wakeup-free.
-  [[nodiscard]] std::uint64_t park_summary() const {
-    return core_.park_summary();
-  }
+  // calls park_summary() (still owner, so reading node state is safe)
+  // to capture *why* the node is stuck, in the encoding above, publishes
+  // it, parks, and then calls probe(summary) to close the race with a wake
+  // that slipped between the last unproductive step and the park. probe()
+  // reads only immutable members and coherent channel-occupancy
+  // snapshots, so it is safe to call after ownership has been lost; a
+  // stale verdict is handled by the caller (it re-acquires the node or
+  // defers to whoever queued it). The probe must run after the park
+  // transition's seq_cst RMW: that RMW pairs with the seq_cst fence a
+  // channel peer issues between publishing its counter and deciding
+  // whether to wake us, which is what makes the lock-free channel's elided
+  // wake-ups lost-wakeup-free.
+  [[nodiscard]] std::uint64_t park_summary() const;
   [[nodiscard]] bool probe(std::uint64_t summary) const;
 
-  [[nodiscard]] bool done() const { return core_.done(); }
-  [[nodiscard]] NodeId node() const { return core_.node(); }
-  [[nodiscard]] std::uint64_t fires() const { return core_.fires; }
-  [[nodiscard]] std::uint64_t sink_data() const { return core_.sink_data; }
+  [[nodiscard]] bool done() const { return done_; }
+  // Kernel invocations, and data messages consumed.
+  [[nodiscard]] std::uint64_t fires() const { return fires_; }
+  [[nodiscard]] std::uint64_t sink_data() const { return sink_data_; }
 
   // Human-readable state for deadlock dumps; only valid at quiescence (or
   // from the owning worker).
-  [[nodiscard]] std::string describe() const { return core_.describe(); }
+  [[nodiscard]] std::string describe() const;
 
-  // Restore plumbing (ckpt): see exec::FiringCore.
-  void restore_cut(const ckpt::NodeCut& cut) { core_.restore_cut(cut); }
-  void mark_done() { core_.mark_done(); }
+  // Snapshot plumbing (ckpt). With a barrier coordinator attached (null =
+  // snapshots off, the default: every marker branch is then dead and the
+  // fast path is unchanged), a Marker(S) that aligns at this node's inputs
+  // makes step() pop the markers, report a NodeCut to the plane, and queue
+  // Marker(S) on every output after the pre-S emissions -- no kernel
+  // firing, no counter movement. The EOS flood additionally reports the
+  // node's final cut so a barrier begun after this node drained still
+  // completes.
+  //
+  // Restore: rehydrate the node from a NodeCut taken at a barrier. Live
+  // node: restore_cut alone. Done node: restore_cut (its final counters)
+  // *then* mark_done, which makes the node terminal and seeds the plane's
+  // finished set; its outgoing channels are preloaded with EOS by the
+  // wiring. Must run after reset() and before the first step().
+  void restore_cut(const ckpt::NodeCut& cut);
+  void mark_done();
 
  private:
-  // The core's channel operations. Peeks/pops act on in-slots, pushes on
-  // out-slots (slot indices follow StreamGraph::in_edges/out_edges order,
-  // plus the egress tap). None blocks; each wakes the peer on the
-  // empty->non-empty and full->non-full transitions, and the batched ops
-  // issue one wake-up per run, not per message.
-  friend class exec::FiringCore;
+  static constexpr std::size_t kNoTail =
+      std::numeric_limits<std::size_t>::max();
 
-  // Payload-free view of the head of in-slot `slot` (seq, kind, and the
-  // length of the consecutive dummy run starting there), or empty when no
-  // message is available.
-  [[nodiscard]] std::optional<HeadView> peek_head(std::size_t slot) {
-    return ins_[slot]->try_peek_head();
-  }
-  // Removes the head and returns it (payload moved out). Precondition: the
-  // immediately preceding peek_head(slot) observed a head.
+  // One queued output: a single message, or (run > 1) a coalesced run of
+  // `run` dummies starting at message.seq.
+  struct PendingRun {
+    std::size_t out_slot;
+    Message message;
+    std::uint32_t run = 1;
+  };
+
+  // The channel operations that pair a pop or push with its wake-up: each
+  // wakes the peer on the full->non-full (pop) or empty->non-empty (push)
+  // transition, once per run for the batched ones. Pops act on in-slots
+  // and need a preceding peek that observed the head (a dummy run >=
+  // count for pop_dummies); pushes act on out-slots and never block.
   [[nodiscard]] Message pop_head(std::size_t slot);
-  // Removes the head, discarding it. Precondition: as for pop_head.
   void pop(std::size_t slot);
-  // Removes `count` dummies from the head run with one channel operation.
-  // Precondition: the preceding peek observed a dummy run >= count.
   void pop_dummies(std::size_t slot, std::size_t count);
-  // Delivers `m` without blocking; consumes it only when Delivered.
-  [[nodiscard]] exec::PushOutcome try_push(std::size_t slot, Message&& m);
-  // Delivers up to `count` dummies first_seq, first_seq+1, ... as one
-  // coalesced run; returns how many were accepted. `*outcome` is
-  // Delivered when all fit, Blocked/Aborted otherwise.
+  // Consumes `m` only on Ok.
+  [[nodiscard]] PushResult try_push(std::size_t slot, Message&& m);
+  // Pushes up to `count` dummies first_seq, first_seq+1, ... as one
+  // coalesced run; returns how many were accepted, and sets `*aborted`
+  // when the channel refused them because the run is tearing down.
   [[nodiscard]] std::size_t try_push_dummies(std::size_t slot,
                                              std::uint64_t first_seq,
-                                             std::size_t count,
-                                             exec::PushOutcome* outcome);
-  // Sources only: the injected feed. peek_feed has the contract
-  // of peek_head; pop_feed discards the head (a marker or EOS);
-  // pop_feed_data moves out up to `max` consecutive data heads with one
-  // channel op, stopping at any other kind, and returns how many.
-  [[nodiscard]] std::optional<HeadView> peek_feed() {
-    return feed_->try_peek_head();  // empty = parked until the caller pushes
-  }
-  void pop_feed() { (void)feed_->pop(); }
-  [[nodiscard]] std::size_t pop_feed_data(Message* out, std::size_t max) {
-    // The pop notes the feed's ProducerSignal inside the channel (once per
-    // run), which is how a caller blocked in InputPort::push learns space
-    // freed up.
-    return feed_->pop_data(out, max);
-  }
+                                             std::size_t count, bool* aborted);
 
+  void trace(TraceKind kind, std::size_t slot, std::uint64_t seq);
+  // The node's state at a consistent cut (ckpt).
+  [[nodiscard]] ckpt::NodeCut make_cut(bool done) const;
+  // Barrier alignment reached: report the cut and forward Marker(S).
+  void checkpoint(std::uint64_t barrier_seq);
+  // Queues this firing's outputs: kernel data plus wrapper-mandated
+  // dummies. The wrapper is consulted exactly once per slot per seq;
+  // consecutive dummies for a slot coalesce into one pending run.
+  void queue_outputs(std::uint64_t seq, bool any_input_dummy);
+  // Appends dummies seq .. seq + count - 1 to the slot's pending output,
+  // extending its trailing dummy run when the seqs continue it.
+  void queue_dummies(std::size_t slot, std::uint64_t seq, std::uint64_t count);
+  // Tracer only: the DummyConsumed/DummySent events of the pure-dummy run
+  // [min_seq, min_seq + r) just decided into out_[*].dummy_run, in
+  // per-message order.
+  void trace_dummy_run(std::uint64_t min_seq, std::uint64_t r);
+  void queue_eos();
+  // Pushes whatever fits from pending_, per-channel asynchronously: a full
+  // channel must not block messages destined for channels with space (but
+  // messages for the *same* channel stay FIFO). Returns true iff anything
+  // was delivered.
+  bool drain_pending();
+  // One alignment + firing attempt; returns how many firing quanta it
+  // consumed (0 = no progress possible). When every aligned head is a
+  // dummy, consumes the whole aligned run -- bounded by the other heads
+  // and by `budget`, so a quantum never fires more than RunSpec::batch
+  // sequence numbers -- with one channel op per slot.
+  std::uint64_t fire_once(std::uint64_t budget);
+
+  // The shape: fixed at construction.
+  NodeId node_;
   std::span<BoundedChannel* const> ins_;
   std::span<BoundedChannel* const> outs_;
-  BoundedChannel* feed_ = nullptr;
   std::span<const NodeId> in_producers_;
   std::span<const NodeId> out_consumers_;
+
+  // The run's bindings: set by reset().
+  BoundedChannel* feed_ = nullptr;
   Waker* waker_ = nullptr;
-  exec::FiringCore core_;  // last: its channel operations are ours
+  Kernel* kernel_ = nullptr;
+  NodeWrapper wrapper_;
+  std::uint32_t batch_ = 1;
+  Tracer* tracer_ = nullptr;
+  const std::uint64_t* tick_ = nullptr;
+  obs::NodeCounters* metrics_ = nullptr;
+  ckpt::SnapshotPlane* plane_ = nullptr;
+
+  // Firing state and scratch.
+  Emitter emitter_;
+  std::vector<std::optional<Value>> inputs_;
+  // Scratch single-slot input vector for payload-carrying feed messages.
+  std::vector<std::optional<Value>> feed_input_;
+  // Sources: staging for one quantum's run of feed data (batch messages,
+  // reused).
+  std::vector<Message> feed_batch_;
+  std::vector<HeadView> heads_;
+  std::vector<PendingRun> pending_;
+  // Per output slot, one allocation for all three.
+  struct OutSlot {
+    // Pure-dummy run scratch: the wrapper's decision for this slot.
+    NodeWrapper::DummyRun dummy_run;
+    // Index into pending_ of the slot's trailing dummy run (coalescing
+    // target), or kNoTail. Only valid between drains; drain_pending resets
+    // it.
+    std::size_t pending_tail = kNoTail;
+    bool blocked = false;  // drain_pending scratch
+  };
+  std::vector<OutSlot> out_;
+  std::uint64_t fires_ = 0;
+  std::uint64_t sink_data_ = 0;
+  std::uint64_t source_seq_ = 0;
+  bool eos_flooded_ = false;
+  bool done_ = false;
+  bool aborted_ = false;
 };
 
 // One run's channels (one per graph edge, capacity = the edge's buffer)
@@ -178,7 +302,7 @@ class Wiring {
  public:
   // Allocates the channels and nodes of `g` (plus an egress out-slot for
   // each tapped sink when spec.ports is set), then reset()s them to `spec`.
-  // `tick` (optional) stamps trace events, see exec::FiringCore.
+  // `tick` (optional) stamps trace events, see NodeState::reset.
   Wiring(const StreamGraph& g,
          const std::vector<std::shared_ptr<Kernel>>& kernels,
          const exec::RunSpec& spec, Waker& waker,

@@ -278,7 +278,7 @@ PoolExecutor::TicketId PoolExecutor::submit(
   // workers it wakes do not preempt the probes.
   instance->runnable.clear();
   for (NodeTask& task : instance->tasks)
-    if (task.node->probe(exec::kParkInputs << exec::kParkTagShift))
+    if (task.node->probe(kParkInputs << kParkTagShift))
       instance->runnable.push_back(&task);
   // Guard against quiescence being declared mid-kick (a fast subgraph could
   // otherwise drain to zero before every node is scheduled): hold one
@@ -575,7 +575,7 @@ void PoolExecutor::maybe_finalize(Instance& instance) {
       if (instance.wiring->node(n).done()) continue;
       const std::uint64_t summary = instance.tasks[n].park_summary.load(
           std::memory_order_acquire);
-      if ((summary >> exec::kParkTagShift) == exec::kParkInputs) return;
+      if ((summary >> kParkTagShift) == kParkInputs) return;
     }
     for (std::size_t i = 0; i < instance.ports->sink_nodes.size(); ++i) {
       if (instance.ports->egress[i] == nullptr) continue;
@@ -583,7 +583,7 @@ void PoolExecutor::maybe_finalize(Instance& instance) {
       if (instance.wiring->node(n).done()) continue;
       const std::uint64_t summary = instance.tasks[n].park_summary.load(
           std::memory_order_acquire);
-      if ((summary >> exec::kParkTagShift) != exec::kParkOutputs) continue;
+      if ((summary >> kParkTagShift) != kParkOutputs) continue;
       // Taps attach only to out-degree-0 sinks, so the tap is the node's
       // sole out-slot: parked-on-outputs means parked on the tap.
       return;

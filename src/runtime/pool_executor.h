@@ -62,7 +62,8 @@
 // Prefer the exec::Session facade (src/exec/session.h) for new code --
 // point RunSpec::pool at a shared PoolExecutor; this header stays as the
 // backend implementation. The firing semantics live in
-// src/exec/firing_core.cpp, shared with the simulator.
+// runtime::NodeState (src/runtime/node_state.cpp), shared with the
+// simulator.
 #pragma once
 
 #include <atomic>

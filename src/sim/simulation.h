@@ -1,6 +1,6 @@
 // Deterministic single-threaded simulator of the paper's blocking,
 // thread-per-node runtime model, and the reference the pooled backend is
-// differential-tested against: the same exec::FiringCore drives every node
+// differential-tested against: the same runtime::NodeState drives every node
 // (same alignment rule, same wrappers, same blocking structure -- nodes
 // stall mid-emission on a full channel, holding already-consumed inputs).
 // Deadlock is detected exactly -- a full round-robin sweep with no progress

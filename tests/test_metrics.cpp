@@ -1,7 +1,7 @@
 // sdaf::obs acceptance tests.
 //
 // The load-bearing property is *backend invariance*: node counters are
-// incremented at shared FiringCore sites (emission where outputs are
+// incremented at shared runtime::NodeState sites (emission where outputs are
 // queued, consumption where heads are popped), so for a deterministic
 // workload the simulator's counts are a bit-exact reference for the
 // pooled backend -- per node and per channel, completed or wedged.
@@ -23,7 +23,6 @@
 #include "src/core/compile.h"
 #include "src/exec/session.h"
 #include "src/obs/export.h"
-#include "src/obs/sampler.h"
 #include "src/runtime/pool_executor.h"
 #include "src/runtime/trace.h"
 #include "src/workloads/filters.h"
@@ -307,7 +306,7 @@ TEST(StreamMetrics, LiveSnapshotAcrossBackends) {
     ASSERT_TRUE(stream.finish().completed);
 
     const auto final_snap = stream.metrics();
-    // 3 passthrough nodes x 10 items, counted by the shared firing core.
+    // 3 passthrough nodes x 10 items, counted by the shared NodeState.
     EXPECT_EQ(final_snap.tenant.items_fired, 30u);
     ASSERT_EQ(final_snap.nodes.size(), 3u);
     for (const auto& n : final_snap.nodes) EXPECT_EQ(n.fires, 10u);
@@ -410,59 +409,46 @@ TEST(SessionMetrics, TenantLedgerAccumulates) {
   EXPECT_EQ(tenants[1].items_fired, 15u);
 }
 
-TEST(MetricsSampler, FoldsPeaksFromSource) {
-  std::atomic<std::uint64_t> calls{0};
-  auto source = [&]() {
-    const std::uint64_t n = calls.fetch_add(1) + 1;
-    obs::MetricsSnapshot s;
-    s.channels.resize(1);
-    s.channels[0].edge = 0;
-    s.channels[0].occupancy = static_cast<std::int64_t>(n % 7);
-    s.workers.resize(1);
-    s.workers[0].depth_max = 5;
-    return s;
-  };
-  obs::MetricsSampler::Options opts;
-  opts.interval = std::chrono::milliseconds(1);
-  opts.keep = 4;
-  obs::MetricsSampler sampler(source, opts);
-  // The constructor takes one synchronous sample, so latest() is valid
-  // immediately; then wait for a few periodic ones.
-  EXPECT_GE(sampler.sample_count(), 1u);
-  while (sampler.sample_count() < 8)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  sampler.stop();
-  const auto last = sampler.latest();
-  ASSERT_EQ(last.channels.size(), 1u);
-  EXPECT_GE(sampler.peak_occupancy(0), 1);
-  EXPECT_LE(sampler.peak_occupancy(0), 6);
-  EXPECT_EQ(sampler.peak_queue_depth(), 5u);
-}
-
-TEST(MetricsSampler, SamplesLiveStream) {
-  // End-to-end: Stream::metrics is a valid sampler source while traffic is
-  // in flight on a concurrent backend.
+TEST(StreamMetrics, ReadableWhileStreaming) {
+  // Stream::metrics is safe from another thread while traffic is in flight
+  // on a concurrent backend (TSan checks the reads in the stress tier), and
+  // exact once the stream finished.
   const StreamGraph g = workloads::pipeline(3, 2);
   exec::Session session(g, workloads::passthrough_kernels(g));
   exec::StreamSpec sspec;
   sspec.run.backend = Backend::Pooled;
   sspec.run.mode = runtime::DummyMode::None;
   exec::Stream stream = session.open(sspec);
-  obs::MetricsSampler::Options opts;
-  opts.interval = std::chrono::milliseconds(1);
-  obs::MetricsSampler sampler([&stream] { return stream.metrics(); }, opts);
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> reads{0};
+  std::atomic<bool> monotonic{true};
+  std::thread reader([&] {
+    std::uint64_t last = 0;
+    while (!stop.load()) {
+      const std::uint64_t fired = stream.metrics().tenant.items_fired;
+      if (fired < last || fired > 600) monotonic.store(false);
+      last = fired;
+      reads.fetch_add(1);
+    }
+  });
+  while (reads.load() == 0) std::this_thread::yield();
   for (int i = 0; i < 200; ++i) ASSERT_TRUE(stream.input(0).push());
   stream.input(0).close();
   while (stream.output(0).next().has_value()) {
   }
   ASSERT_TRUE(stream.finish().completed);
-  // Wait for a sample taken after the run quiesced: counters are exact
-  // then, so it must see every firing.
-  const std::uint64_t before = sampler.sample_count();
-  while (sampler.sample_count() <= before)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  sampler.stop();
-  EXPECT_EQ(sampler.latest().tenant.items_fired, 600u);
+  stop.store(true);
+  reader.join();
+  EXPECT_TRUE(monotonic.load());
+
+  const obs::MetricsSnapshot m = stream.metrics();
+  EXPECT_EQ(m.tenant.items_fired, 600u);
+  ASSERT_EQ(m.channels.size(), g.edge_count());
+  for (const obs::ChannelMetrics& ch : m.channels) {
+    EXPECT_GE(ch.high_water, 1) << ch.edge;
+    EXPECT_LE(ch.high_water, g.edge(ch.edge).buffer) << ch.edge;
+  }
+  EXPECT_FALSE(m.workers.empty());
 }
 
 }  // namespace

@@ -169,7 +169,7 @@ TEST(Session, Fig2CompiledIntervalsCompleteOnEveryBackend) {
   }
 }
 
-// The tracer rides on the shared firing core, so both backends must record
+// The tracer rides on the shared NodeState, so both backends must record
 // the same per-message events; only ordering and ticks may differ between
 // the deterministic sweep and the concurrent backend.
 TEST(Session, TracerEventMultisetIdenticalAcrossBackends) {
