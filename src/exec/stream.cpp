@@ -27,6 +27,7 @@ using runtime::MessageKind;
 using runtime::ProducerSignal;
 using runtime::PushResult;
 using runtime::Value;
+using Waited = runtime::EventWord::Waited;
 
 // What a snapshot pins: the compiled topology (CompileCache's canonical
 // signature) plus every traffic-affecting run setting. Restore refuses a
@@ -45,24 +46,67 @@ std::string snapshot_signature(const StreamGraph& g, const RunSpec& run) {
 }
 
 // The backend-polymorphic stream engine. The base class owns everything a
-// stream is made of -- the port channels (feeds with one reserved EOS slot,
-// egress taps), the PortBinding the backend consumes, and the port handles
-// -- plus the backend-agnostic port logic. Subclasses supply how execution
-// is driven (sweeps on the caller's thread vs. pool tasks) and what a port
-// transition must additionally do (nothing, or a task wake-up).
+// stream is made of -- one Feed per source and one Tap per sink (each port
+// channel, its barrier state and its port handle in one object), and the
+// PortBinding the backend consumes -- plus the backend-agnostic port logic.
+// Subclasses supply how execution is driven (sweeps on the caller's thread
+// vs. pool tasks) and what a port transition must additionally do (nothing,
+// or a task wake-up).
 struct Core {
+  static constexpr std::uint64_t kNoBarrier = ~std::uint64_t{0};
+
+  // --- ports -------------------------------------------------------------
+  // Locking: snap_mu serializes begin/poll/assembly and may nest a Feed::mu
+  // or a Tap::mu try_lock inside it; the port paths take only their own
+  // port's mutex and never snap_mu, so there is no lock inversion.
+  //
+  // One input port. `mu` serializes every producer-side op on the feed (the
+  // caller's pushes and the barrier's marker injection -- the ring is SPSC,
+  // two concurrent producers would be a race). The signal, read on every
+  // pop by the source node, sits on its own cache line, away from the
+  // pusher's per-round writes to `mu` and the port.
+  struct Feed {
+    explicit Feed(std::size_t capacity) : channel(capacity) {
+      channel.set_producer_signal(&signal);
+    }
+    BoundedChannel channel;
+    alignas(64) ProducerSignal signal;
+    alignas(64) std::mutex mu;
+    InputPort port;
+    // Guarded by mu:
+    std::uint64_t armed_marker = kNoBarrier;  // kNoBarrier = none armed
+    ckpt::PortCut cut;
+    // push_batch's staging buffer, reused across calls (the port's single
+    // caller owns it), so a steady batch allocates nothing.
+    std::vector<Message> staging;
+  };
+  // One output port. `mu` serializes every consumer-side op on the tap (the
+  // caller's polls and the barrier's marker reaping). `cut.residue` is
+  // additionally only ever written under snap_mu, so assembly reads it
+  // without the tap lock -- a caller parked in next() holds `mu`
+  // indefinitely.
+  struct Tap {
+    explicit Tap(std::size_t capacity) : channel(capacity) {}
+    BoundedChannel channel;
+    std::mutex mu;
+    OutputPort port;
+    // Guarded by mu:
+    std::uint64_t gen = 0;
+    std::uint8_t acked = 0;
+    std::uint8_t parked_ended = 0;
+    ckpt::TapCut cut;
+    std::deque<OutputPort::Item> parked;
+  };
+
   const StreamGraph& graph;
   std::vector<std::shared_ptr<runtime::Kernel>> kernels;
   StreamSpec spec;
   PortBinding binding;
-  std::vector<std::unique_ptr<BoundedChannel>> feed_channels;
-  std::vector<std::unique_ptr<ProducerSignal>> feed_signals;
-  // Per input port: push_batch's staging buffer, reused across calls (the
-  // port's single caller owns it), so a steady batch allocates nothing.
-  std::vector<std::vector<Message>> feed_staging;
-  std::vector<std::unique_ptr<BoundedChannel>> egress_channels;
-  std::vector<std::unique_ptr<InputPort>> inputs;
-  std::vector<std::unique_ptr<OutputPort>> outputs;
+  // Built in place and never moved (a port is pinned by its mutex, its
+  // channel and the pointers in `binding`): a deque grows without
+  // relocating its elements.
+  std::deque<Feed> feeds;
+  std::deque<Tap> taps;
   // --- per-tenant credit backpressure (sdaf::qos) -----------------------
   // Borrowed gauge bounding this tenant's in-flight items (null or
   // unlimited = no credit gating; normalized to null below so every check
@@ -108,15 +152,6 @@ struct Core {
   bool collected = false;
 
   // --- checkpoint state (sdaf::ckpt) ------------------------------------
-  // Locking: snap_mu serializes begin/poll/assembly and may nest a
-  // port_mus[i] or an egress_mus[j] try_lock inside it; the port paths take
-  // only their own port's mutex and never snap_mu, so there is no lock
-  // inversion. port_mus[i] serializes every producer-side op on feed i (the
-  // caller's pushes and the barrier's marker injection -- the ring is SPSC,
-  // two concurrent producers would be a race); egress_mus[j] serializes
-  // every consumer-side op on tap j (the caller's polls and the barrier's
-  // marker reaping).
-  static constexpr std::uint64_t kNoBarrier = ~std::uint64_t{0};
   ckpt::SnapshotPlane plane;
   std::uint64_t epoch = 0;
   const ckpt::StreamSnapshot* restore_src = nullptr;  // ctor-time borrow
@@ -129,21 +164,6 @@ struct Core {
   // Barrier generation: bumped by begin() before any marker is injected, so
   // a marker racing to a tap always acks under the generation that sent it.
   std::atomic<std::uint64_t> snap_gen{0};
-  // Per input port, guarded by port_mus[i]:
-  std::vector<std::unique_ptr<std::mutex>> port_mus;
-  std::vector<std::uint64_t> armed_marker;  // kNoBarrier = none armed
-  std::vector<std::uint64_t> port_cut_seq;
-  std::vector<std::uint8_t> port_cut_closed;
-  // Per output port, guarded by egress_mus[j] (tap_residue additionally
-  // only ever written under snap_mu, so assembly reads it without the tap
-  // lock -- a caller parked in next() holds egress_mus[j] indefinitely):
-  std::vector<std::unique_ptr<std::mutex>> egress_mus;
-  std::vector<std::uint64_t> tap_gen;
-  std::vector<std::uint8_t> tap_acked;
-  std::vector<std::uint8_t> tap_ended_cut;
-  std::vector<std::vector<ckpt::TapItem>> tap_residue;
-  std::vector<std::deque<OutputPort::Item>> parked;
-  std::vector<std::uint8_t> parked_ended;
   std::atomic<std::size_t> tap_acked_count{0};
 
   Core(const StreamGraph& g,
@@ -175,51 +195,26 @@ struct Core {
       // capacity + 1: the extra slot is reserved for EOS, so close() can
       // never fail for lack of space (data occupancy is capped at
       // feed_capacity by the port push path).
-      feed_channels.push_back(std::make_unique<BoundedChannel>(
-          spec.feed_capacity + 1));
-      feed_signals.push_back(std::make_unique<ProducerSignal>());
-      feed_channels.back()->set_producer_signal(feed_signals.back().get());
-      if (credits != nullptr)
-        feed_channels.back()->set_drain_hook(&credit_releaser);
-      binding.feeds.push_back(feed_channels.back().get());
-      auto port = std::unique_ptr<InputPort>(new InputPort());
-      port->core_ = this;
-      port->index_ = inputs.size();
-      port->node_ = n;
-      inputs.push_back(std::move(port));
+      Feed& feed = feeds.emplace_back(spec.feed_capacity + 1);
+      if (credits != nullptr) feed.channel.set_drain_hook(&credit_releaser);
+      binding.feeds.push_back(&feed.channel);
+      feed.port.core_ = this;
+      feed.port.index_ = feeds.size() - 1;
+      feed.port.node_ = n;
     }
     for (const NodeId n : graph.sinks()) {
       binding.sink_nodes.push_back(n);
       if (spec.capture_outputs) {
-        egress_channels.push_back(std::make_unique<BoundedChannel>(
-            spec.egress_capacity));
-        binding.egress.push_back(egress_channels.back().get());
-        auto port = std::unique_ptr<OutputPort>(new OutputPort());
-        port->core_ = this;
-        port->index_ = outputs.size();
-        port->node_ = n;
-        outputs.push_back(std::move(port));
+        Tap& tap = taps.emplace_back(spec.egress_capacity);
+        binding.egress.push_back(&tap.channel);
+        tap.port.core_ = this;
+        tap.port.index_ = taps.size() - 1;
+        tap.port.node_ = n;
       } else {
         binding.egress.push_back(nullptr);
       }
     }
     plane.attach(graph.node_count());
-    feed_staging.resize(inputs.size());
-    port_mus.reserve(inputs.size());
-    for (std::size_t i = 0; i < inputs.size(); ++i)
-      port_mus.push_back(std::make_unique<std::mutex>());
-    armed_marker.assign(inputs.size(), kNoBarrier);
-    port_cut_seq.assign(inputs.size(), 0);
-    port_cut_closed.assign(inputs.size(), 0);
-    egress_mus.reserve(outputs.size());
-    for (std::size_t j = 0; j < outputs.size(); ++j)
-      egress_mus.push_back(std::make_unique<std::mutex>());
-    tap_gen.assign(outputs.size(), 0);
-    tap_acked.assign(outputs.size(), 0);
-    tap_ended_cut.assign(outputs.size(), 0);
-    tap_residue.resize(outputs.size());
-    parked.resize(outputs.size());
-    parked_ended.assign(outputs.size(), 0);
     if (restore_src != nullptr) apply_restore();
   }
 
@@ -231,19 +226,19 @@ struct Core {
   void apply_restore() {
     const ckpt::StreamSnapshot& snap = *restore_src;
     epoch = snap.epoch + 1;
-    SDAF_EXPECTS(snap.ports.size() == inputs.size());
-    SDAF_EXPECTS(snap.taps.size() == outputs.size());
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-      inputs[i]->next_seq_.store(snap.ports[i].next_seq,
-                                 std::memory_order_relaxed);
+    SDAF_EXPECTS(snap.ports.size() == feeds.size());
+    SDAF_EXPECTS(snap.taps.size() == taps.size());
+    for (std::size_t i = 0; i < feeds.size(); ++i) {
+      feeds[i].port.next_seq_.store(snap.ports[i].next_seq,
+                                    std::memory_order_relaxed);
       // A port closed at the cut stays closed; its source was restored done
       // (Session::restore validates that), so no EOS needs re-pushing.
-      inputs[i]->closed_ = snap.ports[i].closed != 0;
+      feeds[i].port.closed_ = snap.ports[i].closed != 0;
     }
-    for (std::size_t j = 0; j < outputs.size(); ++j) {
+    for (std::size_t j = 0; j < taps.size(); ++j) {
       for (const ckpt::TapItem& item : snap.taps[j].residue)
-        parked[j].push_back(OutputPort::Item{item.seq, item.value});
-      parked_ended[j] = snap.taps[j].ended;
+        taps[j].parked.push_back(OutputPort::Item{item.seq, item.value});
+      taps[j].parked_ended = snap.taps[j].ended;
     }
   }
 
@@ -273,44 +268,80 @@ struct Core {
     return {};
   }
   // Port transitions. Pushes/pops report the channel's wake-relevant edge.
-  virtual void feed_pushed(std::size_t /*i*/, bool /*was_empty*/) {}
-  virtual void feed_closed(std::size_t /*i*/) {}
-  virtual void egress_popped(std::size_t /*i*/, bool /*was_full*/) {}
+  virtual void feed_pushed(const Feed& /*feed*/, bool /*was_empty*/) {}
+  virtual void feed_closed(const Feed& /*feed*/) {}
+  virtual void egress_popped(const Tap& /*tap*/, bool /*was_full*/) {}
   // Blocking helpers: return true = state may have changed, retry; false =
   // give up (aborted, deadline passed, or -- Sim -- no progress possible).
   // A null deadline waits forever (the classic push() path).
   using Deadline = std::optional<std::chrono::steady_clock::time_point>;
-  // Parks until feed i has room for `need` data items (its low-water mark:
-  // occupancy <= feed_capacity - need). 1 <= need <= feed_capacity.
-  virtual bool wait_feed_space(std::size_t i, const Deadline& deadline,
-                               std::size_t need);
-  virtual bool wait_egress_item(std::size_t i);
+  // Parks until the feed has room for `need` data items (its low-water
+  // mark: occupancy <= feed_capacity - need). 1 <= need <= feed_capacity.
+  virtual bool wait_feed_space(Feed& feed, const Deadline& deadline,
+                               std::size_t need) {
+    // Wake-elision protocol: publish the low-water mark, then wait on the
+    // feed's ProducerSignal (runtime::EventWord::wait), bounded by the
+    // absolute deadline when the caller asked for timed parking. Only a pop
+    // that leaves the feed at or below the mark wakes the pusher. The caller
+    // loops, so a spurious wake-up just re-probes. See
+    // runtime::ProducerSignal::note_pop.
+    SDAF_EXPECTS(need >= 1 && need <= spec.feed_capacity);
+    ProducerSignal& sig = feed.signal;
+    const std::size_t wake_at = spec.feed_capacity - need;
+    sig.wake_at.store(wake_at, std::memory_order_relaxed);
+    const auto waited = sig.event.wait(
+        [&] {
+          return feed.channel.size() <= wake_at || feed.channel.aborted() ||
+                 sig.aborted.load(std::memory_order_acquire);
+        },
+        deadline);
+    return !feed.channel.aborted() && waited != Waited::TimedOut;
+  }
+  virtual bool wait_egress_item(Tap& tap) {
+    // Blocks in the channel itself (every producer push notifies); empty
+    // optional iff the tap was aborted.
+    return tap.channel.peek_head_wait().has_value();
+  }
   // Blocks until the tenant gauge may have credit again (same wake-elision
   // protocol as wait_feed_space, parked on the gauge's event word). The
   // park is insurance-bounded: credits held by a stream that aborts come
   // back through finish(), which never bumps this gauge's event, so a
   // bounded park plus the caller's re-probe (which observes the abort)
   // keeps a parked pusher from sleeping forever. Sim pumps instead.
-  virtual bool wait_credit(const Deadline& deadline);
+  virtual bool wait_credit(const Deadline& deadline) {
+    // Wake-elision protocol against the tenant gauge (runtime::EventWord::
+    // wait). Every release() fences then bumps-if-waiters, so a parked pusher
+    // never misses a returned credit. The park carries 50ms insurance on top
+    // of any caller deadline: a co-stream that aborts returns its credits via
+    // finish() without bumping this event, and the re-probe upstream is what
+    // observes the abort.
+    using namespace std::chrono_literals;
+    auto until = std::chrono::steady_clock::now() + 50ms;
+    if (deadline.has_value() && *deadline < until) until = *deadline;
+    const auto waited = credits->event().wait(
+        [&] { return credits->in_flight() < credits->limit(); }, until);
+    return waited == Waited::Ready || !deadline.has_value() ||
+           std::chrono::steady_clock::now() < *deadline;
+  }
   // After every port is closed and the taps are drained: the final report.
   virtual RunReport collect() = 0;
 
   // --- shared port logic -----------------------------------------------
-  // Pre: port_mus[i] held, a marker is due now (the barrier armed this port
-  // and it just reached S, begin() found it already at S, or close() cuts
-  // it short of S). The feed always has physical room: data occupancy is
+  // Pre: feed.mu held, a marker is due now (the barrier armed this port and
+  // it just reached S, begin() found it already at S, or close() cuts it
+  // short of S). The feed always has physical room: data occupancy is
   // capped at feed_capacity segments, EOS adds one, and a marker rides the
   // ring's extra physical slot -- so Full can only mean a previous barrier's
   // marker is still in flight, which barrier serialization excludes.
-  void inject_marker_locked(std::size_t i, std::uint64_t seq) {
+  void inject_marker_locked(Feed& feed, std::uint64_t seq) {
     bool was_empty = false;
-    const PushResult r = feed_channels[i]->try_push_marker(seq, &was_empty);
+    const PushResult r = feed.channel.try_push_marker(seq, &was_empty);
     SDAF_ASSERT(r != PushResult::Full);
-    armed_marker[i] = kNoBarrier;
+    feed.armed_marker = kNoBarrier;
     // This port's cut: everything it accepted before its marker (== S for a
     // port that reached the barrier, its final count for one closed short).
-    port_cut_seq[i] = inputs[i]->pushed();
-    if (r == PushResult::Ok) feed_pushed(i, was_empty);
+    feed.cut.next_seq = feed.port.pushed();
+    if (r == PushResult::Ok) feed_pushed(feed, was_empty);
   }
 
   // The one push loop: lands msgs[0, n) in order, in rounds. Each round
@@ -331,8 +362,7 @@ struct Core {
   // Pre: the port is open.
   std::size_t push_messages(InputPort& port, Message* msgs, std::size_t n,
                             const Deadline& deadline, bool wait) {
-    const std::size_t i = port.index_;
-    BoundedChannel& feed = *feed_channels[i];
+    Feed& feed = feeds[port.index_];
     std::size_t done = 0;
     bool last_round = !wait;
     for (;;) {
@@ -343,7 +373,7 @@ struct Core {
       if (credits != nullptr) {
         // The abort check first keeps a credit-starved pusher from spinning
         // forever on a stream whose credits died with another feed.
-        if (feed.aborted()) break;
+        if (feed.channel.aborted()) break;
         credit = credits->try_acquire_upto(n - done);
         if (credit == 0) {
           if (last_round || !wait_credit(deadline)) break;
@@ -352,11 +382,11 @@ struct Core {
         credit_releaser.charge(credit);
       }
       {
-        std::lock_guard plock(*port_mus[i]);
+        std::lock_guard plock(feed.mu);
         // Data occupancy is capped at feed_capacity (the ring's extra slot
         // is reserved for EOS); size() only shrinks under the caller's
         // feet, so `room` is a safe underestimate.
-        const std::size_t occ = feed.size();
+        const std::size_t occ = feed.channel.size();
         room = occ >= spec.feed_capacity ? 0 : spec.feed_capacity - occ;
         std::size_t want = n - done;
         if (credits != nullptr)
@@ -364,22 +394,23 @@ struct Core {
         // An armed barrier splits the round at S: land up to the marker's
         // slot, inject it exactly between seq S-1 and seq S, and the next
         // round continues past it.
-        if (armed_marker[i] != kNoBarrier)
+        if (feed.armed_marker != kNoBarrier)
           want = std::min<std::size_t>(
-              want, static_cast<std::size_t>(armed_marker[i] - port.pushed()));
+              want,
+              static_cast<std::size_t>(feed.armed_marker - port.pushed()));
         if (room > 0 && want > 0) {
           bool was_empty = false;
-          landed = feed.try_push_batch(msgs + done, std::min(room, want),
-                                       &was_empty, &aborted);
+          landed = feed.channel.try_push_batch(
+              msgs + done, std::min(room, want), &was_empty, &aborted);
           if (landed > 0) {
             done += landed;
             // Single writer (the port's caller): plain load+store, no RMW.
             port.next_seq_.store(port.pushed() + landed,
                                  std::memory_order_relaxed);
-            if (armed_marker[i] != kNoBarrier &&
-                port.pushed() == armed_marker[i])
-              inject_marker_locked(i, armed_marker[i]);
-            feed_pushed(i, was_empty);
+            if (feed.armed_marker != kNoBarrier &&
+                port.pushed() == feed.armed_marker)
+              inject_marker_locked(feed, feed.armed_marker);
+            feed_pushed(feed, was_empty);
           }
         }
       }
@@ -391,8 +422,8 @@ struct Core {
       if (landed < room) continue;
       const std::size_t need = std::max<std::size_t>(
           1, std::min(n - done, spec.feed_capacity / 2));
-      if (!wait_feed_space(i, deadline, need)) {
-        if (feed.aborted()) break;
+      if (!wait_feed_space(feed, deadline, need)) {
+        if (feed.channel.aborted()) break;
         last_round = true;
       }
     }
@@ -406,8 +437,8 @@ struct Core {
     Message m = Message::data(port.pushed(), std::move(v));
     if (push_messages(port, &m, 1, deadline, wait) == 1)
       return PortPushOutcome::Ok;
-    return feed_channels[port.index_]->aborted() ? PortPushOutcome::Ended
-                                                 : PortPushOutcome::TimedOut;
+    return feeds[port.index_].channel.aborted() ? PortPushOutcome::Ended
+                                                : PortPushOutcome::TimedOut;
   }
 
   // push_batch / push_batch_for: seqs are assigned up front into the
@@ -415,7 +446,7 @@ struct Core {
   std::size_t port_push_batch(InputPort& port, std::vector<Value> values,
                               const Deadline& deadline) {
     if (port.closed_ || values.empty()) return 0;
-    std::vector<Message>& msgs = feed_staging[port.index_];
+    std::vector<Message>& msgs = feeds[port.index_].staging;
     msgs.clear();
     std::uint64_t seq = port.pushed();
     for (auto& v : values) msgs.push_back(Message::data(seq++, std::move(v)));
@@ -427,108 +458,128 @@ struct Core {
 
   void port_close(InputPort& port) {
     if (port.closed_) return;
-    const std::size_t i = port.index_;
-    std::lock_guard plock(*port_mus[i]);
+    Feed& feed = feeds[port.index_];
+    std::lock_guard plock(feed.mu);
     // A port closed short of an armed barrier cuts at its final count: its
     // marker precedes the EOS, so everything it ever accepted is below the
     // cut and the barrier invariant holds with next_seq < S.
-    if (armed_marker[i] != kNoBarrier)
-      inject_marker_locked(i, armed_marker[i]);
+    if (feed.armed_marker != kNoBarrier)
+      inject_marker_locked(feed, feed.armed_marker);
     port.closed_ = true;
-    BoundedChannel& feed = *feed_channels[i];
     // The reserved slot makes this infallible unless the stream already
     // aborted (then the EOS is moot anyway).
-    const PushResult r = feed.try_push(Message::eos());
+    const PushResult r = feed.channel.try_push(Message::eos());
     SDAF_ASSERT(r != PushResult::Full);
-    feed_closed(i);
+    feed_closed(feed);
   }
 
-  // Lazily aligns tap j's cut state with the current barrier generation
+  // Lazily aligns the tap's cut state with the current barrier generation
   // (begin() bumps the generation; the taps reset on first touch instead of
   // begin() taking every tap lock -- a caller parked in next() holds its
-  // tap's lock indefinitely). Pre: egress_mus[j] held.
-  void tap_sync_locked(std::size_t j) {
+  // tap's lock indefinitely). Pre: tap.mu held.
+  void tap_sync_locked(Tap& tap) {
     const std::uint64_t gen = snap_gen.load(std::memory_order_acquire);
-    if (tap_gen[j] == gen) return;
-    tap_gen[j] = gen;
-    tap_acked[j] = 0;
-    tap_ended_cut[j] = 0;
-    tap_residue[j].clear();
+    if (tap.gen == gen) return;
+    tap.gen = gen;
+    tap.acked = 0;
+    tap.cut.ended = 0;
+    tap.cut.residue.clear();
     // A tap whose EOS was consumed before the barrier began is already at
     // its final cut: no marker will arrive (the sink finished), ack now.
-    if (outputs[j]->ended_) ack_tap_locked(j, /*ended=*/true);
+    if (tap.port.ended_) ack_tap_locked(tap, /*ended=*/true);
   }
 
-  // Pre: egress_mus[j] held and tap_sync_locked(j) ran this touch. The
-  // release increment pairs with assembly's acquire read, publishing the
-  // frozen tap cut (ended flag + residue).
-  void ack_tap_locked(std::size_t j, bool ended) {
-    if (tap_acked[j] != 0) return;
-    tap_acked[j] = 1;
-    tap_ended_cut[j] = ended ? 1 : 0;
+  // Pre: tap.mu held and tap_sync_locked ran this touch. The release
+  // increment pairs with assembly's acquire read, publishing the frozen tap
+  // cut (ended flag + residue).
+  void ack_tap_locked(Tap& tap, bool ended) {
+    if (tap.acked != 0) return;
+    tap.acked = 1;
+    tap.cut.ended = ended ? 1 : 0;
     tap_acked_count.fetch_add(1, std::memory_order_release);
   }
 
-  std::optional<OutputPort::Item> port_poll_once(OutputPort& port) {
-    std::lock_guard elock(*egress_mus[port.index_]);
-    return port_poll_once_locked(port);
+  // The one tap reader, for the caller's poll and the snapshot reaper.
+  // Pre: tap.mu held. Drops dummy runs off the head -- interior dummies
+  // reaching the tap (propagation-mode forwarding) carry no caller-visible
+  // payload, so each run goes in one op -- and stops at the first other
+  // head, returning its kind (nullopt: the ring is empty):
+  //   Marker: the tap's barrier marker, invisible to the caller. Popped,
+  //     and the tap's cut acked: everything ahead of it was delivered or
+  //     parked (needs no further residue).
+  //   Eos: acked as the tap's cut and left on the ring. EOS racing a
+  //     pending barrier means the sink finished before (or while)
+  //     consuming its markers -- either way no marker follows, so this IS
+  //     the tap's cut.
+  //   Data: popped into *item.
+  std::optional<MessageKind> read_tap_locked(Tap& tap,
+                                             OutputPort::Item* item) {
+    for (;;) {
+      const auto head = tap.channel.try_peek_head();
+      if (!head.has_value()) return std::nullopt;
+      switch (head->kind) {
+        case MessageKind::Dummy: {
+          const auto run = tap.channel.pop_dummies(head->run);
+          egress_popped(tap, run.was_full);
+          continue;
+        }
+        case MessageKind::Marker: {
+          const bool was_full = tap.channel.pop();
+          egress_popped(tap, was_full);
+          tap_sync_locked(tap);
+          ack_tap_locked(tap, /*ended=*/false);
+          return MessageKind::Marker;
+        }
+        case MessageKind::Eos:
+          tap_sync_locked(tap);
+          ack_tap_locked(tap, /*ended=*/true);
+          return MessageKind::Eos;
+        case MessageKind::Data:
+          break;
+      }
+      bool was_full = false;
+      Message m = tap.channel.pop_head(&was_full);
+      egress_popped(tap, was_full);
+      *item = OutputPort::Item{m.seq, std::move(m.payload)};
+      return MessageKind::Data;
+    }
   }
 
-  std::optional<OutputPort::Item> port_poll_once_locked(OutputPort& port) {
-    const std::size_t j = port.index_;
+  std::optional<OutputPort::Item> port_poll_once(OutputPort& port) {
+    Tap& tap = taps[port.index_];
+    std::lock_guard elock(tap.mu);
+    return port_poll_once_locked(tap);
+  }
+
+  std::optional<OutputPort::Item> port_poll_once_locked(Tap& tap) {
+    OutputPort& port = tap.port;
     // Restored tap residue (and items the snapshot reaper parked to surface
     // a marker) delivers ahead of anything in the live ring -- it is older.
-    if (!parked[j].empty()) {
-      OutputPort::Item item = std::move(parked[j].front());
-      parked[j].pop_front();
+    if (!tap.parked.empty()) {
+      OutputPort::Item item = std::move(tap.parked.front());
+      tap.parked.pop_front();
       return item;
     }
-    if (parked_ended[j] != 0) {
+    if (tap.parked_ended != 0) {
       // The cut saw this tap's EOS; the restored sink is done and will not
       // flood another one into the new ring.
       port.ended_ = true;
       return std::nullopt;
     }
     if (port.ended_) return std::nullopt;
-    BoundedChannel& egress = *egress_channels[j];
+    OutputPort::Item item;
     for (;;) {
-      const auto head = egress.try_peek_head();
-      if (!head.has_value()) {
-        if (egress.aborted()) port.ended_ = true;
-        return std::nullopt;
-      }
-      if (head->kind == MessageKind::Dummy) {
-        // Interior dummies reaching the tap (propagation-mode forwarding)
-        // carry no caller-visible payload; drop the whole run in one op.
-        const auto run = egress.pop_dummies(head->run);
-        egress_popped(j, run.was_full);
-        continue;
-      }
-      if (head->kind == MessageKind::Marker) {
-        // The tap's barrier marker: invisible to the caller. Everything the
-        // caller popped before it was delivered (needs no residue);
-        // acknowledge the tap's cut and keep polling.
-        const bool was_full = egress.pop();
-        egress_popped(j, was_full);
-        tap_sync_locked(j);
-        ack_tap_locked(j, /*ended=*/false);
-        continue;
-      }
-      if (head->kind == MessageKind::Eos) {
-        // EOS racing a pending barrier: the sink finished before (or while)
-        // consuming its markers -- either way no marker follows, so this IS
-        // the tap's cut.
-        tap_sync_locked(j);
-        ack_tap_locked(j, /*ended=*/true);
-        const bool was_full = egress.pop();
-        egress_popped(j, was_full);
+      const auto kind = read_tap_locked(tap, &item);
+      if (kind == MessageKind::Data) return item;
+      if (kind == MessageKind::Marker) continue;  // keep polling past it
+      if (kind == MessageKind::Eos) {
+        const bool was_full = tap.channel.pop();
+        egress_popped(tap, was_full);
         port.ended_ = true;
-        return std::nullopt;
+      } else if (tap.channel.aborted()) {
+        port.ended_ = true;
       }
-      bool was_full = false;
-      Message m = egress.pop_head(&was_full);
-      egress_popped(j, was_full);
-      return OutputPort::Item{m.seq, std::move(m.payload)};
+      return std::nullopt;
     }
   }
 
@@ -543,12 +594,13 @@ struct Core {
     // Holds the tap lock across the park: the wait peeks the ring, which is
     // a consumer-side op that must not race the snapshot reaper (whose
     // try_lock simply skips a tap its caller owns).
-    std::lock_guard elock(*egress_mus[port.index_]);
+    Tap& tap = taps[port.index_];
+    std::lock_guard elock(tap.mu);
     for (;;) {
-      if (auto item = port_poll_once_locked(port); item.has_value())
+      if (auto item = port_poll_once_locked(tap); item.has_value())
         return item;
       if (port.ended_) return std::nullopt;
-      if (!wait_egress_item(port.index_)) return std::nullopt;
+      if (!wait_egress_item(tap)) return std::nullopt;
     }
   }
 
@@ -559,15 +611,20 @@ struct Core {
   virtual void drain_taps() {
     using namespace std::chrono_literals;
     for (;;) {
-      bool all_ended = true;
-      bool any = false;
-      for (auto& port : outputs) {
-        while (port_poll_once(*port).has_value()) any = true;
-        all_ended &= port->ended_;
-      }
-      if (all_ended) return;
+      const bool any = discard_tap_items();
+      if (std::all_of(taps.begin(), taps.end(),
+                      [](const Tap& tap) { return tap.port.ended_; }))
+        return;
       if (!any) std::this_thread::sleep_for(200us);
     }
+  }
+
+  // Polls every tap empty, dropping the items; true = it dropped any.
+  bool discard_tap_items() {
+    bool any = false;
+    for (Tap& tap : taps)
+      while (port_poll_once(tap.port).has_value()) any = true;
+    return any;
   }
 
   // --- barrier lifecycle (Stream::snapshot_*) ---------------------------
@@ -583,31 +640,30 @@ struct Core {
     // Hold every feed's producer side while choosing S and injecting, so no
     // port can slip an item with seq >= S underneath an injected marker.
     std::vector<std::unique_lock<std::mutex>> plocks;
-    plocks.reserve(port_mus.size());
-    for (auto& m : port_mus) plocks.emplace_back(*m);
+    plocks.reserve(feeds.size());
+    for (Feed& feed : feeds) plocks.emplace_back(feed.mu);
     // S = max over ALL ports (open and closed) of items accepted: closed
     // ports forward no marker, so every message they ever contributed must
     // sit below the cut for downstream alignment to hold.
     std::uint64_t barrier = 0;
-    for (const auto& port : inputs) barrier = std::max(barrier, port->pushed());
+    for (const Feed& feed : feeds)
+      barrier = std::max(barrier, feed.port.pushed());
     const bool begun = plane.begin(barrier);
     SDAF_ASSERT(begun);
     snap_barrier = barrier;
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-      InputPort& port = *inputs[i];
-      if (port.closed_) {
+    for (Feed& feed : feeds) {
+      if (feed.port.closed_) {
         // No marker: the source drains to EOS and reports through the
         // plane's finished set (its feed holds only seqs < S by choice of
         // S, plus the EOS).
-        port_cut_closed[i] = 1;
-        port_cut_seq[i] = port.pushed();
+        feed.cut = ckpt::PortCut{1, feed.port.pushed()};
         continue;
       }
-      port_cut_closed[i] = 0;
-      if (port.pushed() == barrier)
-        inject_marker_locked(i, barrier);
+      feed.cut.closed = 0;
+      if (feed.port.pushed() == barrier)
+        inject_marker_locked(feed, barrier);
       else
-        armed_marker[i] = barrier;  // inject exactly when it reaches S
+        feed.armed_marker = barrier;  // inject exactly when it reaches S
     }
     snap_active = true;
     snap_begin_seconds = clock.elapsed_seconds();
@@ -618,40 +674,20 @@ struct Core {
   // unacked tap we can lock (try_lock -- a caller inside a port call owns
   // the tap and will process its marker itself), pop ahead of the marker,
   // parking Data items for later delivery and recording them as the cut's
-  // residue (popped-but-undelivered at the cut). Pre: snap_mu held.
+  // residue (popped-but-undelivered at the cut). An EOS stays for the
+  // caller's poll (ended() flips there); the cut records the tap as ended
+  // either way. Pre: snap_mu held.
   void reap_tap_markers() {
-    for (std::size_t j = 0; j < outputs.size(); ++j) {
-      std::unique_lock elock(*egress_mus[j], std::try_to_lock);
+    for (Tap& tap : taps) {
+      std::unique_lock elock(tap.mu, std::try_to_lock);
       if (!elock.owns_lock()) continue;
-      tap_sync_locked(j);
-      if (tap_acked[j] != 0 || parked_ended[j] != 0 || outputs[j]->ended_)
+      tap_sync_locked(tap);
+      if (tap.acked != 0 || tap.parked_ended != 0 || tap.port.ended_)
         continue;
-      BoundedChannel& egress = *egress_channels[j];
-      for (;;) {
-        const auto head = egress.try_peek_head();
-        if (!head.has_value()) break;
-        if (head->kind == MessageKind::Marker) {
-          const bool was_full = egress.pop();
-          egress_popped(j, was_full);
-          ack_tap_locked(j, /*ended=*/false);
-          break;
-        }
-        if (head->kind == MessageKind::Eos) {
-          // Leave the EOS for the caller's poll (ended() flips there); the
-          // cut records the tap as ended either way.
-          ack_tap_locked(j, /*ended=*/true);
-          break;
-        }
-        if (head->kind == MessageKind::Dummy) {
-          const auto run = egress.pop_dummies(head->run);
-          egress_popped(j, run.was_full);
-          continue;
-        }
-        bool was_full = false;
-        Message m = egress.pop_head(&was_full);
-        egress_popped(j, was_full);
-        tap_residue[j].push_back(ckpt::TapItem{m.seq, m.payload});
-        parked[j].push_back(OutputPort::Item{m.seq, std::move(m.payload)});
+      OutputPort::Item item;
+      while (read_tap_locked(tap, &item) == MessageKind::Data) {
+        tap.cut.residue.push_back(ckpt::TapItem{item.seq, item.value});
+        tap.parked.push_back(std::move(item));
       }
     }
   }
@@ -662,7 +698,7 @@ struct Core {
     (void)pump_now();  // Sim: markers only advance on the caller's thread
     reap_tap_markers();
     if (!plane.nodes_complete()) return std::nullopt;
-    if (tap_acked_count.load(std::memory_order_acquire) != outputs.size())
+    if (tap_acked_count.load(std::memory_order_acquire) != taps.size())
       return std::nullopt;
     return assemble_snapshot();
   }
@@ -680,20 +716,19 @@ struct Core {
       snap.edges.push_back(
           edge_cut_at(e, /*producer_checkpointed=*/
                       snap.nodes[graph.edge(e).from].done == 0));
-    snap.ports.reserve(inputs.size());
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
+    snap.ports.reserve(feeds.size());
+    for (Feed& feed : feeds) {
       // Brief lock: port mutex holders never block (pushes park outside).
-      std::lock_guard plock(*port_mus[i]);
-      snap.ports.push_back(ckpt::PortCut{port_cut_closed[i], port_cut_seq[i]});
+      std::lock_guard plock(feed.mu);
+      snap.ports.push_back(feed.cut);
     }
-    snap.taps.reserve(outputs.size());
-    for (std::size_t j = 0; j < outputs.size(); ++j) {
+    snap.taps.reserve(taps.size());
+    for (Tap& tap : taps) {
       // No tap lock (a parked next() caller holds one indefinitely): the
       // residue is written only under snap_mu, and the ended flag was
       // published by the ack's release increment.
-      snap.taps.push_back(
-          ckpt::TapCut{tap_ended_cut[j], std::move(tap_residue[j])});
-      tap_residue[j].clear();
+      snap.taps.push_back(std::move(tap.cut));
+      tap.cut.residue.clear();
     }
     snap_active = false;
     ++snapshots_taken;
@@ -730,26 +765,18 @@ struct Core {
       s.tenant.tenant = spec.run.tenant;
       s.tenant.wall_seconds = clock.elapsed_seconds();
     }
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-      obs::PortMetrics p;
-      p.node = inputs[i]->node();
-      p.name = graph.node_name(p.node);
-      p.input = true;
-      p.pushed = inputs[i]->pushed();
-      p.occupancy = feed_channels[i]->size();
-      p.capacity = spec.feed_capacity;
-      s.ports.push_back(std::move(p));
-    }
-    for (std::size_t i = 0; i < outputs.size(); ++i) {
-      obs::PortMetrics p;
-      p.node = outputs[i]->node();
-      p.name = graph.node_name(p.node);
-      p.input = false;
-      p.pushed = egress_channels[i]->stats().data_pushed;
-      p.occupancy = egress_channels[i]->size();
-      p.capacity = spec.egress_capacity;
-      s.ports.push_back(std::move(p));
-    }
+    const auto add_port = [&](NodeId node, bool input, std::uint64_t pushed,
+                              const BoundedChannel& channel,
+                              std::size_t capacity) {
+      s.ports.push_back(obs::PortMetrics{node, graph.node_name(node), input,
+                                         pushed, channel.size(), capacity});
+    };
+    for (const Feed& feed : feeds)
+      add_port(feed.port.node(), true, feed.port.pushed(), feed.channel,
+               spec.feed_capacity);
+    for (const Tap& tap : taps)
+      add_port(tap.port.node(), false, tap.channel.stats().data_pushed,
+               tap.channel, spec.egress_capacity);
     s.workers = worker_metrics();
     {
       std::lock_guard slock(snap_mu);
@@ -771,7 +798,7 @@ struct Core {
       snap_active = false;
       plane.abort_barrier();
     }
-    for (auto& port : inputs) port_close(*port);
+    for (Feed& feed : feeds) port_close(feed.port);
     drain_taps();
     RunReport report = collect();
     // The engine is quiesced: every drain hook that will ever fire has
@@ -785,78 +812,17 @@ struct Core {
 
   void append_port_dump(RunReport* report) const {
     std::ostringstream out;
-    for (std::size_t i = 0; i < inputs.size(); ++i)
-      out << "port feed " << graph.node_name(binding.source_nodes[i]) << " "
-          << feed_channels[i]->size() << "/" << spec.feed_capacity
-          << (inputs[i]->closed_ ? " closed" : " open") << "\n";
-    for (std::size_t i = 0; i < outputs.size(); ++i)
-      out << "port egress " << graph.node_name(outputs[i]->node_) << " "
-          << egress_channels[i]->size() << "/" << spec.egress_capacity
-          << (outputs[i]->ended_ ? " ended" : "") << "\n";
+    for (const Feed& feed : feeds)
+      out << "port feed " << graph.node_name(feed.port.node_) << " "
+          << feed.channel.size() << "/" << spec.feed_capacity
+          << (feed.port.closed_ ? " closed" : " open") << "\n";
+    for (const Tap& tap : taps)
+      out << "port egress " << graph.node_name(tap.port.node_) << " "
+          << tap.channel.size() << "/" << spec.egress_capacity
+          << (tap.port.ended_ ? " ended" : "") << "\n";
     report->state_dump += out.str();
   }
 };
-
-bool Core::wait_feed_space(std::size_t i, const Deadline& deadline,
-                           std::size_t need) {
-  // Wake-elision protocol: publish the low-water mark, register as a
-  // waiter on the feed's ProducerSignal, re-check, then park futex-style on
-  // the captured version -- bounded by the absolute deadline when the
-  // caller asked for timed parking. Only a pop that leaves the feed at or
-  // below the mark wakes the pusher. The caller loops, so a spurious
-  // wake-up just re-probes. See runtime::ProducerSignal::note_pop.
-  SDAF_EXPECTS(need >= 1 && need <= spec.feed_capacity);
-  BoundedChannel& feed = *feed_channels[i];
-  ProducerSignal& sig = *feed_signals[i];
-  const std::size_t wake_at = spec.feed_capacity - need;
-  sig.wake_at.store(wake_at, std::memory_order_relaxed);
-  const std::uint32_t version = sig.event.capture();
-  sig.event.register_waiter();
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  const bool space = feed.size() <= wake_at;
-  bool timed_out = false;
-  if (!space && !feed.aborted() &&
-      !sig.aborted.load(std::memory_order_acquire)) {
-    if (deadline.has_value())
-      timed_out = !runtime::ParkingLot::park_until(sig.event.version, version,
-                                                   *deadline);
-    else
-      runtime::ParkingLot::park(sig.event.version, version);
-  }
-  sig.event.unregister_waiter();
-  return !feed.aborted() && !timed_out;
-}
-
-bool Core::wait_egress_item(std::size_t i) {
-  // Blocks in the channel itself (every producer push notifies); empty
-  // optional iff the tap was aborted.
-  return egress_channels[i]->peek_head_wait().has_value();
-}
-
-bool Core::wait_credit(const Deadline& deadline) {
-  // Wake-elision protocol against the tenant gauge: capture -> register
-  // (seq_cst RMW) -> fence -> re-check -> park on the captured version.
-  // Every release() fences then bumps-if-waiters, so a parked pusher never
-  // misses a returned credit. The park carries 50ms insurance on top of
-  // any caller deadline: a co-stream that aborts returns its credits via
-  // finish() without bumping this event, and the re-probe upstream is what
-  // observes the abort.
-  using namespace std::chrono_literals;
-  runtime::EventWord& ev = credits->event();
-  const std::uint32_t version = ev.capture();
-  ev.register_waiter();
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  bool timed_out = false;
-  if (credits->in_flight() >= credits->limit()) {
-    auto until = std::chrono::steady_clock::now() + 50ms;
-    if (deadline.has_value() && *deadline < until) until = *deadline;
-    (void)runtime::ParkingLot::park_until(ev.version, version, until);
-    timed_out =
-        deadline.has_value() && std::chrono::steady_clock::now() >= *deadline;
-  }
-  ev.unregister_waiter();
-  return !timed_out;
-}
 
 // ---------------------------------------------------------------- Sim ---
 // Single-threaded: the caller's own thread runs the deterministic sweeps.
@@ -881,16 +847,16 @@ struct SimCore final : Core {
   [[nodiscard]] std::uint64_t sweeps_now() const override {
     return engine->sweeps();
   }
-  bool wait_feed_space(std::size_t i, const Deadline& /*deadline*/,
+  bool wait_feed_space(Feed& feed, const Deadline& /*deadline*/,
                        std::size_t /*need*/) override {
     // "Waiting" on the Sim backend means pumping on the caller's thread; a
     // pump with no progress already answers a deadline caller (the graph
     // cannot absorb the item no matter how long it waits), so the deadline
     // itself is moot -- and so is the low-water mark: one pump is as far
     // as the feed can drain before the caller pushes again.
-    return engine->pump() && !feed_channels[i]->aborted();
+    return engine->pump() && !feed.channel.aborted();
   }
-  bool wait_egress_item(std::size_t /*i*/) override { return engine->pump(); }
+  bool wait_egress_item(Tap& /*tap*/) override { return engine->pump(); }
   bool wait_credit(const Deadline& /*deadline*/) override {
     // The feed consumers run on this thread: pumping is what returns
     // credits. A pump with no progress means no credit will ever free
@@ -900,15 +866,11 @@ struct SimCore final : Core {
 
   void drain_taps() override {
     for (;;) {
-      bool any = false;
-      for (auto& port : outputs)
-        while (port_poll_once(*port).has_value()) any = true;
+      const bool any = discard_tap_items();
       const bool pumped = engine->pump();
       if (engine->all_done()) {
         // One last drain so collect() leaves no tap contents behind.
-        for (auto& port : outputs)
-          while (port_poll_once(*port).has_value()) {
-          }
+        (void)discard_tap_items();
         return;
       }
       if (!pumped && !any) return;  // wedged (or sweep budget exhausted)
@@ -953,29 +915,24 @@ struct PooledCore final : Core {
     // Ports restored closed (their sources restored done) never call
     // feed_closed; report them so the extended quiescence rule sees the
     // right open-port count.
-    for (std::size_t i = 0; i < inputs.size(); ++i)
-      if (inputs[i]->closed()) {
-        runtime::PoolExecutor::stream_port_closed(handle);
-        runtime::PoolExecutor::stream_wake(handle, binding.source_nodes[i]);
-      }
+    for (const Feed& feed : feeds)
+      if (feed.port.closed()) feed_closed(feed);
   }
 
-  void feed_pushed(std::size_t i, bool was_empty) override {
-    if (was_empty)
-      runtime::PoolExecutor::stream_wake(handle, binding.source_nodes[i]);
+  void feed_pushed(const Feed& feed, bool was_empty) override {
+    if (was_empty) runtime::PoolExecutor::stream_wake(handle, feed.port.node());
   }
 
-  void feed_closed(std::size_t i) override {
+  void feed_closed(const Feed& feed) override {
     // Close protocol (see PoolExecutor::Instance): EOS already pushed by
     // port_close, then the decrement, then the wake -- so a quiescent
     // observer that reads the decrement also sees the EOS.
     runtime::PoolExecutor::stream_port_closed(handle);
-    runtime::PoolExecutor::stream_wake(handle, binding.source_nodes[i]);
+    runtime::PoolExecutor::stream_wake(handle, feed.port.node());
   }
 
-  void egress_popped(std::size_t i, bool was_full) override {
-    if (was_full)
-      runtime::PoolExecutor::stream_wake(handle, outputs[i]->node());
+  void egress_popped(const Tap& tap, bool was_full) override {
+    if (was_full) runtime::PoolExecutor::stream_wake(handle, tap.port.node());
   }
 
   [[nodiscard]] std::vector<obs::WorkerMetrics> worker_metrics()
@@ -1078,32 +1035,18 @@ Stream::~Stream() {
   if (core_ != nullptr && !core_->collected) (void)core_->finish();
 }
 
-std::size_t Stream::input_count() const { return core_->inputs.size(); }
+std::size_t Stream::input_count() const { return core_->feeds.size(); }
 
 InputPort& Stream::input(std::size_t i) {
-  SDAF_EXPECTS(i < core_->inputs.size());
-  return *core_->inputs[i];
+  SDAF_EXPECTS(i < core_->feeds.size());
+  return core_->feeds[i].port;
 }
 
-InputPort& Stream::input_for(NodeId source) {
-  for (auto& port : core_->inputs)
-    if (port->node() == source) return *port;
-  SDAF_EXPECTS(false && "no input port for node");
-  return *core_->inputs.front();
-}
-
-std::size_t Stream::output_count() const { return core_->outputs.size(); }
+std::size_t Stream::output_count() const { return core_->taps.size(); }
 
 OutputPort& Stream::output(std::size_t i) {
-  SDAF_EXPECTS(i < core_->outputs.size());
-  return *core_->outputs[i];
-}
-
-OutputPort& Stream::output_for(NodeId sink) {
-  for (auto& port : core_->outputs)
-    if (port->node() == sink) return *port;
-  SDAF_EXPECTS(false && "no output port for node");
-  return *core_->outputs.front();
+  SDAF_EXPECTS(i < core_->taps.size());
+  return core_->taps[i].port;
 }
 
 void Stream::pump() { (void)core_->pump_now(); }

@@ -217,10 +217,8 @@ class Stream {
 
   [[nodiscard]] std::size_t input_count() const;
   [[nodiscard]] InputPort& input(std::size_t i);
-  [[nodiscard]] InputPort& input_for(NodeId source);
   [[nodiscard]] std::size_t output_count() const;  // 0 unless capture_outputs
   [[nodiscard]] OutputPort& output(std::size_t i);
-  [[nodiscard]] OutputPort& output_for(NodeId sink);
 
   // Sim backend: run sweeps on the caller's thread until nothing more can
   // progress without new input (ports call this on demand too, so explicit

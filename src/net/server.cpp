@@ -612,8 +612,13 @@ struct Server::Impl {
     // names are disjoint from the per-stream ones, so appending keeps the
     // one-TYPE-per-family rule intact.
     page += obs::tenant_sched_to_prometheus(pool->tenant_metrics());
-    page += obs::admission_to_prometheus(admission.admitted_total(),
-                                         admission.rejected_total());
+    page += obs::scalars_to_prometheus(
+        {{"sdaf_admission_admitted_total", "counter",
+          "Streams admitted by the qos admission controller.",
+          admission.admitted_total()},
+         {"sdaf_admission_rejected_total", "counter",
+          "Opens refused over budget by the qos admission controller.",
+          admission.rejected_total()}});
     page += obs::credits_to_prometheus(tenants.entries());
 
     // Service-level families, appended after the per-stream ones (family

@@ -395,24 +395,6 @@ std::string tenant_sched_to_prometheus(
   return w.str();
 }
 
-std::string pool_to_prometheus(std::uint64_t instances_built) {
-  return scalars_to_prometheus(
-      {{"sdaf_pool_instances_built_total", "counter",
-        "Run instances (wiring, node tasks) the pool built; a batch round "
-        "that reuses a retired instance of its shape builds none.",
-        instances_built}});
-}
-
-std::string admission_to_prometheus(std::uint64_t admitted,
-                                    std::uint64_t rejected) {
-  return scalars_to_prometheus(
-      {{"sdaf_admission_admitted_total", "counter",
-        "Streams admitted by the qos admission controller.", admitted},
-       {"sdaf_admission_rejected_total", "counter",
-        "Opens refused over budget by the qos admission controller.",
-        rejected}});
-}
-
 std::string credits_to_prometheus(
     const std::vector<TenantCreditMetrics>& tenants) {
   PromWriter w;

@@ -38,24 +38,14 @@ namespace sdaf::obs {
 [[nodiscard]] std::string tenant_sched_to_prometheus(
     const std::vector<TenantSchedMetrics>& tenants);
 
-// The pool's instance counter (PoolExecutor::instances_built) as the
-// sdaf_pool_instances_built_total counter. A plain integer so obs stays
-// independent of runtime.
-[[nodiscard]] std::string pool_to_prometheus(std::uint64_t instances_built);
-
-// Admission-controller counters (qos::Admission) as Prometheus families:
-// sdaf_admission_admitted_total / sdaf_admission_rejected_total. Plain
-// integers so obs stays independent of qos.
-[[nodiscard]] std::string admission_to_prometheus(std::uint64_t admitted,
-                                                  std::uint64_t rejected);
-
 // Per-tenant credit windows (qos::TenantTable::entries) as the
 // sdaf_tenant_credit_limit / sdaf_tenant_credits_in_flight gauges.
 [[nodiscard]] std::string credits_to_prometheus(
     const std::vector<TenantCreditMetrics>& tenants);
 
 // Process-level families with one unlabelled sample each (sdafd's service
-// counters), in the order given. `type` is "counter" or "gauge".
+// and admission counters, the pool's instance counter), in the order
+// given. `type` is "counter" or "gauge".
 struct ScalarFamily {
   const char* name;
   const char* type;

@@ -158,12 +158,9 @@ std::optional<HeadView> BoundedChannel::peek_head_wait() {
     if (auto head = ring_.peek_head(); head.has_value()) return head;
     if (aborted_.load(std::memory_order_acquire)) return std::nullopt;
     if (metrics_ != nullptr) obs::bump(metrics_->empty_waits);
-    const std::uint32_t captured = not_empty_.capture();
-    not_empty_.register_waiter();
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (ring_.empty() && !aborted_.load(std::memory_order_acquire))
-      ParkingLot::park(not_empty_.version, captured);
-    not_empty_.unregister_waiter();
+    (void)not_empty_.wait([this] {
+      return !ring_.empty() || aborted_.load(std::memory_order_acquire);
+    });
   }
 }
 

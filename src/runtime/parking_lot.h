@@ -24,6 +24,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <optional>
 
 namespace sdaf::runtime {
 
@@ -86,6 +87,32 @@ struct EventWord {
   void unregister_waiter() {
     waiters.fetch_sub(1, std::memory_order_relaxed);
     clear_claim();
+  }
+
+  // The waiter side in one call: capture -> register (seq_cst RMW) ->
+  // fence -> re-check `ready` -> park on the captured version (until
+  // `deadline`, if given) -> unregister, with no fence after it: the caller
+  // re-probes before it can wait again (docs/SCHEDULER.md). The pool's idle
+  // workers keep their own sequence; they fence after unregistering.
+  // Ready = the re-check held and nothing parked; Woken may be spurious.
+  enum class Waited : std::uint8_t { Ready, Woken, TimedOut };
+  template <typename ReadyFn>
+  Waited wait(ReadyFn ready,
+              std::optional<std::chrono::steady_clock::time_point> deadline =
+                  std::nullopt) {
+    const std::uint32_t captured = capture();
+    register_waiter();
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    Waited result = Waited::Ready;
+    if (!ready()) {
+      result = Waited::Woken;
+      if (!deadline.has_value())
+        ParkingLot::park(version, captured);
+      else if (!ParkingLot::park_until(version, captured, *deadline))
+        result = Waited::TimedOut;
+    }
+    unregister_waiter();
+    return result;
   }
 
   // Publishes one transition: version moves first (so a mid-registration

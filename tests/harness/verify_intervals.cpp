@@ -1,4 +1,4 @@
-#include "src/core/verify.h"
+#include "tests/harness/verify_intervals.h"
 
 #include "src/intervals/baseline.h"
 #include "src/support/contracts.h"

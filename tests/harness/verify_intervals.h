@@ -1,8 +1,8 @@
 // Interval auditing: independently re-derives the per-edge requirements
 // from the cycle definitions (Section II.B) and checks a provided interval
-// assignment against them. Lets users validate hand-tuned or externally
-// produced configurations, and gives the test-suite a single notion of
-// "safe by construction".
+// assignment against them: an independent oracle that gives the test-suite
+// a single notion of "safe by construction". It enumerates cycles
+// (exponential), so it lives beside the other test oracles, not in src/.
 #pragma once
 
 #include <cstddef>

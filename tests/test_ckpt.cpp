@@ -736,5 +736,124 @@ TEST(Ckpt, BatchedFeedPopCutsAtTheBarrier) {
   expect_same_report(one.report, wide.report, "batch 1 vs 64 restore");
 }
 
+// A tap has one reader, shared by the caller's polls and the snapshot
+// reaper. On a Propagation-mode split/join the sink forwards dummy runs
+// onto its tap. The caller polls a few items, a barrier begins, the reaper
+// alone reads the tap up to the marker (dropping dummies, parking data),
+// and then the caller polls to EOS. Every output arrives exactly once and
+// in order; the cut's residue is exactly what the reaper parked (the items
+// between the caller's last poll and the marker); and a restore from the
+// cut re-delivers that residue first.
+TEST(Ckpt, PollAndReaperShareTheTapReader) {
+  const StreamGraph g = workloads::splitjoin(3, 2, 3);
+  const auto compiled = core::compile(g);
+  ASSERT_TRUE(compiled.ok);
+  constexpr std::int64_t kItems = 200;
+  constexpr std::int64_t kCut = 120;
+  constexpr std::size_t kPrePolled = 5;
+  const auto kernels = [&] { return workloads::relay_kernels(g, 0.55, 0xAB); };
+  StreamSpec ss;
+  ss.run.mode = DummyMode::Propagation;
+  ss.run.apply(compiled);
+  ss.run.pool_workers = 2;
+  const auto push_range = [](Stream& stream, std::int64_t from,
+                             std::int64_t to) {
+    for (std::int64_t i = from; i < to; ++i)
+      if (!stream.input(0).push(Value(i * 7))) return false;
+    return true;
+  };
+  // Reference: uninterrupted Sim run.
+  std::vector<OutputPort::Item> want;
+  RunReport want_report;
+  {
+    Session session(g, kernels());
+    ss.run.backend = Backend::Sim;
+    Stream stream = session.open(ss);
+    ASSERT_TRUE(push_range(stream, 0, kItems));
+    stream.input(0).close();
+    while (auto item = stream.output(0).next()) want.push_back(*item);
+    want_report = stream.finish();
+    ASSERT_TRUE(want_report.completed);
+  }
+  // Dummies reach the sink, so its tap carries the runs it forwards.
+  std::uint64_t sink_dummies = 0;
+  for (EdgeId e = 0; e < static_cast<EdgeId>(g.edge_count()); ++e)
+    if (g.edge(e).to == g.sinks()[0])
+      sink_dummies += want_report.edges[e].dummies;
+  ASSERT_GT(sink_dummies, 0u);
+  const auto expect_items = [&](const std::vector<OutputPort::Item>& got,
+                                std::size_t from, const std::string& label) {
+    ASSERT_EQ(got.size(), want.size() - from) << label;
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      EXPECT_EQ(got[k].seq, want[from + k].seq) << label << " item " << k;
+      EXPECT_EQ(got[k].value.as<std::int64_t>(),
+                want[from + k].value.as<std::int64_t>())
+          << label << " item " << k;
+    }
+  };
+  for (const Backend backend : kBackends) {
+    const std::string label = to_string(backend);
+    ss.run.backend = backend;
+    ckpt::StreamSnapshot snap;
+    {
+      Session session(g, kernels());
+      Stream stream = session.open(ss);
+      ASSERT_TRUE(push_range(stream, 0, kCut)) << label;
+      const auto deadline = std::chrono::steady_clock::now() + kSnapTimeout;
+      std::vector<OutputPort::Item> got;
+      while (got.size() < kPrePolled) {
+        ASSERT_LT(std::chrono::steady_clock::now(), deadline) << label;
+        if (auto item = stream.output(0).poll()) got.push_back(*item);
+      }
+      ASSERT_TRUE(stream.snapshot_begin()) << label;
+      std::optional<ckpt::StreamSnapshot> taken;
+      while (!taken.has_value()) {
+        ASSERT_LT(std::chrono::steady_clock::now(), deadline) << label;
+        taken = stream.snapshot_poll();
+      }
+      snap = std::move(*taken);
+      ASSERT_EQ(snap.barrier_seq, static_cast<std::uint64_t>(kCut)) << label;
+      ASSERT_EQ(snap.taps.size(), 1u) << label;
+      ASSERT_FALSE(snap.taps[0].residue.empty()) << label;
+      ASSERT_TRUE(push_range(stream, kCut, kItems)) << label;
+      stream.input(0).close();
+      while (!stream.output(0).ended()) {
+        ASSERT_LT(std::chrono::steady_clock::now(), deadline) << label;
+        if (auto item = stream.output(0).poll()) got.push_back(*item);
+      }
+      EXPECT_TRUE(stream.finish().completed) << label;
+      expect_items(got, 0, label);
+      // The caller's first polls after the cut return the residue, and the
+      // residue runs up to the marker: below S, then the ring resumes at or
+      // above S.
+      const std::vector<ckpt::TapItem>& residue = snap.taps[0].residue;
+      ASSERT_LE(kPrePolled + residue.size(), got.size()) << label;
+      for (std::size_t k = 0; k < residue.size(); ++k) {
+        EXPECT_EQ(residue[k].seq, got[kPrePolled + k].seq) << label;
+        EXPECT_EQ(residue[k].value.as<std::int64_t>(),
+                  got[kPrePolled + k].value.as<std::int64_t>())
+            << label;
+      }
+      EXPECT_LT(residue.back().seq, static_cast<std::uint64_t>(kCut)) << label;
+      if (kPrePolled + residue.size() < got.size()) {
+        EXPECT_GE(got[kPrePolled + residue.size()].seq,
+                  static_cast<std::uint64_t>(kCut))
+            << label;
+      }
+    }
+    // A restore delivers the residue first, then the replayed tail: every
+    // output the caller had not polled before the cut.
+    Session session(g, kernels());
+    auto restored = session.restore(ss, snap);
+    ASSERT_TRUE(restored.has_value()) << label;
+    ASSERT_TRUE(push_range(*restored, kCut, kItems)) << label;
+    restored->input(0).close();
+    std::vector<OutputPort::Item> again;
+    while (auto item = restored->output(0).next()) again.push_back(*item);
+    expect_items(again, kPrePolled, label + " restore");
+    expect_same_report(want_report, restored->finish(), label + " restore");
+  }
+}
+
 }  // namespace
 }  // namespace sdaf::exec

@@ -155,8 +155,13 @@ void print_tenant_ledger(const runtime::PoolExecutor& pool,
                          const std::string& format) {
   const std::vector<obs::TenantSchedMetrics> tenants = pool.tenant_metrics();
   if (format == "prom") {
-    const std::string text = obs::tenant_sched_to_prometheus(tenants) +
-                             obs::pool_to_prometheus(pool.instances_built());
+    const std::string text =
+        obs::tenant_sched_to_prometheus(tenants) +
+        obs::scalars_to_prometheus(
+            {{"sdaf_pool_instances_built_total", "counter",
+              "Run instances (wiring, node tasks) the pool built; a batch "
+              "round that reuses a retired instance of its shape builds none.",
+              pool.instances_built()}});
     std::fputs(text.c_str(), stderr);
     if (text.empty() || text.back() != '\n') std::fputc('\n', stderr);
     return;
