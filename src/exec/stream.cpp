@@ -511,9 +511,8 @@ struct Core {
   //     pending barrier means the sink finished before (or while)
   //     consuming its markers -- either way no marker follows, so this IS
   //     the tap's cut.
-  //   Data: popped into *item.
-  std::optional<MessageKind> read_tap_locked(Tap& tap,
-                                             OutputPort::Item* item) {
+  //   Data: left on the ring for the caller's pop_tap_item_locked.
+  std::optional<MessageKind> dispatch_tap_head_locked(Tap& tap) {
     for (;;) {
       const auto head = tap.channel.try_peek_head();
       if (!head.has_value()) return std::nullopt;
@@ -535,14 +534,17 @@ struct Core {
           ack_tap_locked(tap, /*ended=*/true);
           return MessageKind::Eos;
         case MessageKind::Data:
-          break;
+          return MessageKind::Data;
       }
-      bool was_full = false;
-      Message m = tap.channel.pop_head(&was_full);
-      egress_popped(tap, was_full);
-      *item = OutputPort::Item{m.seq, std::move(m.payload)};
-      return MessageKind::Data;
     }
+  }
+
+  // Pre: tap.mu held and dispatch_tap_head_locked returned Data.
+  OutputPort::Item pop_tap_item_locked(Tap& tap) {
+    bool was_full = false;
+    Message m = tap.channel.pop_head(&was_full);
+    egress_popped(tap, was_full);
+    return OutputPort::Item{m.seq, std::move(m.payload)};
   }
 
   std::optional<OutputPort::Item> port_poll_once(OutputPort& port) {
@@ -567,10 +569,9 @@ struct Core {
       return std::nullopt;
     }
     if (port.ended_) return std::nullopt;
-    OutputPort::Item item;
     for (;;) {
-      const auto kind = read_tap_locked(tap, &item);
-      if (kind == MessageKind::Data) return item;
+      const auto kind = dispatch_tap_head_locked(tap);
+      if (kind == MessageKind::Data) return pop_tap_item_locked(tap);
       if (kind == MessageKind::Marker) continue;  // keep polling past it
       if (kind == MessageKind::Eos) {
         const bool was_full = tap.channel.pop();
@@ -684,8 +685,8 @@ struct Core {
       tap_sync_locked(tap);
       if (tap.acked != 0 || tap.parked_ended != 0 || tap.port.ended_)
         continue;
-      OutputPort::Item item;
-      while (read_tap_locked(tap, &item) == MessageKind::Data) {
+      while (dispatch_tap_head_locked(tap) == MessageKind::Data) {
+        OutputPort::Item item = pop_tap_item_locked(tap);
         tap.cut.residue.push_back(ckpt::TapItem{item.seq, item.value});
         tap.parked.push_back(std::move(item));
       }
