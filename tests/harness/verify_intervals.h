@@ -26,7 +26,7 @@ struct VerifyResult {
 };
 
 // Audits `intervals` for `algorithm` by exact cycle enumeration
-// (exponential; intended for test rigs and small production topologies).
+// (exponential; meant for the small topologies of the test rigs).
 // An interval is admissible iff it is <= the exact requirement on every
 // edge; smaller-than-required values are safe (just chattier).
 [[nodiscard]] VerifyResult verify_intervals(
